@@ -2,7 +2,7 @@
 
 The apparatus in the measurement model is a single large spin-L, so the
 same ladder-operator construction serves both the measured particle
-(j = 1/2) and the device (j = L up to ~100).
+(j = 1/2) and the device (j = L).
 """
 
 from __future__ import annotations
@@ -27,11 +27,26 @@ __all__ = [
 ]
 
 
-def _check_spin(j) -> float:
+def _check_spin(j, minimum: float = 0.0, name: str = "spin") -> float:
+    """j rounded to a half-integer.
+
+    Refuses j below minimum, j whose 2j is more than 1e-12 off an
+    integer, and inf or nan, naming the value as `name`.
+    """
     two_j = 2 * j
-    if abs(two_j - round(two_j)) > 1e-12 or j < 0:
-        raise ValueError(f"spin must be a nonnegative half-integer, got {j!r}")
+    if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-12 or j < minimum:
+        raise ValueError(f"{name} must be a half-integer >= {minimum:g}, got {j!r}")
     return round(two_j) / 2.0
+
+
+def _check_spinor(a: complex, b: complex) -> tuple[complex, complex]:
+    """(a, b) as complex numbers, if |a|^2 + |b|^2 = 1 to the state tolerance."""
+    a = complex(a)
+    b = complex(b)
+    nrm2 = abs(a) ** 2 + abs(b) ** 2
+    if abs(nrm2 - 1.0) > NUMERICS.state_atol:
+        raise ValueError(f"spinor not normalized: |a|^2 + |b|^2 = {nrm2!r}")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,23 @@ class SpinOperators:
     @property
     def dim(self) -> int:
         return self.jz.dim
+
+
+def _check_algebra(j: float, jx: np.ndarray, jy: np.ndarray, jz: np.ndarray) -> None:
+    """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding.
+
+    The entries of the products grow as j (commutator) and j(j+1)
+    (Casimir), and so does their float error, so each residual is gated
+    at the operator tolerance times that scale.
+    """
+    comm = np.max(np.abs(jx @ jy - jy @ jx - 1j * jz))
+    casimir = np.max(np.abs(jx @ jx + jy @ jy + jz @ jz - j * (j + 1) * np.eye(jz.shape[0])))
+    if (comm > NUMERICS.operator_atol * max(1.0, j)
+            or casimir > NUMERICS.operator_atol * max(1.0, j * (j + 1))):
+        raise ValueError(
+            f"spin algebra failed self-check at j={j}: comm={comm:.3e}, "
+            f"casimir={casimir:.3e}"
+        )
 
 
 def spin_operators(j) -> SpinOperators:
@@ -69,16 +101,7 @@ def spin_operators(j) -> SpinOperators:
     jx = (jp + jm) / 2
     jy = (jp - jm) / 2j
 
-    # the float error in these identities grows ~j^2 eps; gate at the
-    # operator tolerance so even j = 100 is admitted honestly
-    comm = np.max(np.abs(jx @ jy - jy @ jx - 1j * jz))
-    casimir = np.max(np.abs(jx @ jx + jy @ jy + jz @ jz - j * (j + 1) * np.eye(dim)))
-    if comm > NUMERICS.operator_atol or casimir > NUMERICS.operator_atol:
-        raise ValueError(
-            f"spin algebra failed self-check at j={j}: comm={comm:.3e}, "
-            f"casimir={casimir:.3e}"
-        )
-
+    _check_algebra(j, jx, jy, jz)
     return SpinOperators(
         j=j,
         jx=Operator(jx, hermitian=True),
@@ -96,7 +119,10 @@ def coherent_spin_state(j, theta: float, phi: float) -> StateVector:
     axis (-sin phi, cos phi, 0), reusing the spectral exponential, so
     <J> = j * (sin theta cos phi, sin theta sin phi, cos theta).
     """
-    ops = spin_operators(j)
+    return _coherent_state(spin_operators(j), theta, phi)
+
+
+def _coherent_state(ops: SpinOperators, theta: float, phi: float) -> StateVector:
     dim = ops.dim
     top = np.zeros(dim, dtype=np.complex128)
     top[0] = 1.0
@@ -128,11 +154,7 @@ def bloch_vector(a: complex, b: complex) -> BlochVector:
     Components are (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2); the input pair
     must be normalized.
     """
-    a = complex(a)
-    b = complex(b)
-    nrm2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(nrm2 - 1.0) > NUMERICS.state_atol:
-        raise ValueError(f"spinor not normalized: |a|^2 + |b|^2 = {nrm2!r}")
+    a, b = _check_spinor(a, b)
     cross = a.conjugate() * b
     return BlochVector(2 * cross.real, 2 * cross.imag,
                        abs(a) ** 2 - abs(b) ** 2)

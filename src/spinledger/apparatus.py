@@ -25,7 +25,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .angular import SpinOperators, angular_spread, coherent_spin_state, spin_operators
+from .angular import (
+    SpinOperators,
+    _check_spin,
+    _check_spinor,
+    _coherent_state,
+    angular_spread,
+    spin_operators,
+)
 from .config import NUMERICS
 from .kernel import (
     ConservationError,
@@ -61,16 +68,16 @@ __all__ = [
 BOLTZMANN_K = 1.3807e-23  # J/K
 HBAR_SI = 1.0546e-34      # J*s
 
-RECORD_UP = 0
-RECORD_DOWN = 1
 _LABELS = ("up", "dn")
 
 
-def _check_apparatus_spin(L) -> float:
-    two_l = 2 * L
-    if abs(two_l - round(two_l)) > 1e-12 or L < 0.5:
-        raise ValueError(f"apparatus spin must be a half-integer >= 1/2, got {L!r}")
-    return round(two_l) / 2.0
+def _s_dot_l(s: SpinOperators, a: SpinOperators) -> np.ndarray:
+    """S.L on spin-1/2 (x) spin-L."""
+    return (
+        np.kron(s.jx.entries, a.jx.entries)
+        + np.kron(s.jy.entries, a.jy.entries)
+        + np.kron(s.jz.entries, a.jz.entries)
+    )
 
 
 def manifold_projectors(L) -> tuple[Operator, Operator]:
@@ -81,15 +88,14 @@ def manifold_projectors(L) -> tuple[Operator, Operator]:
     are first-order polynomials in S.L and inherit its exact rotational
     invariance.
     """
-    L = _check_apparatus_spin(L)
-    s = spin_operators(0.5)
-    a = spin_operators(L)
+    L = _check_spin(L, 0.5, "apparatus spin")
+    return _manifold_projectors(spin_operators(0.5), spin_operators(L))
+
+
+def _manifold_projectors(s: SpinOperators, a: SpinOperators) -> tuple[Operator, Operator]:
+    L = a.j
     dim = 2 * a.dim
-    s_dot_l = (
-        np.kron(s.jx.entries, a.jx.entries)
-        + np.kron(s.jy.entries, a.jy.entries)
-        + np.kron(s.jz.entries, a.jz.entries)
-    )
+    s_dot_l = _s_dot_l(s, a)
     lam_plus = L / 2.0
     lam_minus = -(L + 1) / 2.0
     plus = (s_dot_l - lam_minus * np.eye(dim)) / (lam_plus - lam_minus)
@@ -143,13 +149,13 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     +z particle exactly zero.  A positive tilt rotates the device by that
     angle toward +x, making all four error amplitudes nonzero.
     """
-    L = _check_apparatus_spin(L)
+    L = _check_spin(L, 0.5, "apparatus spin")
     s = spin_operators(0.5)
     a = spin_operators(L)
     d_app = a.dim
     dims = (2, d_app, 2)
 
-    plus, minus = manifold_projectors(L)
+    plus, minus = _manifold_projectors(s, a)
     x_rec = Operator(np.array([[0, 1], [1, 0]], dtype=np.complex128),
                      hermitian=True, unitary=True)
     id_rec = Operator(np.eye(2), hermitian=True, unitary=True)
@@ -180,7 +186,7 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
         L=L,
         tilt=float(tilt),
         dims=dims,
-        apparatus_state=coherent_spin_state(L, tilt, 0.0),
+        apparatus_state=_coherent_state(a, tilt, 0.0),
         spin_half=s,
         spin_app=a,
         proj_plus=plus,
@@ -198,25 +204,17 @@ def measurement_unitary_from_interaction(L) -> Operator:
     reproduces the projector form without extra phases, because the two
     S.L eigenvalues differ by exactly L+1/2.
     """
-    L = _check_apparatus_spin(L)
-    s = spin_operators(0.5)
+    L = _check_spin(L, 0.5, "apparatus spin")
     a = spin_operators(L)
     dim = 2 * a.dim
-    s_dot_l = (
-        np.kron(s.jx.entries, a.jx.entries)
-        + np.kron(s.jy.entries, a.jy.entries)
-        + np.kron(s.jz.entries, a.jz.entries)
-    )
+    s_dot_l = _s_dot_l(spin_operators(0.5), a)
     g_rec = 0.5 * np.array([[1, -1], [-1, 1]], dtype=np.complex128)
     gen = Operator(np.kron(s_dot_l - (L / 2.0) * np.eye(dim), g_rec), hermitian=True)
     return expm_hermitian(gen, math.pi / (L + 0.5))
 
 
 def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
-    spinor = np.array([a, b], dtype=np.complex128)
-    nrm2 = float(np.real(np.vdot(spinor, spinor)))
-    if abs(nrm2 - 1.0) > NUMERICS.state_atol:
-        raise ValueError(f"spinor not normalized: |a|^2 + |b|^2 = {nrm2!r}")
+    spinor = np.array(_check_spinor(a, b), dtype=np.complex128)
     rec0 = np.array([1.0, 0.0], dtype=np.complex128)
     amps = np.kron(np.kron(spinor, sys.apparatus_state.amplitudes), rec0)
     return StateVector(sys.dims, amps)
@@ -311,23 +309,20 @@ class ErrorAmplitudes:
     d_err: Optional[StateVector]
 
 
-def _sector_component(final: StateVector, sys: CompositeSystem, record: int):
-    comp = final.amplitudes.reshape(sys.pa_dim, 2)[:, record]
-    weight = float(np.real(np.vdot(comp, comp)))
-    if weight < NUMERICS.branch_weight_floor:
-        return 0.0, None
-    coeff = math.sqrt(weight)
-    return coeff, StateVector((2, sys.dims[1]), comp / coeff)
+def _sectors(final: StateVector, sys: CompositeSystem) -> dict:
+    """Label -> (coefficient, branch state), with (0.0, None) for an empty sector."""
+    decomp = decompose_branches(final, sys)
+    sectors = dict.fromkeys(decomp.omitted, (0.0, None))
+    sectors.update((label, (coeff, state)) for coeff, state, label in decomp.branches)
+    return sectors
 
 
 def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
     """Run both eigenstate inputs and read off C, D, E, F and the kets."""
-    p = premeasure(1.0, 0.0, sys)
-    q = premeasure(0.0, 1.0, sys)
-    c, u = _sector_component(p, sys, RECORD_UP)
-    d_amp, d_err = _sector_component(p, sys, RECORD_DOWN)
-    f, u_err = _sector_component(q, sys, RECORD_UP)
-    e, d = _sector_component(q, sys, RECORD_DOWN)
+    p = _sectors(premeasure(1.0, 0.0, sys), sys)
+    q = _sectors(premeasure(0.0, 1.0, sys), sys)
+    (c, u), (d_amp, d_err) = p["up"], p["dn"]
+    (f, u_err), (e, d) = q["up"], q["dn"]
     for total, name in ((c * c + d_amp * d_amp, "C^2+D^2"),
                         (e * e + f * f, "E^2+F^2")):
         if abs(total - 1.0) > NUMERICS.operator_atol:
@@ -342,7 +337,10 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     brackets; raises ConservationError if any residual magnitude exceeds
     the conservation tolerance.
     """
-    amps = extract_error_amplitudes(sys)
+    return _matching_residuals(sys, extract_error_amplitudes(sys))
+
+
+def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes) -> np.ndarray:
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     residuals = np.zeros(3, dtype=np.complex128)
     for k, jk in enumerate(sys.j_pa):

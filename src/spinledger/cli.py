@@ -24,14 +24,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .angular import angular_spread, bloch_vector
+from .angular import _check_spin, angular_spread, bloch_vector
 from .apparatus import (
+    _matching_residuals,
     build_measurement_unitary,
     decompose_branches,
     extract_error_amplitudes,
     premeasure,
     thermal_orientation_uncertainty,
-    verify_matching_equations,
 )
 from .config import NUMERICS
 from .decoherence import EnvironmentConfig, amplify_record, macroscopic_cross_term, overlap_decay_curve
@@ -42,6 +42,18 @@ from .kernel import ConservationError, Operator, bracket, expectation
 __all__ = ["main"]
 
 OUTDIR_ENV = "SPINLEDGER_OUTDIR"
+
+# header key of each NUMERICS field, in echo order; the first three keep
+# the short names that headers carried before the other four were added
+_TOLERANCE_KEYS = (
+    ("state", "state_atol"),
+    ("operator", "operator_atol"),
+    ("conservation", "conservation_atol"),
+    ("cross_term", "cross_term_tol"),
+    ("audit", "audit_atol"),
+    ("branch_weight_floor", "branch_weight_floor"),
+    ("max_total_dim", "max_total_dim"),
+)
 
 
 def _fmt(x) -> str:
@@ -65,9 +77,8 @@ def _metadata(args, extra=None) -> dict:
     meta = {
         "version": __version__,
         "prng": PRNG_ID,
-        "tolerances": (
-            f"state={NUMERICS.state_atol:g},operator={NUMERICS.operator_atol:g},"
-            f"conservation={NUMERICS.conservation_atol:g}"
+        "tolerances": ",".join(
+            f"{key}={getattr(NUMERICS, field)!r}" for key, field in _TOLERANCE_KEYS
         ),
         "config": " ".join([args.command] + flags),
     }
@@ -157,7 +168,7 @@ def _cmd_ideal(args) -> None:
 def _measure_row(L: float) -> list:
     sys_model = build_measurement_unitary(L)
     amps = extract_error_amplitudes(sys_model)
-    residuals = verify_matching_equations(sys_model)
+    residuals = _matching_residuals(sys_model, amps)
     spread = angular_spread(sys_model.apparatus_state, sys_model.spin_app)
     mag = abs(bracket(amps.u, sys_model.j_pa[0], amps.u_err))
     return [
@@ -169,8 +180,11 @@ def _measure_row(L: float) -> list:
 
 def _cmd_measure(args) -> None:
     l_values = args.L
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    workers = min(args.jobs, os.cpu_count() or 1, len(l_values))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_measure_row, l_values))
     else:
         rows = [_measure_row(L) for L in l_values]
@@ -259,15 +273,10 @@ def _cmd_streak(args) -> None:
 
 
 def _parse_l(value: str) -> list[float]:
-    out = []
-    for part in value.split(","):
-        L = float(part)
-        if L < 0.5 or abs(2 * L - round(2 * L)) > 1e-9:
-            raise argparse.ArgumentTypeError(
-                f"L must be a half-integer >= 1/2, got {part!r}"
-            )
-        out.append(L)
-    return out
+    try:
+        return [_check_spin(float(part), 0.5, "L") for part in value.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import bloch_vector, coherent_spin_state, spin_operators
+from .angular import SpinOperators, _check_spin, bloch_vector, coherent_spin_state, spin_operators
 from .apparatus import (
     build_measurement_unitary,
     decompose_branches,
@@ -169,13 +169,6 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
 # entangled emission
 # --------------------------------------------------------------------------
 
-def _check_source_spin(K) -> float:
-    two_k = 2 * K
-    if abs(two_k - round(two_k)) > 1e-12 or K < 1:
-        raise ValueError(f"source spin must be a half-integer >= 1, got {K!r}")
-    return round(two_k) / 2.0
-
-
 def _emission_matrix(K: float) -> np.ndarray:
     """Isometry from the spin-K register to spin-(K-1/2) (x) particle.
 
@@ -211,7 +204,7 @@ def entangled_source_emit(source_state: StateVector, K) -> StateVector:
     polarization along the source azimuth with infidelity of order 1/K.
     Requires an oriented source, <Kz> > 0.
     """
-    K = _check_source_spin(K)
+    K = _check_spin(K, 1.0, "source spin")
     d_in = round(2 * K + 1)
     if source_state.dims != (d_in,):
         raise ValueError(
@@ -230,7 +223,7 @@ def entangled_source_emit(source_state: StateVector, K) -> StateVector:
 
 def sequential_emissions(source_state: StateVector, K, n: int) -> StateVector:
     """n successive emissions; returns source (x) particle_1 ... particle_n."""
-    K = _check_source_spin(K)
+    K = _check_spin(K, 1.0, "source spin")
     if n < 1:
         raise ValueError("need at least one emission")
     if round(2 * K + 1) - n < 1:
@@ -257,7 +250,7 @@ def prepare_internal_source(K, margin: int,
     emissions for any outcome pattern, which is what makes the
     post-selected ledger compensation exact.
     """
-    K = _check_source_spin(K)
+    K = _check_spin(K, 1.0, "source spin")
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin!r}")
     if K - margin < 0:
@@ -299,7 +292,26 @@ def _apply_axis(t: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _external_streak(n: int, L, pattern: str) -> StreakReport:
+def _total_j2(t: np.ndarray, k_ops: SpinOperators, s_slot: list[np.ndarray]) -> float:
+    """<J^2> of a (source, slot, ..., slot) tensor: k_ops on the source, s_slot on each slot."""
+    total = 0.0
+    for k_op, slot_op in zip((k_ops.jx, k_ops.jy, k_ops.jz), s_slot):
+        acc = _apply_axis(t, k_op.entries, 0)
+        for axis in range(1, t.ndim):
+            acc = acc + _apply_axis(t, slot_op, axis)
+        total += float(np.real(np.vdot(acc, acc)))
+    return total
+
+
+def _total_jz(t: np.ndarray, kz: np.ndarray, slot_jz: np.ndarray) -> float:
+    """<Jz> of a (source, slot, ..., slot) tensor: kz on the source, slot_jz on each slot."""
+    val = np.vdot(t, _apply_axis(t, kz, 0))
+    for axis in range(1, t.ndim):
+        val += np.vdot(t, _apply_axis(t, slot_jz, axis))
+    return float(np.real(val))
+
+
+def _external_streak(L, pattern: str) -> StreakReport:
     """Fresh pure +x particles; post-selected register moments.
 
     Each post-selected shot leaves the particle in the same conditional
@@ -313,7 +325,7 @@ def _external_streak(n: int, L, pattern: str) -> StreakReport:
     decomp = decompose_branches(final, sys)
     by_label = {label: (coeff, state) for coeff, state, label in decomp.branches}
 
-    s = spin_operators(0.5)
+    s = sys.spin_half
     s_ops = (s.jx.entries, s.jy.entries, s.jz.entries)
     j2_series = [0.0]
     jz_series = [0.0]
@@ -357,7 +369,7 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     levels), so the conditioned state is evolved exactly with one 4-wide
     axis per registered particle.
     """
-    K = _check_source_spin(K)
+    K = _check_spin(K, 1.0, "source spin")
     if K < n:
         raise ValueError(
             f"K too small for n in internal mode: the exact-compensation "
@@ -382,49 +394,26 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     slot_idx = [0 * d_app + 0, 0 * d_app + 1, 1 * d_app + 0, 1 * d_app + 1]
     jz_slot = np.diag([0.5 + l_val, 0.5 + l_val - 1,
                        -0.5 + l_val, -0.5 + l_val - 1]).astype(np.complex128)
-    sx2 = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
-    sy2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
-    sz2 = np.diag([0.5, -0.5]).astype(np.complex128)
+    s = sys.spin_half
     id2 = np.eye(2)
-    s_slot = [np.kron(op, id2) for op in (sx2, sy2, sz2)]
+    s_slot = [np.kron(op.entries, id2) for op in (s.jx, s.jy, s.jz)]
 
     source = prepare_internal_source(K, margin=n)
     t = source.amplitudes.copy()
     shape = [t.size]
     k_cur = K
 
-    def combined_jz(nslots: int) -> float:
-        tt = t.reshape(shape)
-        kz = np.diag(k_cur - np.arange(shape[0])).astype(np.complex128)
-        val = np.vdot(tt, _apply_axis(tt, kz, 0))
-        for i in range(nslots):
-            val += np.vdot(tt, _apply_axis(tt, jz_slot, 1 + i))
-        # subtract each fresh device's initial <Lz> = L so the ledger
-        # audits changes, not absolute offsets
-        return float(np.real(val)) - nslots * l_val
-
-    def source_particles_j2(nslots: int) -> float:
+    def moments() -> tuple[float, float, float]:
+        """<J^2> and <Jz> of source + particles, and the combined Jz ledger."""
         tt = t.reshape(shape)
         k_ops = spin_operators(k_cur)
-        total = 0.0
-        for a, k_op in enumerate((k_ops.jx, k_ops.jy, k_ops.jz)):
-            acc = _apply_axis(tt, k_op.entries, 0)
-            for i in range(nslots):
-                acc = acc + _apply_axis(tt, s_slot[a], 1 + i)
-            total += float(np.real(np.vdot(acc, acc)))
-        return total
+        kz = k_ops.jz.entries
+        # the ledger also counts each device, less its initial <Lz> = L,
+        # so it audits changes, not absolute offsets
+        return (_total_j2(tt, k_ops, s_slot), _total_jz(tt, kz, s_slot[2]),
+                _total_jz(tt, kz, jz_slot) - (tt.ndim - 1) * l_val)
 
-    def source_particles_jz(nslots: int) -> float:
-        tt = t.reshape(shape)
-        kz = np.diag(k_cur - np.arange(shape[0])).astype(np.complex128)
-        val = np.vdot(tt, _apply_axis(tt, kz, 0))
-        for i in range(nslots):
-            val += np.vdot(tt, _apply_axis(tt, np.kron(sz2, id2), 1 + i))
-        return float(np.real(val))
-
-    j2_series = [source_particles_j2(0)]
-    jz_series = [source_particles_jz(0)]
-    ledger = [combined_jz(0)]
+    series = [moments()]
     weights = []
     for step, ch in enumerate(pattern):
         record = 0 if ch == "u" else 1
@@ -453,17 +442,17 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         shape = [d_new] + shape[1:] + [4]
         k_cur -= 0.5
         weights.append(w_slot)
-        j2_series.append(source_particles_j2(step + 1))
-        jz_series.append(source_particles_jz(step + 1))
-        ledger.append(combined_jz(step + 1))
+        series.append(moments())
+
+    j2_series, jz_series, ledger = zip(*series)
 
     return StreakReport(
         pattern=pattern,
         source_mode="internal",
         source_K=K,
-        postselected_j2=tuple(j2_series),
-        postselected_jz=tuple(jz_series),
-        combined_jz_ledger=tuple(ledger),
+        postselected_j2=j2_series,
+        postselected_jz=jz_series,
+        combined_jz_ledger=ledger,
         step_weights=tuple(weights),
         j2_band=(min(j2_series), max(j2_series)),
         metadata={
@@ -499,7 +488,7 @@ def lucky_streak_j2(n: int, L, source_mode: str, K=None, seed: int = 0,
     if len(pattern) != n or any(ch not in "ud" for ch in pattern):
         raise ValueError(f"pattern must be n characters of 'u'/'d', got {pattern!r}")
     if source_mode == "external":
-        report = _external_streak(n, L, pattern)
+        report = _external_streak(L, pattern)
     elif source_mode == "internal":
         if K is None:
             raise ValueError("internal mode requires the source spin K")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import _check_spinor
 from .config import NUMERICS
 from .kernel import ConservationError
 
@@ -59,11 +60,7 @@ def ideal_forced_cross_terms(a: complex, b: complex) -> IdealBrackets:
     <u|J|d> = (1/2, -i/2, 0), independent of a and b.  The returned
     residuals verify all three component equations for the given spinor.
     """
-    a = complex(a)
-    b = complex(b)
-    nrm2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(nrm2 - 1.0) > NUMERICS.state_atol:
-        raise ValueError(f"spinor not normalized: |a|^2 + |b|^2 = {nrm2!r}")
+    a, b = _check_spinor(a, b)
     if a == 0 or b == 0:
         raise ValueError(
             "coefficient matching is underdetermined when a = 0 or b = 0: "

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinledger as sl
+from spinledger.angular import _check_algebra
 
 
 def test_spin_half_is_pauli_over_two():
@@ -135,3 +136,21 @@ def test_angular_spread_rejects_downward_state():
     psi = sl.coherent_spin_state(3, np.pi, 0.0)
     with pytest.raises(ValueError, match="orientation undefined"):
         sl.angular_spread(psi, sl.spin_operators(3))
+
+
+# ---------------------------------------------------------------- self-check gates
+
+def test_spin_self_check_admits_exact_algebra_at_j_1000():
+    # the residuals grow as ~j^2 eps (1.16e-10 here), above the bare
+    # operator tolerance but far inside the scaled gates
+    s = sl.spin_operators(1000)
+    assert s.dim == 2001
+
+
+@pytest.mark.parametrize("j", [2, 50])
+def test_spin_self_check_trips_on_perturbed_algebra(j):
+    s = sl.spin_operators(j)
+    jx = s.jx.entries.copy()
+    jx[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="self-check"):
+        _check_algebra(float(j), jx, s.jy.entries, s.jz.entries)

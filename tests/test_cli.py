@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spinledger import NUMERICS, cli
 from spinledger.cli import main
 
 
@@ -140,3 +141,74 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "t.csv").exists()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the CLI's process pool for an in-process map; collect max_workers."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_measure_jobs_below_one_rejected(jobs, pool_sizes, capsys):
+    code, out, err = run_cli(["measure", "--L", "1,2", "--jobs", jobs], capsys)
+    assert code == 1
+    assert "--jobs" in err
+    assert out == ""
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("cpus,l_values,expected", [
+    (2, "1,2,3", [2]),   # capped by the cores
+    (8, "1,2,3", [3]),   # capped by the sweep length
+    (8, "2", []),        # one L value runs serially
+    (None, "1,2", []),   # unknown core count counts as one
+])
+def test_measure_jobs_capped(cpus, l_values, expected, pool_sizes, tmp_path,
+                             monkeypatch, capsys):
+    serial = tmp_path / "serial.csv"
+    assert main(["measure", "--L", l_values, "--output", str(serial)]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    pooled = tmp_path / "pooled.csv"
+    assert main(["measure", "--L", l_values, "--jobs", "100000",
+                 "--output", str(pooled)]) == 0
+    capsys.readouterr()
+    assert pool_sizes == expected
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_header_echoes_every_tolerance(monkeypatch, capsys):
+    code, out, _ = run_cli(["thermal"], capsys)
+    assert code == 0
+    meta, _ = parse_csv(out)
+    assert meta["tolerances"] == (
+        "state=1e-12,operator=1e-10,conservation=1e-10,cross_term=1e-08,"
+        "audit=1e-08,branch_weight_floor=1e-14,max_total_dim=1048576"
+    )
+    monkeypatch.setattr(NUMERICS, "cross_term_tol", 3e-9)
+    monkeypatch.setattr(NUMERICS, "audit_atol", 2.5e-9)
+    monkeypatch.setattr(NUMERICS, "branch_weight_floor", 1.2345678901e-15)
+    monkeypatch.setattr(NUMERICS, "max_total_dim", 2**18)
+    code, out, _ = run_cli(["thermal"], capsys)
+    assert code == 0
+    meta, _ = parse_csv(out)
+    assert meta["tolerances"] == (
+        "state=1e-12,operator=1e-10,conservation=1e-10,cross_term=3e-09,"
+        "audit=2.5e-09,branch_weight_floor=1.2345678901e-15,max_total_dim=262144"
+    )
