@@ -19,7 +19,8 @@ print("L    C        D        E        F        1/sqrt(2L+1)   max|[U,J]|")
 for L in (1, 2, 4, 8, 16):
     sys_m = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(sys_m)
-    comm = max(sl.commutator_norm(sys_m.u_meas, jk) for jk in sys_m.j_total)
+    u = sys_m.u_meas  # built on each access: fetch once
+    comm = max(sl.commutator_norm(u, jk) for jk in sys_m.j_total)
     print(f"{L:<4} {amps.C:<8.5f} {amps.D:<8.1e} {amps.E:<8.5f} "
           f"{amps.F:<8.5f} {1/np.sqrt(2*L+1):<14.5f} {comm:.1e}")
 

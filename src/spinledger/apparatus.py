@@ -38,12 +38,10 @@ from .kernel import (
     ConservationError,
     Operator,
     StateVector,
-    apply,
     bracket,
     commutator_norm,
     expectation,
     expm_hermitian,
-    kron,
 )
 
 __all__ = [
@@ -117,11 +115,13 @@ def _manifold_projectors(s: SpinOperators, a: SpinOperators) -> tuple[Operator, 
 
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Particle (x) apparatus (x) record, with the conserving premeasurement.
+    """Particle (x) apparatus (x) record, stored on particle (x) apparatus only.
 
-    The record qubit carries no angular momentum; j_total acts as
-    S (x) 1 (x) 1 + 1 (x) L (x) 1.  u_meas commutes with all three
-    components of j_total (verified at construction).
+    The record carries no angular momentum, so U = P+ (x) 1 + P- (x) X and
+    J = j_pa (x) 1 are fixed by the projectors and j_pa; `premeasure` applies
+    U sector by sector.  `u_meas` and `j_total` build those dense
+    4(2L+1)-square operators anew on each access, uncached, for tests and
+    small-L demonstrations.
     """
 
     L: float
@@ -133,12 +133,23 @@ class CompositeSystem:
     proj_plus: Operator
     proj_minus: Operator
     j_pa: tuple[Operator, Operator, Operator]
-    j_total: tuple[Operator, Operator, Operator]
-    u_meas: Operator
 
     @property
     def pa_dim(self) -> int:
         return self.dims[0] * self.dims[1]
+
+    @property
+    def u_meas(self) -> Operator:
+        """Dense P+ (x) 1 + P- (x) X over the full composite."""
+        x_rec = np.array([[0, 1], [1, 0]])
+        return Operator(np.kron(self.proj_plus.entries, np.eye(2))
+                        + np.kron(self.proj_minus.entries, x_rec), unitary=True)
+
+    @property
+    def j_total(self) -> tuple[Operator, Operator, Operator]:
+        """Dense j_pa (x) 1 over the full composite, one Operator per axis."""
+        return tuple(Operator(np.kron(jk.entries, np.eye(2)), hermitian=True)
+                     for jk in self.j_pa)
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -152,30 +163,25 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     L = _check_spin(L, 0.5, "apparatus spin")
     s = spin_operators(0.5)
     a = spin_operators(L)
-    d_app = a.dim
-    dims = (2, d_app, 2)
 
     plus, minus = _manifold_projectors(s, a)
-    x_rec = Operator(np.array([[0, 1], [1, 0]], dtype=np.complex128),
-                     hermitian=True, unitary=True)
-    id_rec = Operator(np.eye(2), hermitian=True, unitary=True)
-    u = Operator(
-        np.kron(plus.entries, id_rec.entries) + np.kron(minus.entries, x_rec.entries),
-        unitary=True,
-    )
+    p, m = plus.entries, minus.entries
+    # U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X
+    dev = max(np.max(np.abs(p @ p + m @ m - np.eye(p.shape[0]))),
+              np.max(np.abs(p @ m + m @ p)))
+    if dev > NUMERICS.operator_atol:
+        raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {dev:.3e}")
 
-    id2 = np.eye(2)
-    id_app = np.eye(d_app)
     j_pa = tuple(
-        Operator(np.kron(sk.entries, id_app) + np.kron(id2, ak.entries), hermitian=True)
+        Operator(np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries),
+                 hermitian=True)
         for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz))
     )
-    j_total = tuple(
-        Operator(np.kron(jk.entries, id2), hermitian=True) for jk in j_pa
-    )
 
-    for axis, jk in zip("xyz", j_total):
-        dev = commutator_norm(u, jk)
+    # [U, J (x) 1] = [P+, J] (x) 1 + [P-, J] (x) X: the two blocks never
+    # share an entry, so the max-entry norm is the larger block's
+    for axis, jk in zip("xyz", j_pa):
+        dev = max(commutator_norm(plus, jk), commutator_norm(minus, jk))
         if dev > NUMERICS.operator_atol:
             raise ConservationError(
                 f"premeasurement unitary does not conserve J{axis}: "
@@ -185,15 +191,13 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     return CompositeSystem(
         L=L,
         tilt=float(tilt),
-        dims=dims,
+        dims=(2, a.dim, 2),
         apparatus_state=_coherent_state(a, tilt, 0.0),
         spin_half=s,
         spin_app=a,
         proj_plus=plus,
         proj_minus=minus,
         j_pa=j_pa,
-        j_total=j_total,
-        u_meas=u,
     )
 
 
@@ -215,26 +219,26 @@ def measurement_unitary_from_interaction(L) -> Operator:
 
 def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     spinor = np.array(_check_spinor(a, b), dtype=np.complex128)
-    rec0 = np.array([1.0, 0.0], dtype=np.complex128)
-    amps = np.kron(np.kron(spinor, sys.apparatus_state.amplitudes), rec0)
-    return StateVector(sys.dims, amps)
+    return StateVector(sys.dims[:2], np.kron(spinor, sys.apparatus_state.amplitudes))
 
 
 def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
-    """Entangle (a|up> + b|down>) (x) apparatus (x) record under u_meas.
+    """Entangle psi = (a|up> + b|down>) (x) apparatus with a record at 0.
 
-    Audited: every component of <j_total> must match its value before the
-    interaction to the conservation tolerance, else ConservationError.
+    The record ends holding P+ psi at 0 and P- psi at 1.  Audited: each
+    <J_k>, summed over both record sectors, must match <psi|J_k|psi> to
+    the conservation tolerance, else ConservationError.
     """
-    initial = _initial_state(a, b, sys)
-    final = apply(sys.u_meas, initial)
-    for axis, jk in zip("xyz", sys.j_total):
-        drift = abs(expectation(final, jk) - expectation(initial, jk))
+    psi = _initial_state(a, b, sys)
+    sectors = [p.entries @ psi.amplitudes for p in (sys.proj_plus, sys.proj_minus)]
+    for axis, jk in zip("xyz", sys.j_pa):
+        after = sum(np.vdot(t, jk.entries @ t) for t in sectors)
+        drift = abs(after - expectation(psi, jk))
         if drift > NUMERICS.conservation_atol:
             raise ConservationError(
                 f"<J{axis}> drifted by {drift:.3e} during premeasurement"
             )
-    return final
+    return StateVector(sys.dims, np.stack(sectors, axis=1))
 
 
 @dataclass(frozen=True)

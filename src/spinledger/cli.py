@@ -14,6 +14,7 @@ never a result, and is surfaced loudly).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from .apparatus import (
     premeasure,
     thermal_orientation_uncertainty,
 )
-from .config import NUMERICS
+from .config import NUMERICS, NumericsConfig
 from .decoherence import EnvironmentConfig, amplify_record, macroscopic_cross_term, overlap_decay_curve
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
@@ -165,7 +166,9 @@ def _cmd_ideal(args) -> None:
     _write_table(args, meta, ["component", "cross_re", "cross_im", "max_residual"], rows)
 
 
-def _measure_row(L: float) -> list:
+def _measure_row(L: float, numerics: NumericsConfig = NUMERICS) -> list:
+    # a spawned worker starts from the default tolerances: adopt the parent's
+    vars(NUMERICS).update(vars(numerics))
     sys_model = build_measurement_unitary(L)
     amps = extract_error_amplitudes(sys_model)
     residuals = _matching_residuals(sys_model, amps)
@@ -185,7 +188,7 @@ def _cmd_measure(args) -> None:
     workers = min(args.jobs, os.cpu_count() or 1, len(l_values))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_measure_row, l_values))
+            rows = list(pool.map(functools.partial(_measure_row, numerics=NUMERICS), l_values))
     else:
         rows = [_measure_row(L) for L in l_values]
     meta = _metadata(args)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .angular import SpinOperators, _check_spin, bloch_vector, coherent_spin_state, spin_operators
 from .apparatus import (
+    _initial_state,
     build_measurement_unitary,
     decompose_branches,
     premeasure,
@@ -105,11 +106,7 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
 
     final = premeasure(a, b, sys)
     decomp = decompose_branches(final, sys)
-    initial_pa = StateVector(
-        (2, sys.dims[1]),
-        np.kron(np.array([a, b], dtype=np.complex128),
-                sys.apparatus_state.amplitudes),
-    )
+    initial_pa = _initial_state(a, b, sys)
     initial_j = np.array([expectation(initial_pa, jk).real for jk in sys.j_pa])
 
     info = {}
@@ -381,14 +378,8 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     l_val = sys.L
 
     # particle amplitude -> U (particle (x) |L,L> (x) |rec 0>)
-    rec0 = np.array([1.0, 0.0], dtype=np.complex128)
-    shot_map = np.zeros((2 * d_app * 2, 2), dtype=np.complex128)
-    for p in range(2):
-        e = np.zeros(2, dtype=np.complex128)
-        e[p] = 1.0
-        shot_map[:, p] = sys.u_meas.entries @ np.kron(
-            np.kron(e, sys.apparatus_state.amplitudes), rec0
-        )
+    shot_map = np.stack([premeasure(1.0, 0.0, sys).amplitudes,
+                         premeasure(0.0, 1.0, sys).amplitudes], axis=1)
 
     # post-measurement support: particle (x) {|L,L>, |L,L-1>}
     slot_idx = [0 * d_app + 0, 0 * d_app + 1, 1 * d_app + 0, 1 * d_app + 1]
@@ -428,7 +419,7 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         w_full = float(np.real(np.vdot(t, t)))
         t = t[:, slot_idx]
         w_slot = float(np.real(np.vdot(t, t)))
-        if w_full - w_slot > 1e-12:
+        if w_full - w_slot > NUMERICS.state_atol:
             raise AssertionError(
                 f"conditioned state leaked out of the slot subspace by "
                 f"{w_full - w_slot:.3e}"

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import spinledger as sl
+from spinledger import apparatus
 
 CONS_ATOL = 1e-10
 
@@ -311,3 +314,108 @@ def test_thermal_rejects_nonpositive():
         sl.thermal_orientation_uncertainty(-1.0, 300.0)
     with pytest.raises(ValueError, match="positive"):
         sl.thermal_orientation_uncertainty(0.01, 0.0)
+
+
+# ---------------------------------------------------------------- record-block device
+
+def _held_arrays(obj):
+    """Every ndarray reachable through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _held_arrays(item)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.4])
+@pytest.mark.parametrize("L", [0.5, 1, 2.5, 7])
+def test_premeasure_matches_dense_unitary(L, tilt):
+    sys_m = sl.build_measurement_unitary(L, tilt=tilt)
+    u = sys_m.u_meas.entries
+    rng = np.random.default_rng(round(4 * L) + round(10 * tilt))
+    spinors = [(1.0, 0.0), (0.0, 1.0)]
+    for _ in range(5):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        spinors.append(tuple(v / np.linalg.norm(v)))
+    for a, b in spinors:
+        dense = u @ np.kron(np.kron([a, b], sys_m.apparatus_state.amplitudes), [1, 0])
+        final = sl.premeasure(a, b, sys_m)
+        assert final.dims == sys_m.dims
+        assert np.max(np.abs(final.amplitudes - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("L", [0.5, 3, 7.5])
+def test_built_system_holds_no_record_level_matrix(L):
+    sys_m = sl.build_measurement_unitary(L, tilt=0.4)
+    side = 4 * round(2 * L + 1)
+    names = {f.name for f in dataclasses.fields(sys_m)}
+    assert "u_meas" not in names and "j_total" not in names
+    arrays = list(_held_arrays(sys_m))
+    assert arrays
+    assert all(side not in arr.shape for arr in arrays)
+    # the dense operators are built on access and never cached
+    before = dict(vars(sys_m))
+    assert sys_m.u_meas is not sys_m.u_meas
+    assert vars(sys_m) == before
+
+
+@pytest.mark.parametrize("L", [0.5, 2])
+def test_record_level_operators_built_on_access(L):
+    sys_m = sl.build_measurement_unitary(L)
+    x_rec = np.array([[0, 1], [1, 0]])
+    u = sys_m.u_meas
+    assert u.unitary
+    assert np.array_equal(u.entries, np.kron(sys_m.proj_plus.entries, np.eye(2))
+                          + np.kron(sys_m.proj_minus.entries, x_rec))
+    for jt, jk in zip(sys_m.j_total, sys_m.j_pa):
+        assert jt.hermitian
+        assert np.array_equal(jt.entries, np.kron(jk.entries, np.eye(2)))
+
+
+def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
+    real = apparatus._manifold_projectors
+
+    def rotated(s, a):
+        # conjugating by a particle-only z rotation adds the small Hermitian
+        # term -i eps [Sz (x) 1, P]: the pair stays complementary projectors
+        # (so U stays unitary) and commutes with Jz, but not with Jx
+        plus, minus = real(s, a)
+        v = np.kron(sl.expm_hermitian(s.jz, 1e-6).entries, np.eye(a.dim))
+        return tuple(sl.Operator(v @ p.entries @ v.conj().T, hermitian=True)
+                     for p in (plus, minus))
+
+    monkeypatch.setattr(apparatus, "_manifold_projectors", rotated)
+    with pytest.raises(sl.ConservationError, match="does not conserve Jx"):
+        sl.build_measurement_unitary(2)
+
+
+def test_build_trips_unitarity_on_non_complementary_projectors(monkeypatch):
+    real = apparatus._manifold_projectors
+
+    def leaky(s, a):
+        # a multiple of the identity keeps every commutator at zero
+        plus, minus = real(s, a)
+        return plus, sl.Operator(minus.entries + 1e-6 * np.eye(minus.dim), hermitian=True)
+
+    monkeypatch.setattr(apparatus, "_manifold_projectors", leaky)
+    with pytest.raises(ValueError, match="unitary flag violated"):
+        sl.build_measurement_unitary(2)
+
+
+def test_premeasure_trips_drift_on_swapped_projector():
+    # an idealized device that records the particle's z spin alone loses
+    # the transverse <Jx> = 1/2 of a +x input
+    sys_m = sl.build_measurement_unitary(2)
+    up = np.kron(np.diag([1.0, 0.0]), np.eye(sys_m.dims[1]))
+    ideal = dataclasses.replace(
+        sys_m,
+        proj_plus=sl.Operator(up, hermitian=True),
+        proj_minus=sl.Operator(np.eye(up.shape[0]) - up, hermitian=True),
+    )
+    r = 1 / np.sqrt(2)
+    sl.premeasure(r, r, sys_m)
+    with pytest.raises(sl.ConservationError, match="Jx> drifted"):
+        sl.premeasure(r, r, ideal)

@@ -1,4 +1,7 @@
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -212,3 +215,18 @@ def test_header_echoes_every_tolerance(monkeypatch, capsys):
         "state=1e-12,operator=1e-10,conservation=1e-10,cross_term=3e-09,"
         "audit=2.5e-09,branch_weight_floor=1.2345678901e-15,max_total_dim=262144"
     )
+
+
+def test_measure_workers_use_the_parents_tolerances(monkeypatch, tmp_path, capsys):
+    # a spawned worker imports a fresh NUMERICS; the gate set here must
+    # reach it, so the pooled run fails exactly as the serial run does
+    monkeypatch.setattr(NUMERICS, "operator_atol", 1e-30)
+    serial = main(["measure", "--L", "1,2", "--output", str(tmp_path / "s.csv")])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    pooled = main(["measure", "--L", "1,2", "--jobs", "2",
+                   "--output", str(tmp_path / "p.csv")])
+    capsys.readouterr()
+    assert serial != 0
+    assert pooled == serial
