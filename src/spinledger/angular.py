@@ -65,15 +65,50 @@ class SpinOperators:
         return self.jz.dim
 
 
+def _bands(a: np.ndarray, width: int) -> np.ndarray:
+    """Diagonals of a as a (2 width + 1, d) array: row width+k holds a[i, i+k], 0 out of range."""
+    d = a.shape[0]
+    out = np.zeros((2 * width + 1, d), dtype=np.complex128)
+    for k in range(-width, width + 1):
+        out[width + k, max(0, -k):d - max(0, k)] = np.diagonal(a, k)
+    return out
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Diagonals of the product of two matrices given by their `_bands`."""
+    wa, wb = a.shape[0] // 2, b.shape[0] // 2
+    d = a.shape[1]
+    out = np.zeros((2 * (wa + wb) + 1, d), dtype=np.complex128)
+    b_pad = np.zeros((b.shape[0], d + 2 * wa), dtype=np.complex128)
+    b_pad[:, wa:wa + d] = b
+    for ka in range(-wa, wa + 1):
+        # A[i, i+ka] B[i+ka, i+ka+kb] lands on diagonal ka+kb
+        out[wa + ka:wa + ka + 2 * wb + 1] += a[wa + ka] * b_pad[:, wa + ka:wa + ka + d]
+    return out
+
+
 def _check_algebra(j: float, jx: np.ndarray, jy: np.ndarray, jz: np.ndarray) -> None:
     """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding.
 
-    The entries of the products grow as j (commutator) and j(j+1)
-    (Casimir), and so does their float error, so each residual is gated
-    at the operator tolerance times that scale.
+    Jx and Jy must be tridiagonal and Jz diagonal, entry for entry; the
+    residuals are then computed from the diagonals alone.  The entries of
+    the products grow as j (commutator) and j(j+1) (Casimir), and so does
+    their float error, so each residual is gated at the operator
+    tolerance times that scale.
     """
-    comm = np.max(np.abs(jx @ jy - jy @ jx - 1j * jz))
-    casimir = np.max(np.abs(jx @ jx + jy @ jy + jz @ jz - j * (j + 1) * np.eye(jz.shape[0])))
+    x, y, z = _bands(jx, 1), _bands(jy, 1), _bands(jz, 0)
+    off_band = sum(np.count_nonzero(full) - np.count_nonzero(band)
+                   for full, band in ((jx, x), (jy, y), (jz, z)))
+    if off_band:
+        raise ValueError(
+            f"spin algebra failed self-check at j={j}: {off_band} entries off the band"
+        )
+    # the products have five diagonals; row 2 is the main one
+    comm = _band_product(x, y) - _band_product(y, x)
+    comm[2] -= 1j * z[0]
+    casimir = _band_product(x, x) + _band_product(y, y)
+    casimir[2] += z[0] ** 2 - j * (j + 1)
+    comm, casimir = np.max(np.abs(comm)), np.max(np.abs(casimir))
     if (comm > NUMERICS.operator_atol * max(1.0, j)
             or casimir > NUMERICS.operator_atol * max(1.0, j * (j + 1))):
         raise ValueError(

@@ -342,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=4.0)
     p.add_argument("--mode", choices=["external", "internal"], default="external")
     p.add_argument("--K", type=float, default=None, help="source spin (internal mode)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the header for provenance; the post-selected "
+                        "analysis is deterministic")
     add_common(p)
     p.set_defaults(func=_cmd_streak)
 

@@ -31,8 +31,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .angular import SpinOperators, _check_spin, bloch_vector, coherent_spin_state, spin_operators
+from .angular import _check_spin, bloch_vector, coherent_spin_state, spin_operators
 from .apparatus import (
     _initial_state,
     build_measurement_unitary,
@@ -166,30 +167,30 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
 # entangled emission
 # --------------------------------------------------------------------------
 
-def _emission_matrix(K: float) -> np.ndarray:
-    """Isometry from the spin-K register to spin-(K-1/2) (x) particle.
+def _emission_bands(K: float) -> np.ndarray:
+    """The two channels of the emission map, shape (2, 2K).
 
-    Interior levels split with equal weight between (m-1/2, up) and
-    (m+1/2, down); the edge levels have only one outgoing channel.  Every
-    column maps into a single total-Jz sector, so the map commutes with
-    total Jz exactly.
+    Entry [p, i] is the amplitude with which register level i + p of spin K
+    feeds level i of spin K-1/2 with the particle up (p = 0) or down
+    (p = 1): 1/sqrt(2) for interior levels, 1 for the edge level that has
+    only one outgoing channel.  Every channel keeps total Jz, so the map
+    commutes with total Jz exactly.
     """
-    d_in = round(2 * K + 1)
-    d_out = round(2 * K)  # register spin K - 1/2
-    v = np.zeros((d_out * 2, d_in), dtype=np.complex128)
-    k_out = K - 0.5
-    for col in range(d_in):
-        m = K - col
-        targets = []
-        if abs(m - 0.5) <= k_out + 1e-9:
-            targets.append((m - 0.5, 0))
-        if abs(m + 0.5) <= k_out + 1e-9:
-            targets.append((m + 0.5, 1))
-        amp = 1.0 / math.sqrt(len(targets))
-        for m_out, particle in targets:
-            row = round(k_out - m_out) * 2 + particle
-            v[row, col] = amp
-    return v
+    bands = np.full((2, round(2 * K)), 1.0 / math.sqrt(2.0))
+    bands[0, 0] = 1.0    # m = K can only emit up
+    bands[1, -1] = 1.0   # m = -K can only emit down
+    return bands
+
+
+def _emission_matrix(K: float) -> np.ndarray:
+    """Isometry from the spin-K register to spin-(K-1/2) (x) particle."""
+    bands = _emission_bands(K)
+    d_out = bands.shape[1]
+    i = np.arange(d_out)
+    v = np.zeros((d_out, 2, d_out + 1), dtype=np.complex128)
+    v[i, 0, i] = bands[0]
+    v[i, 1, i + 1] = bands[1]
+    return v.reshape(2 * d_out, d_out + 1)
 
 
 def entangled_source_emit(source_state: StateVector, K) -> StateVector:
@@ -223,8 +224,14 @@ def sequential_emissions(source_state: StateVector, K, n: int) -> StateVector:
     K = _check_spin(K, 1.0, "source spin")
     if n < 1:
         raise ValueError("need at least one emission")
-    if round(2 * K + 1) - n < 1:
+    d_final = round(2 * K + 1) - n
+    if d_final < 1:
         raise ValueError(f"source spin K={K} cannot emit {n} particles")
+    if d_final * 2 ** n > NUMERICS.max_total_dim:
+        raise ValueError(
+            f"sequential_emissions refused: {d_final} x 2^{n} = {d_final * 2 ** n} "
+            f"exceeds the configured maximum total dimension {NUMERICS.max_total_dim}"
+        )
     t = source_state.amplitudes.copy()
     shape = [round(2 * K + 1)]
     k_cur = K
@@ -284,28 +291,35 @@ class StreakReport:
     metadata: dict = field(repr=False)
 
 
-def _apply_axis(t: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(op, t, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _channel_weights(K: float) -> np.ndarray:
+    """bands[p, i] bands[q, j] of the emission channels, shape (2, 2, 2K, 2K)."""
+    bands = _emission_bands(K)
+    return bands[:, None, :, None] * bands[None, :, None, :]
 
 
-def _total_j2(t: np.ndarray, k_ops: SpinOperators, s_slot: list[np.ndarray]) -> float:
-    """<J^2> of a (source, slot, ..., slot) tensor: k_ops on the source, s_slot on each slot."""
-    total = 0.0
-    for k_op, slot_op in zip((k_ops.jx, k_ops.jy, k_ops.jz), s_slot):
-        acc = _apply_axis(t, k_op.entries, 0)
-        for axis in range(1, t.ndim):
-            acc = acc + _apply_axis(t, slot_op, axis)
-        total += float(np.real(np.vdot(acc, acc)))
-    return total
+def _channel_pairs(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E_p x E_q^dag for both emission channels p, q, shape (2, 2, d, d).
+
+    E_p maps level i + p to level i with amplitude bands[p, i], so each
+    product is the shifted slice x[p:p+d, q:q+d] scaled by the
+    `_channel_weights`.
+    """
+    d = weights.shape[-1]
+    return sliding_window_view(x, (d, d)) * weights
 
 
-def _total_jz(t: np.ndarray, kz: np.ndarray, slot_jz: np.ndarray) -> float:
-    """<Jz> of a (source, slot, ..., slot) tensor: kz on the source, slot_jz on each slot."""
-    val = np.vdot(t, _apply_axis(t, kz, 0))
-    for axis in range(1, t.ndim):
-        val += np.vdot(t, _apply_axis(t, slot_jz, axis))
-    return float(np.real(val))
+def _fold(amp: np.ndarray, pairs: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
+    """sum_{s,s'} op[s', s] M_s x M_s'^dag for the Kraus maps M_s = sum_p amp[s, p] E_p.
+
+    pairs are the E_p x E_q^dag of x; op defaults to the identity.
+    """
+    gram = amp.conj().T @ (amp if op is None else op @ amp)
+    return np.tensordot(gram.T, pairs, axes=2)
+
+
+def _trace(x: np.ndarray, y: np.ndarray | None = None) -> float:
+    """Re Tr x, or Re Tr(x y)."""
+    return float(np.real(np.trace(x) if y is None else np.einsum("ij,ji->", x, y)))
 
 
 def _external_streak(L, pattern: str) -> StreakReport:
@@ -359,12 +373,26 @@ def _external_streak(L, pattern: str) -> StreakReport:
 
 
 def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
-    """Spin-K source feeding the device; exact tensor simulation.
+    """Spin-K source feeding the device; moments carried on the source register.
 
     The post-measurement particle+device pair occupies a fixed
-    four-dimensional subspace per shot (particle (x) top-two apparatus
-    levels), so the conditioned state is evolved exactly with one 4-wide
-    axis per registered particle.
+    four-dimensional slot per shot (particle (x) top-two apparatus
+    levels), so a shot with record r acts on the source through the Kraus
+    maps M_s = sum_p A[s, p] E_p: E_p are the two emission channels and
+    A[s, p] the slot-s amplitude of the record-r shot of particle state p.
+    The conditioned state is a matrix-product state whose bond is the
+    source, and every reported moment is carried on the source alone.
+    With rho = Tr_slots |Psi><Psi|, sigma = Tr_slots[(sum_a O^a) |Psi><Psi|]
+    and tau the same with (sum_a O^a)^2, for a slot operator O, a shot maps
+
+        rho'   = sum_s M_s rho M_s^dag
+        sigma' = sum_s M_s sigma M_s^dag + sum_{s,s'} O_{s's} M_s rho M_s'^dag
+        tau'   = sum_s M_s tau M_s^dag + 2 sum_{s,s'} O_{s's} M_s sigma M_s'^dag
+                 + sum_{s,s'} (O^2)_{s's} M_s rho M_s'^dag
+
+    and all three are divided by the step weight Tr rho'.  The slot sums
+    fold into 2x2 coefficients on the four banded products E_p X E_q^dag,
+    so a step costs O(K^2) time and memory.
     """
     K = _check_spin(K, 1.0, "source spin")
     if K < n:
@@ -377,9 +405,11 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     d_app = sys.dims[1]
     l_val = sys.L
 
-    # particle amplitude -> U (particle (x) |L,L> (x) |rec 0>)
-    shot_map = np.stack([premeasure(1.0, 0.0, sys).amplitudes,
-                         premeasure(0.0, 1.0, sys).amplitudes], axis=1)
+    # U (particle (x) |L,L> (x) |rec 0>) as (particle*apparatus, record,
+    # incoming particle)
+    shot = np.stack([premeasure(1.0, 0.0, sys).amplitudes,
+                     premeasure(0.0, 1.0, sys).amplitudes],
+                    axis=1).reshape(2 * d_app, 2, 2)
 
     # post-measurement support: particle (x) {|L,L>, |L,L-1>}
     slot_idx = [0 * d_app + 0, 0 * d_app + 1, 1 * d_app + 0, 1 * d_app + 1]
@@ -389,36 +419,36 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     id2 = np.eye(2)
     s_slot = [np.kron(op.entries, id2) for op in (s.jx, s.jy, s.jz)]
 
-    source = prepare_internal_source(K, margin=n)
-    t = source.amplitudes.copy()
-    shape = [t.size]
+    psi = prepare_internal_source(K, margin=n).amplitudes
+    rho = np.outer(psi, psi.conj())
+    sigma = [np.zeros_like(rho) for _ in s_slot]
+    tau = [np.zeros_like(rho) for _ in s_slot]
+    ledger_sigma = np.zeros_like(rho)
     k_cur = K
 
-    def moments() -> tuple[float, float, float]:
+    def moments(slots: int) -> tuple[float, float, float]:
         """<J^2> and <Jz> of source + particles, and the combined Jz ledger."""
-        tt = t.reshape(shape)
         k_ops = spin_operators(k_cur)
-        kz = k_ops.jz.entries
+        # sum_a Tr(K_a^2 rho) is the Casimir K(K+1) Tr rho of the register
+        j2 = k_cur * (k_cur + 1) * _trace(rho)
+        for k_op, sig, ta in zip((k_ops.jx, k_ops.jy, k_ops.jz), sigma, tau):
+            j2 += 2 * _trace(k_op.entries, sig) + _trace(ta)
+        kz = _trace(k_ops.jz.entries, rho)
         # the ledger also counts each device, less its initial <Lz> = L,
         # so it audits changes, not absolute offsets
-        return (_total_j2(tt, k_ops, s_slot), _total_jz(tt, kz, s_slot[2]),
-                _total_jz(tt, kz, jz_slot) - (tt.ndim - 1) * l_val)
+        return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * l_val
 
-    series = [moments()]
+    series = [moments(0)]
     weights = []
     for step, ch in enumerate(pattern):
-        record = 0 if ch == "u" else 1
-        d_new = round(2 * k_cur)
-        v3 = _emission_matrix(k_cur).reshape(d_new, 2, shape[0])
-        t = np.tensordot(v3, t.reshape(shape), axes=([2], [0]))
-        # (src', particle, slots...) -> measure the particle
-        t = np.tensordot(shot_map, t, axes=([1], [1]))
-        t = np.moveaxis(t, 0, 1)  # (src', pa*rec, slots...)
-        t = t.reshape([d_new, 2 * d_app, 2] + shape[1:])
-        t = t[:, :, record]
-        w_full = float(np.real(np.vdot(t, t)))
-        t = t[:, slot_idx]
-        w_slot = float(np.real(np.vdot(t, t)))
+        shot_r = shot[:, 0 if ch == "u" else 1]
+        amp = shot_r[slot_idx]
+        chan = _channel_weights(k_cur)
+        rho_pairs = _channel_pairs(rho, chan)
+        # record-r weight over all of particle (x) apparatus, slot or not
+        w_full = _trace(_fold(shot_r, rho_pairs))
+        rho_new = _fold(amp, rho_pairs)
+        w_slot = _trace(rho_new)
         if w_full - w_slot > NUMERICS.state_atol:
             raise AssertionError(
                 f"conditioned state leaked out of the slot subspace by "
@@ -428,12 +458,18 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
             raise ConservationError(
                 f"post-selected pattern has vanishing weight at step {step}"
             )
-        t = t / math.sqrt(w_slot)
-        t = np.moveaxis(t, 1, -1)  # keep slots in emission order
-        shape = [d_new] + shape[1:] + [4]
+        for axis, op in enumerate(s_slot):
+            sig_pairs = _channel_pairs(sigma[axis], chan)
+            tau[axis] = (_fold(amp, _channel_pairs(tau[axis], chan))
+                         + 2 * _fold(amp, sig_pairs, op)
+                         + _fold(amp, rho_pairs, op @ op)) / w_slot
+            sigma[axis] = (_fold(amp, sig_pairs) + _fold(amp, rho_pairs, op)) / w_slot
+        ledger_sigma = (_fold(amp, _channel_pairs(ledger_sigma, chan))
+                        + _fold(amp, rho_pairs, jz_slot)) / w_slot
+        rho = rho_new / w_slot
         k_cur -= 0.5
         weights.append(w_slot)
-        series.append(moments())
+        series.append(moments(step + 1))
 
     j2_series, jz_series, ledger = zip(*series)
 
@@ -468,9 +504,9 @@ def lucky_streak_j2(n: int, L, source_mode: str, K=None, seed: int = 0,
     source+particles books stay bounded and the combined Jz ledger is
     constant for every pattern.
 
-    pattern defaults to the all-up streak of length n.  The seed is
-    recorded for provenance; the post-selected analysis itself is
-    deterministic.
+    pattern defaults to the all-up streak of length n.  seed is recorded
+    in the metadata (and the CLI header) for provenance; the post-selected
+    analysis is deterministic and draws no random numbers.
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n!r}")

@@ -154,3 +154,15 @@ def test_spin_self_check_trips_on_perturbed_algebra(j):
     jx[0, 1] += 1e-6
     with pytest.raises(ValueError, match="self-check"):
         _check_algebra(float(j), jx, s.jy.entries, s.jz.entries)
+
+
+@pytest.mark.parametrize("j", [2, 50])
+@pytest.mark.parametrize("axis,cell", [("jx", (0, 3)), ("jy", (3, 0)), ("jz", (0, 1))])
+def test_spin_self_check_trips_off_the_band(j, axis, cell):
+    # the residuals are read from the diagonals, so an entry off the band
+    # must be caught by the band scan itself
+    s = sl.spin_operators(j)
+    mats = {name: getattr(s, name).entries.copy() for name in ("jx", "jy", "jz")}
+    mats[axis][cell] += 1e-6
+    with pytest.raises(ValueError, match="self-check.*off the band"):
+        _check_algebra(float(j), mats["jx"], mats["jy"], mats["jz"])
