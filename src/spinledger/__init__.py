@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 from .angular import (
     AngularSpread,
     BlochVector,
+    SpinLadder,
     SpinOperators,
     angular_spread,
     bloch_vector,

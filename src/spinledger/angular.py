@@ -14,10 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import NUMERICS
-from .kernel import Operator, StateVector, apply, expectation, expm_hermitian
+from .kernel import Operator, StateVector, apply, expm_hermitian
 
 __all__ = [
     "SpinOperators",
+    "SpinLadder",
     "BlochVector",
     "AngularSpread",
     "spin_operators",
@@ -65,6 +66,65 @@ class SpinOperators:
         return self.jz.dim
 
 
+@dataclass(frozen=True)
+class SpinLadder:
+    """The spin-j algebra as its two bands, in O(j) memory.
+
+    m is the Jz diagonal j, j-1, ..., -j; jplus is the J+ superdiagonal,
+    jplus[i] = <m_i|J+|m_(i+1)>.  Jx, Jy and J- follow from these two.
+    """
+
+    j: float
+    m: np.ndarray
+    jplus: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.m.size
+
+
+def _ladder(j: float) -> SpinLadder:
+    """Closed-form bands of a checked half-integer spin j.
+
+    <m+1|J+|m> = sqrt(j(j+1) - m(m+1)); every dense spin-j matrix in the
+    package is built from these same numbers.
+    """
+    m = j - np.arange(round(2 * j + 1), dtype=np.float64)
+    jplus = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    m.setflags(write=False)
+    jplus.setflags(write=False)
+    return SpinLadder(j=j, m=m, jplus=jplus)
+
+
+def _ladder_matvec(lad: SpinLadder, v: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
+    """J_k v along one axis of v (k = 0, 1, 2 for x, y, z), from the bands in O(v.size)."""
+    v = np.moveaxis(v, axis, -1)
+    if k == 2:
+        return np.moveaxis(lad.m * v, -1, axis)
+    # Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i
+    out = np.zeros(v.shape, dtype=np.complex128)
+    out[..., :-1] = lad.jplus * v[..., 1:]
+    lowered = lad.jplus * v[..., :-1]
+    if k == 0:
+        out[..., 1:] += lowered
+        out /= 2
+    else:
+        out[..., 1:] -= lowered
+        out /= 2j
+    return np.moveaxis(out, -1, axis)
+
+
+def _ladder_bands(lad: SpinLadder) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jx, Jy and Jz of a ladder in the `_bands` layout (widths 1, 1 and 0)."""
+    d = lad.dim
+    x = np.zeros((3, d), dtype=np.complex128)
+    y = np.zeros((3, d), dtype=np.complex128)
+    x[2, :-1] = x[0, 1:] = lad.jplus / 2
+    y[2, :-1] = lad.jplus / 2j
+    y[0, 1:] = -lad.jplus / 2j
+    return x, y, lad.m[None, :].astype(np.complex128)
+
+
 def _bands(a: np.ndarray, width: int) -> np.ndarray:
     """Diagonals of a as a (2 width + 1, d) array: row width+k holds a[i, i+k], 0 out of range."""
     d = a.shape[0]
@@ -79,11 +139,10 @@ def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wa, wb = a.shape[0] // 2, b.shape[0] // 2
     d = a.shape[1]
     out = np.zeros((2 * (wa + wb) + 1, d), dtype=np.complex128)
-    b_pad = np.zeros((b.shape[0], d + 2 * wa), dtype=np.complex128)
-    b_pad[:, wa:wa + d] = b
     for ka in range(-wa, wa + 1):
-        # A[i, i+ka] B[i+ka, i+ka+kb] lands on diagonal ka+kb
-        out[wa + ka:wa + ka + 2 * wb + 1] += a[wa + ka] * b_pad[:, wa + ka:wa + ka + d]
+        # A[i, i+ka] B[i+ka, i+ka+kb] lands on diagonal ka+kb, for 0 <= i+ka < d
+        lo, hi = max(0, -ka), d - max(0, ka)
+        out[wa + ka:wa + ka + 2 * wb + 1, lo:hi] += a[wa + ka, lo:hi] * b[:, lo + ka:hi + ka]
     return out
 
 
@@ -91,10 +150,7 @@ def _check_algebra(j: float, jx: np.ndarray, jy: np.ndarray, jz: np.ndarray) -> 
     """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding.
 
     Jx and Jy must be tridiagonal and Jz diagonal, entry for entry; the
-    residuals are then computed from the diagonals alone.  The entries of
-    the products grow as j (commutator) and j(j+1) (Casimir), and so does
-    their float error, so each residual is gated at the operator
-    tolerance times that scale.
+    residuals are then computed from the diagonals alone (`_check_bands`).
     """
     x, y, z = _bands(jx, 1), _bands(jy, 1), _bands(jz, 0)
     off_band = sum(np.count_nonzero(full) - np.count_nonzero(band)
@@ -103,12 +159,26 @@ def _check_algebra(j: float, jx: np.ndarray, jy: np.ndarray, jz: np.ndarray) -> 
         raise ValueError(
             f"spin algebra failed self-check at j={j}: {off_band} entries off the band"
         )
-    # the products have five diagonals; row 2 is the main one
-    comm = _band_product(x, y) - _band_product(y, x)
+    _check_bands(j, x, y, z)
+
+
+def _check_bands(j: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    """The spin self-check on Jx, Jy (tridiagonal) and Jz (diagonal) given as `_bands`.
+
+    The entries of the products grow as j (commutator) and j(j+1)
+    (Casimir), and so does their float error, so each residual is gated
+    at the operator tolerance times that scale.
+    """
+    # the products have five diagonals; row 2 is the main one.  Each
+    # residual is reduced before the next is formed, to bound the memory
+    comm = _band_product(x, y)
+    comm -= _band_product(y, x)
     comm[2] -= 1j * z[0]
-    casimir = _band_product(x, x) + _band_product(y, y)
+    comm = np.max(np.abs(comm))
+    casimir = _band_product(x, x)
+    casimir += _band_product(y, y)
     casimir[2] += z[0] ** 2 - j * (j + 1)
-    comm, casimir = np.max(np.abs(comm)), np.max(np.abs(casimir))
+    casimir = np.max(np.abs(casimir))
     if (comm > NUMERICS.operator_atol * max(1.0, j)
             or casimir > NUMERICS.operator_atol * max(1.0, j * (j + 1))):
         raise ValueError(
@@ -125,13 +195,9 @@ def spin_operators(j) -> SpinOperators:
     and the Casimir identity are verified before the result is returned.
     """
     j = _check_spin(j)
-    dim = round(2 * j + 1)
-    m = j - np.arange(dim)
-    jz = np.diag(m.astype(np.complex128))
-    jp = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(1, dim):
-        mm = m[col]
-        jp[col - 1, col] = math.sqrt(j * (j + 1) - mm * (mm + 1))
+    lad = _ladder(j)
+    jz = np.diag(lad.m.astype(np.complex128))
+    jp = np.diag(lad.jplus.astype(np.complex128), 1)
     jm = jp.conj().T
     jx = (jp + jm) / 2
     jy = (jp - jm) / 2j
@@ -154,15 +220,17 @@ def coherent_spin_state(j, theta: float, phi: float) -> StateVector:
     axis (-sin phi, cos phi, 0), reusing the spectral exponential, so
     <J> = j * (sin theta cos phi, sin theta sin phi, cos theta).
     """
-    return _coherent_state(spin_operators(j), theta, phi)
+    return _coherent_state(_check_spin(j), theta, phi)
 
 
-def _coherent_state(ops: SpinOperators, theta: float, phi: float) -> StateVector:
-    dim = ops.dim
+def _coherent_state(j: float, theta: float, phi: float) -> StateVector:
+    """Coherent state of a checked spin j; dense spin-j operators only when theta != 0."""
+    dim = round(2 * j + 1)
     top = np.zeros(dim, dtype=np.complex128)
     top[0] = 1.0
     if theta == 0.0:
         return StateVector((dim,), top)
+    ops = spin_operators(j)
     gen = Operator(
         -math.sin(phi) * ops.jx.entries + math.cos(phi) * ops.jy.entries,
         hermitian=True,
@@ -200,25 +268,30 @@ class AngularSpread(NamedTuple):
     delta_theta: float
 
 
-def angular_spread(apparatus_state: StateVector, ops: SpinOperators) -> AngularSpread:
+def angular_spread(apparatus_state: StateVector,
+                   ops: SpinOperators | SpinLadder) -> AngularSpread:
     """Transverse angular-momentum spread and the orientation angle it implies.
 
     delta_l is the standard deviation of Jx; delta_theta = delta_l / <Jz>
     is the operational orientation uncertainty of a device polarized
     roughly along +z.  Requires <Jz> > 0, otherwise the orientation of the
-    state is undefined for this estimator.
+    state is undefined for this estimator.  Only ops.j and ops.dim are
+    read: the moments come from the spin-j ladder bands in O(j), with
+    <Jx^2> = |Jx psi|^2.
     """
     if apparatus_state.dim != ops.dim:
         raise ValueError(
             f"state dimension {apparatus_state.dim} does not match spin-"
             f"{ops.j} operators (dim {ops.dim})"
         )
-    jz_mean = expectation(apparatus_state, ops.jz).real
+    lad = _ladder(ops.j)
+    psi = apparatus_state.amplitudes
+    jz_mean = float(np.abs(psi) ** 2 @ lad.m)
     if jz_mean <= 0.0:
         raise ValueError(
             f"<Jz> = {jz_mean:.6g} <= 0: orientation undefined for this estimator"
         )
-    jx2 = Operator(ops.jx.entries @ ops.jx.entries, hermitian=True)
-    var = expectation(apparatus_state, jx2).real - expectation(apparatus_state, ops.jx).real ** 2
+    jx_psi = _ladder_matvec(lad, psi, 0)
+    var = np.vdot(jx_psi, jx_psi).real - np.vdot(psi, jx_psi).real ** 2
     delta_l = math.sqrt(max(var, 0.0))
     return AngularSpread(delta_l=delta_l, delta_theta=delta_l / jz_mean)

@@ -26,10 +26,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .angular import (
+    SpinLadder,
     SpinOperators,
+    _check_bands,
     _check_spin,
     _check_spinor,
     _coherent_state,
+    _ladder,
+    _ladder_bands,
+    _ladder_matvec,
     angular_spread,
     spin_operators,
 )
@@ -38,9 +43,6 @@ from .kernel import (
     ConservationError,
     Operator,
     StateVector,
-    bracket,
-    commutator_norm,
-    expectation,
     expm_hermitian,
 )
 
@@ -69,6 +71,43 @@ HBAR_SI = 1.0546e-34      # J*s
 _LABELS = ("up", "dn")
 
 
+# --------------------------------------------------------------------------
+# Clebsch-Gordan sectors
+#
+# Total Jz = M splits spin-1/2 (x) spin-L into the 2L+2 sectors
+# k = 0 .. 2L+1 with M = L + 1/2 - k, each spanned by the slots
+# (|up, m = M-1/2>, |down, m = M+1/2>) = kron indices (k, d + k - 1) for
+# apparatus dimension d = 2L+1.  The edge sectors k = 0 and k = d have one
+# real slot; their other slot is kept as a zero-padded phantom, so every
+# operator that keeps total Jz is a (d+1, 2, 2) stack of blocks.
+# --------------------------------------------------------------------------
+
+def _to_sectors(v: np.ndarray) -> np.ndarray:
+    """Particle (x) apparatus amplitudes (kron layout) as (d+1, 2) sector slots."""
+    t = v.reshape(2, -1)
+    d = t.shape[1]
+    sec = np.zeros((d + 1, 2), dtype=np.complex128)
+    sec[:d, 0] = t[0]
+    sec[1:, 1] = t[1]
+    return sec
+
+
+def _from_sectors(sec: np.ndarray) -> np.ndarray:
+    """Inverse of `_to_sectors`: the kron-layout amplitudes, phantoms dropped."""
+    return np.concatenate([sec[:-1, 0], sec[1:, 1]])
+
+
+def _dense_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The 2(2L+1)-square kron-layout matrix of a sector block stack (tests, demos)."""
+    d = blocks.shape[0] - 1
+    k = np.arange(d + 1)
+    idx = np.stack([k, d + k - 1], axis=1)
+    idx[d, 0] = idx[0, 1] = 2 * d   # phantoms land in a row and column cut off below
+    out = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.complex128)
+    out[idx[:, :, None], idx[:, None, :]] = blocks
+    return out[:-1, :-1]
+
+
 def _s_dot_l(s: SpinOperators, a: SpinOperators) -> np.ndarray:
     """S.L on spin-1/2 (x) spin-L."""
     return (
@@ -84,44 +123,81 @@ def manifold_projectors(L) -> tuple[Operator, Operator]:
     S.L has exactly two eigenvalues on spin-1/2 (x) spin-L, namely L/2 on
     the stretched manifold and -(L+1)/2 on the other, so the projectors
     are first-order polynomials in S.L and inherit its exact rotational
-    invariance.
+    invariance.  Returned dense, built from the sector blocks of
+    `_sector_projectors`.
     """
     L = _check_spin(L, 0.5, "apparatus spin")
-    return _manifold_projectors(spin_operators(0.5), spin_operators(L))
+    return tuple(Operator(_dense_blocks(p), hermitian=True) for p in _sector_projectors(L))
 
 
-def _manifold_projectors(s: SpinOperators, a: SpinOperators) -> tuple[Operator, Operator]:
-    L = a.j
-    dim = 2 * a.dim
-    s_dot_l = _s_dot_l(s, a)
-    lam_plus = L / 2.0
-    lam_minus = -(L + 1) / 2.0
-    plus = (s_dot_l - lam_minus * np.eye(dim)) / (lam_plus - lam_minus)
-    minus = np.eye(dim) - plus
+def _sector_projectors(L: float) -> tuple[np.ndarray, np.ndarray]:
+    """P+ and P- as (2L+2, 2, 2) sector blocks, idempotence and rank audited.
+
+    On sector M, P+ = [[L+1/2+M, r], [r, L+1/2-M]] / (2L+1) with
+    r = sqrt((L+1/2)^2 - M^2): the Clebsch-Gordan form of
+    (S.L + (L+1)/2) / (L+1/2).  The edge sectors are 1x1 with P+ = 1.
+    """
+    d = round(2 * L + 1)
+    M = L + 0.5 - np.arange(d + 1)
+    plus = np.empty((d + 1, 2, 2))
+    plus[:, 0, 0] = L + 0.5 + M
+    plus[:, 0, 1] = plus[:, 1, 0] = np.sqrt((L + 0.5) ** 2 - M ** 2)
+    plus[:, 1, 1] = L + 0.5 - M
+    plus /= 2 * L + 1
+    minus = _sector_identity(d) - plus
 
     for p, rank in ((plus, 2 * L + 2), (minus, 2 * L)):
         idem = np.max(np.abs(p @ p - p))
         if idem > NUMERICS.state_atol:
             raise AssertionError(f"projector not idempotent: {idem:.3e}")
-        if abs(np.trace(p).real - rank) > NUMERICS.operator_atol:
-            raise AssertionError(
-                f"projector rank {np.trace(p).real!r} != {rank}"
-            )
-    return (
-        Operator(plus, hermitian=True),
-        Operator(minus, hermitian=True),
-    )
+        trace = float(np.sum(np.trace(p, axis1=1, axis2=2).real))
+        if abs(trace - rank) > NUMERICS.operator_atol:
+            raise AssertionError(f"projector rank {trace!r} != {rank}")
+        p.setflags(write=False)
+    return plus, minus
+
+
+def _sector_identity(d: int) -> np.ndarray:
+    """The identity of particle (x) apparatus as sector blocks (zero on phantoms)."""
+    return _to_sectors(np.ones(2 * d)).real[:, :, None] * np.eye(2)
+
+
+def _raising_blocks(lad: SpinLadder) -> np.ndarray:
+    """J+ = S+ (x) 1 + 1 (x) L+ as (2L+1, 2, 2) blocks; block k-1 maps sector k to k-1."""
+    half = _ladder(0.5)
+    raising = np.zeros((lad.dim, 2, 2))
+    raising[:-1, 0, 0] = lad.jplus        # |up, m> -> |up, m+1>
+    raising[:, 0, 1] = half.jplus[0]      # |down, m> -> |up, m>
+    raising[1:, 1, 1] = lad.jplus         # |down, m> -> |down, m+1>
+    return raising
+
+
+def _commutator_devs(p: np.ndarray, raising: np.ndarray, jz: np.ndarray) -> tuple[float, ...]:
+    """Max-entry norms of [P, Jx], [P, Jy] and [P, Jz] for a sector block stack P.
+
+    [P, J+] only links sector k to k-1 and [P, J-] only k-1 to k, so the
+    two never share an entry, and Jx, Jy = (J+ +- J-)/(2 or 2i) give both
+    the norm max(|[P, J+]|, |[P, J-]|) / 2.  Jz is diagonal on each sector.
+    """
+    lowering = raising.conj().transpose(0, 2, 1)
+    c_plus = p[:-1] @ raising - raising @ p[1:]
+    c_minus = p[1:] @ lowering - lowering @ p[:-1]
+    transverse = max(np.max(np.abs(c_plus)), np.max(np.abs(c_minus))) / 2
+    longitudinal = np.max(np.abs(p * (jz[:, None, :] - jz[:, :, None])))
+    return transverse, transverse, longitudinal
 
 
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Particle (x) apparatus (x) record, stored on particle (x) apparatus only.
+    """Particle (x) apparatus (x) record, stored in its Clebsch-Gordan sectors.
 
     The record carries no angular momentum, so U = P+ (x) 1 + P- (x) X and
-    J = j_pa (x) 1 are fixed by the projectors and j_pa; `premeasure` applies
-    U sector by sector.  `u_meas` and `j_total` build those dense
-    4(2L+1)-square operators anew on each access, uncached, for tests and
-    small-L demonstrations.
+    J = j_pa (x) 1 are fixed by the projectors and the spin algebras.  A
+    build keeps P+ and P- as (2L+2, 2, 2) sector blocks and the
+    apparatus's `SpinLadder`; `premeasure` and every audit work on those
+    in O(L).  `proj_plus`, `proj_minus`, `j_pa`, `spin_app`, `u_meas` and
+    `j_total` build the dense operators anew on each access, uncached, for
+    tests and small-L demonstrations.
     """
 
     L: float
@@ -129,14 +205,38 @@ class CompositeSystem:
     dims: tuple[int, int, int]
     apparatus_state: StateVector
     spin_half: SpinOperators
-    spin_app: SpinOperators
-    proj_plus: Operator
-    proj_minus: Operator
-    j_pa: tuple[Operator, Operator, Operator]
+    ladder: SpinLadder
+    plus_blocks: np.ndarray
+    minus_blocks: np.ndarray
 
     @property
     def pa_dim(self) -> int:
         return self.dims[0] * self.dims[1]
+
+    @property
+    def spin_app(self) -> SpinOperators:
+        """Dense spin-L operators of the apparatus."""
+        return spin_operators(self.L)
+
+    @property
+    def proj_plus(self) -> Operator:
+        """Dense P+ over particle (x) apparatus."""
+        return Operator(_dense_blocks(self.plus_blocks), hermitian=True)
+
+    @property
+    def proj_minus(self) -> Operator:
+        """Dense P- over particle (x) apparatus."""
+        return Operator(_dense_blocks(self.minus_blocks), hermitian=True)
+
+    @property
+    def j_pa(self) -> tuple[Operator, Operator, Operator]:
+        """Dense S_k (x) 1 + 1 (x) L_k over particle (x) apparatus, one Operator per axis."""
+        s, a = self.spin_half, self.spin_app
+        return tuple(
+            Operator(np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries),
+                     hermitian=True)
+            for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz))
+        )
 
     @property
     def u_meas(self) -> Operator:
@@ -158,30 +258,37 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     With tilt = 0 the apparatus is the coherent state |L, L> aligned with
     the measurement axis, which makes the wrong-record amplitude for a
     +z particle exactly zero.  A positive tilt rotates the device by that
-    angle toward +x, making all four error amplitudes nonzero.
+    angle toward +x, making all four error amplitudes nonzero (that state
+    is still built with dense spin-L operators).  A device whose full
+    composite, 4(2L+1), exceeds `NUMERICS.max_total_dim` is refused
+    before anything is allocated.
     """
     L = _check_spin(L, 0.5, "apparatus spin")
-    s = spin_operators(0.5)
-    a = spin_operators(L)
+    d = round(2 * L + 1)
+    if 4 * d > NUMERICS.max_total_dim:
+        raise ValueError(
+            f"build_measurement_unitary refused: 4 x {d} = {4 * d} exceeds the "
+            f"configured maximum total dimension {NUMERICS.max_total_dim}"
+        )
+    lad = _ladder(L)
+    _check_bands(L, *_ladder_bands(lad))
+    plus, minus = _sector_projectors(L)
 
-    plus, minus = _manifold_projectors(s, a)
-    p, m = plus.entries, minus.entries
-    # U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X
-    dev = max(np.max(np.abs(p @ p + m @ m - np.eye(p.shape[0]))),
-              np.max(np.abs(p @ m + m @ p)))
+    # U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X, per sector
+    dev = max(np.max(np.abs(plus @ plus + minus @ minus - _sector_identity(d))),
+              np.max(np.abs(plus @ minus + minus @ plus)))
     if dev > NUMERICS.operator_atol:
         raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {dev:.3e}")
 
-    j_pa = tuple(
-        Operator(np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries),
-                 hermitian=True)
-        for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz))
-    )
-
     # [U, J (x) 1] = [P+, J] (x) 1 + [P-, J] (x) X: the two blocks never
-    # share an entry, so the max-entry norm is the larger block's
-    for axis, jk in zip("xyz", j_pa):
-        dev = max(commutator_norm(plus, jk), commutator_norm(minus, jk))
+    # share an entry, so the max-entry norm is the larger block's.  An
+    # idempotent P+ of rank 2L+2 that commutes with every J_k can only be
+    # the j = L+1/2 projector, so these audits pin the device completely.
+    raising = _raising_blocks(lad)
+    jz = _to_sectors(np.add.outer(_ladder(0.5).m, lad.m)).real   # total Jz of each slot
+    devs = [max(pair) for pair in zip(_commutator_devs(plus, raising, jz),
+                                      _commutator_devs(minus, raising, jz))]
+    for axis, dev in zip("xyz", devs):
         if dev > NUMERICS.operator_atol:
             raise ConservationError(
                 f"premeasurement unitary does not conserve J{axis}: "
@@ -191,13 +298,12 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     return CompositeSystem(
         L=L,
         tilt=float(tilt),
-        dims=(2, a.dim, 2),
-        apparatus_state=_coherent_state(a, tilt, 0.0),
-        spin_half=s,
-        spin_app=a,
-        proj_plus=plus,
-        proj_minus=minus,
-        j_pa=j_pa,
+        dims=(2, d, 2),
+        apparatus_state=_coherent_state(L, tilt, 0.0),
+        spin_half=spin_operators(0.5),
+        ladder=lad,
+        plus_blocks=plus,
+        minus_blocks=minus,
     )
 
 
@@ -217,6 +323,23 @@ def measurement_unitary_from_interaction(L) -> Operator:
     return expm_hermitian(gen, math.pi / (L + 0.5))
 
 
+def _j_matvec(sys: CompositeSystem, v: np.ndarray, k: int) -> np.ndarray:
+    """J_k v = (S_k (x) 1 + 1 (x) L_k) v over particle (x) apparatus, in O(L)."""
+    t = v.reshape(2, -1)
+    return (_ladder_matvec(_ladder(0.5), t, k, axis=0)
+            + _ladder_matvec(sys.ladder, t, k, axis=1)).reshape(v.shape)
+
+
+def _j_bracket(sys: CompositeSystem, bra: np.ndarray, ket: np.ndarray, k: int) -> complex:
+    """<bra|J_k|ket> over particle (x) apparatus."""
+    return complex(np.vdot(bra, _j_matvec(sys, ket, k)))
+
+
+def _j_means(sys: CompositeSystem, v: np.ndarray) -> np.ndarray:
+    """(<Jx>, <Jy>, <Jz>) of particle (x) apparatus amplitudes v."""
+    return np.array([_j_bracket(sys, v, v, k).real for k in range(3)])
+
+
 def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     spinor = np.array(_check_spinor(a, b), dtype=np.complex128)
     return StateVector(sys.dims[:2], np.kron(spinor, sys.apparatus_state.amplitudes))
@@ -225,20 +348,22 @@ def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
 def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     """Entangle psi = (a|up> + b|down>) (x) apparatus with a record at 0.
 
-    The record ends holding P+ psi at 0 and P- psi at 1.  Audited: each
-    <J_k>, summed over both record sectors, must match <psi|J_k|psi> to
-    the conservation tolerance, else ConservationError.
+    The record ends holding P+ psi at 0 and P- psi at 1, applied sector by
+    sector.  Audited: each <J_k>, summed over both record sectors, must
+    match <psi|J_k|psi> to the conservation tolerance, else
+    ConservationError.
     """
-    psi = _initial_state(a, b, sys)
-    sectors = [p.entries @ psi.amplitudes for p in (sys.proj_plus, sys.proj_minus)]
-    for axis, jk in zip("xyz", sys.j_pa):
-        after = sum(np.vdot(t, jk.entries @ t) for t in sectors)
-        drift = abs(after - expectation(psi, jk))
-        if drift > NUMERICS.conservation_atol:
+    psi = _initial_state(a, b, sys).amplitudes
+    sec = _to_sectors(psi)
+    by_record = [_from_sectors(np.einsum("kab,kb->ka", p, sec))
+                 for p in (sys.plus_blocks, sys.minus_blocks)]
+    drift = np.abs(sum(_j_means(sys, t) for t in by_record) - _j_means(sys, psi))
+    for axis, dev in zip("xyz", drift):
+        if dev > NUMERICS.conservation_atol:
             raise ConservationError(
-                f"<J{axis}> drifted by {drift:.3e} during premeasurement"
+                f"<J{axis}> drifted by {dev:.3e} during premeasurement"
             )
-    return StateVector(sys.dims, np.stack(sectors, axis=1))
+    return StateVector(sys.dims, np.stack(by_record, axis=1))
 
 
 @dataclass(frozen=True)
@@ -279,12 +404,10 @@ def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomp
         ov = abs(branches[0][1].overlap(branches[1][1]))
         if ov > NUMERICS.state_atol:
             raise AssertionError(f"record sectors not orthogonal: {ov:.3e}")
-    recon = np.zeros(final.dim, dtype=np.complex128)
+    recon = np.zeros_like(t)
     for coeff, state, label in branches:
-        rec = np.zeros(2, dtype=np.complex128)
-        rec[_LABELS.index(label)] = 1.0
-        recon += coeff * np.kron(state.amplitudes, rec)
-    if np.max(np.abs(recon - final.amplitudes)) > NUMERICS.conservation_atol:
+        recon[:, _LABELS.index(label)] = coeff * state.amplitudes
+    if np.max(np.abs(recon - t)) > NUMERICS.conservation_atol:
         raise AssertionError("branch reconstruction failed")
     return BranchDecomposition(
         branches=tuple(branches),
@@ -347,12 +470,12 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
 def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes) -> np.ndarray:
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     residuals = np.zeros(3, dtype=np.complex128)
-    for k, jk in enumerate(sys.j_pa):
+    for k in range(3):
         lhs = 0.0 + 0.0j
         if amps.u is not None and amps.u_err is not None:
-            lhs += amps.C * amps.F * bracket(amps.u, jk, amps.u_err)
+            lhs += amps.C * amps.F * _j_bracket(sys, amps.u.amplitudes, amps.u_err.amplitudes, k)
         if amps.d is not None and amps.d_err is not None:
-            lhs += amps.E * amps.D * bracket(amps.d, jk, amps.d_err)
+            lhs += amps.E * amps.D * _j_bracket(sys, amps.d.amplitudes, amps.d_err.amplitudes, k)
         residuals[k] = lhs - targets[k]
     worst = float(np.max(np.abs(residuals)))
     if worst > NUMERICS.conservation_atol:
@@ -382,8 +505,8 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
     for L in L_list:
         sys = build_measurement_unitary(L)
         amps = extract_error_amplitudes(sys)
-        mag = abs(bracket(amps.u, sys.j_pa[0], amps.u_err))
-        spread = angular_spread(sys.apparatus_state, sys.spin_app)
+        mag = abs(_j_bracket(sys, amps.u.amplitudes, amps.u_err.amplitudes, 0))
+        spread = angular_spread(sys.apparatus_state, sys.ladder)
         rows.append(BracketScalingRow(
             L=sys.L,
             bracket_magnitude=mag,

@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__
 from .angular import _check_spin, angular_spread, bloch_vector
 from .apparatus import (
+    _j_bracket,
+    _j_means,
     _matching_residuals,
     build_measurement_unitary,
     decompose_branches,
@@ -38,7 +40,7 @@ from .config import NUMERICS, NumericsConfig
 from .decoherence import EnvironmentConfig, amplify_record, macroscopic_cross_term, overlap_decay_curve
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
-from .kernel import ConservationError, Operator, bracket, expectation
+from .kernel import ConservationError, Operator
 
 __all__ = ["main"]
 
@@ -144,8 +146,7 @@ def _cmd_ideal(args) -> None:
     decomp = decompose_branches(final, sys_model)
     branches = []
     for coeff, state, label in decomp.branches:
-        per_j = np.array([expectation(state, jk).real for jk in sys_model.j_pa])
-        branches.append(((coeff, per_j), label))
+        branches.append(((coeff, _j_means(sys_model, state.amplitudes)), label))
     init_j = initial + np.array([0.0, 0.0, float(sys_model.L)])
     model_report = classify_violation(
         init_j,
@@ -172,8 +173,8 @@ def _measure_row(L: float, numerics: NumericsConfig = NUMERICS) -> list:
     sys_model = build_measurement_unitary(L)
     amps = extract_error_amplitudes(sys_model)
     residuals = _matching_residuals(sys_model, amps)
-    spread = angular_spread(sys_model.apparatus_state, sys_model.spin_app)
-    mag = abs(bracket(amps.u, sys_model.j_pa[0], amps.u_err))
+    spread = angular_spread(sys_model.apparatus_state, sys_model.ladder)
+    mag = abs(_j_bracket(sys_model, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     return [
         L, amps.C, amps.D, amps.E, amps.F,
         float(np.max(np.abs(residuals))),

@@ -33,15 +33,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .angular import _check_spin, bloch_vector, coherent_spin_state, spin_operators
+from .angular import SpinLadder, _check_spin, _ladder, bloch_vector, coherent_spin_state
 from .apparatus import (
     _initial_state,
+    _j_means,
     build_measurement_unitary,
     decompose_branches,
     premeasure,
 )
 from .config import NUMERICS
-from .kernel import ConservationError, StateVector, expectation, partial_trace
+from .kernel import ConservationError, StateVector, partial_trace
 
 __all__ = [
     "DEFAULT_SOURCE_TILT",
@@ -108,12 +109,11 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
     final = premeasure(a, b, sys)
     decomp = decompose_branches(final, sys)
     initial_pa = _initial_state(a, b, sys)
-    initial_j = np.array([expectation(initial_pa, jk).real for jk in sys.j_pa])
+    initial_j = _j_means(sys, initial_pa.amplitudes)
 
     info = {}
     for coeff, state, label in decomp.branches:
-        per_j = np.array([expectation(state, jk).real for jk in sys.j_pa])
-        info[label] = {"weight": coeff ** 2, "j": per_j}
+        info[label] = {"weight": coeff ** 2, "j": _j_means(sys, state.amplitudes)}
     for label in decomp.omitted:
         info[label] = {"weight": 0.0, "j": initial_j.copy()}
 
@@ -209,8 +209,7 @@ def entangled_source_emit(source_state: StateVector, K) -> StateVector:
             f"source dims {source_state.dims} do not match spin K={K} "
             f"(expected ({d_in},))"
         )
-    kz = spin_operators(K).jz
-    kz_mean = expectation(source_state, kz).real
+    kz_mean = float(np.abs(source_state.amplitudes) ** 2 @ _ladder(K).m)
     if kz_mean <= 0.0:
         raise ValueError(
             f"<Kz> = {kz_mean:.6g} <= 0: source orientation undefined"
@@ -317,9 +316,18 @@ def _fold(amp: np.ndarray, pairs: np.ndarray, op: np.ndarray | None = None) -> n
     return np.tensordot(gram.T, pairs, axes=2)
 
 
-def _trace(x: np.ndarray, y: np.ndarray | None = None) -> float:
-    """Re Tr x, or Re Tr(x y)."""
-    return float(np.real(np.trace(x) if y is None else np.einsum("ij,ji->", x, y)))
+def _trace(x: np.ndarray) -> float:
+    """Re Tr x."""
+    return float(np.real(np.trace(x)))
+
+
+def _ladder_trace(lad: SpinLadder, x: np.ndarray, axis: int) -> float:
+    """Re Tr(K_axis x) (axis 0, 1, 2 for x, y, z), read from the spin-K bands in O(K)."""
+    if axis == 2:
+        return float(np.real(lad.m @ np.diagonal(x)))
+    below, above = np.diagonal(x, -1), np.diagonal(x, 1)   # x[i+1, i], x[i, i+1]
+    paired = below + above if axis == 0 else (below - above) / 1j
+    return float(np.real(lad.jplus @ paired)) / 2
 
 
 def _external_streak(L, pattern: str) -> StreakReport:
@@ -428,12 +436,12 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
 
     def moments(slots: int) -> tuple[float, float, float]:
         """<J^2> and <Jz> of source + particles, and the combined Jz ledger."""
-        k_ops = spin_operators(k_cur)
+        lad = _ladder(k_cur)
         # sum_a Tr(K_a^2 rho) is the Casimir K(K+1) Tr rho of the register
         j2 = k_cur * (k_cur + 1) * _trace(rho)
-        for k_op, sig, ta in zip((k_ops.jx, k_ops.jy, k_ops.jz), sigma, tau):
-            j2 += 2 * _trace(k_op.entries, sig) + _trace(ta)
-        kz = _trace(k_ops.jz.entries, rho)
+        for axis, (sig, ta) in enumerate(zip(sigma, tau)):
+            j2 += 2 * _ladder_trace(lad, sig, axis) + _trace(ta)
+        kz = _ladder_trace(lad, rho, 2)
         # the ledger also counts each device, less its initial <Lz> = L,
         # so it audits changes, not absolute offsets
         return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * l_val

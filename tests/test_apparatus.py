@@ -362,6 +362,13 @@ def test_built_system_holds_no_record_level_matrix(L):
     assert vars(sys_m) == before
 
 
+@pytest.mark.parametrize("L", [0.5, 3, 40])
+def test_default_build_holds_no_quadratic_array(L):
+    # the sector blocks, (2L+2, 2, 2), are the largest arrays a build keeps
+    sizes = [arr.size for arr in _held_arrays(sl.build_measurement_unitary(L))]
+    assert sizes and max(sizes) <= 4 * (2 * L + 2)
+
+
 @pytest.mark.parametrize("L", [0.5, 2])
 def test_record_level_operators_built_on_access(L):
     sys_m = sl.build_measurement_unitary(L)
@@ -376,45 +383,42 @@ def test_record_level_operators_built_on_access(L):
 
 
 def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
-    real = apparatus._manifold_projectors
+    real = apparatus._sector_projectors
 
-    def rotated(s, a):
+    def rotated(L):
         # conjugating by a particle-only z rotation adds the small Hermitian
         # term -i eps [Sz (x) 1, P]: the pair stays complementary projectors
-        # (so U stays unitary) and commutes with Jz, but not with Jx
-        plus, minus = real(s, a)
-        v = np.kron(sl.expm_hermitian(s.jz, 1e-6).entries, np.eye(a.dim))
-        return tuple(sl.Operator(v @ p.entries @ v.conj().T, hermitian=True)
-                     for p in (plus, minus))
+        # (so U stays unitary) and commutes with Jz, but not with Jx.  The
+        # rotation is diagonal on the (up, down) slots of every sector.
+        v = sl.expm_hermitian(sl.spin_operators(0.5).jz, 1e-6).entries
+        return tuple(v @ p @ v.conj().T for p in real(L))
 
-    monkeypatch.setattr(apparatus, "_manifold_projectors", rotated)
+    monkeypatch.setattr(apparatus, "_sector_projectors", rotated)
     with pytest.raises(sl.ConservationError, match="does not conserve Jx"):
         sl.build_measurement_unitary(2)
 
 
 def test_build_trips_unitarity_on_non_complementary_projectors(monkeypatch):
-    real = apparatus._manifold_projectors
+    real = apparatus._sector_projectors
 
-    def leaky(s, a):
+    def leaky(L):
         # a multiple of the identity keeps every commutator at zero
-        plus, minus = real(s, a)
-        return plus, sl.Operator(minus.entries + 1e-6 * np.eye(minus.dim), hermitian=True)
+        plus, minus = real(L)
+        return plus, minus + 1e-6 * np.eye(2)
 
-    monkeypatch.setattr(apparatus, "_manifold_projectors", leaky)
+    monkeypatch.setattr(apparatus, "_sector_projectors", leaky)
     with pytest.raises(ValueError, match="unitary flag violated"):
         sl.build_measurement_unitary(2)
 
 
 def test_premeasure_trips_drift_on_swapped_projector():
     # an idealized device that records the particle's z spin alone loses
-    # the transverse <Jx> = 1/2 of a +x input
+    # the transverse <Jx> = 1/2 of a +x input; its projector is diag(1, 0)
+    # on the (up, down) slots of every sector
     sys_m = sl.build_measurement_unitary(2)
-    up = np.kron(np.diag([1.0, 0.0]), np.eye(sys_m.dims[1]))
-    ideal = dataclasses.replace(
-        sys_m,
-        proj_plus=sl.Operator(up, hermitian=True),
-        proj_minus=sl.Operator(np.eye(up.shape[0]) - up, hermitian=True),
-    )
+    up = np.zeros_like(sys_m.plus_blocks)
+    up[:, 0, 0] = 1.0
+    ideal = dataclasses.replace(sys_m, plus_blocks=up, minus_blocks=np.eye(2) - up)
     r = 1 / np.sqrt(2)
     sl.premeasure(r, r, sys_m)
     with pytest.raises(sl.ConservationError, match="Jx> drifted"):

@@ -1,0 +1,159 @@
+"""The Clebsch-Gordan sector device against its dense oracles.
+
+A build stores P+ and P- as (2L+2, 2, 2) sector blocks and the apparatus
+spin as its two ladder bands; premeasure, the audits, the brackets and
+the spread run on those in O(L).  The dense operators (`u_meas`, `j_pa`,
+`proj_plus`, `spin_app`) are built on access and serve as the oracle here.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+import spinledger as sl
+from spinledger import angular, apparatus, kernel
+from spinledger.cli import main as cli_main
+
+L_VALUES = [0.5, 1, 2.5, 7, 40, 150]
+
+
+def _spinors(seed):
+    rng = np.random.default_rng(seed)
+    out = [(1.0, 0.0), (0.0, 1.0)]
+    for _ in range(3):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        out.append(tuple(v / np.linalg.norm(v)))
+    return out
+
+
+@pytest.fixture(scope="module", params=[(L, tilt) for L in L_VALUES for tilt in (0.0, 0.4)],
+                ids=lambda p: f"L{p[0]:g}-tilt{p[1]:g}")
+def device(request):
+    L, tilt = request.param
+    return sl.build_measurement_unitary(L, tilt=tilt)
+
+
+def test_premeasure_matches_dense_unitary(device):
+    u = device.u_meas.entries
+    for a, b in _spinors(round(4 * device.L)):
+        dense = u @ np.kron(np.kron([a, b], device.apparatus_state.amplitudes), [1, 0])
+        assert np.max(np.abs(sl.premeasure(a, b, device).amplitudes - dense)) <= 1e-12
+
+
+def test_structured_j_matches_dense_j_pa(device):
+    rng = np.random.default_rng(round(4 * device.L))
+    v = rng.normal(size=device.pa_dim) + 1j * rng.normal(size=device.pa_dim)
+    for k, jk in enumerate(device.j_pa):
+        assert np.max(np.abs(apparatus._j_matvec(device, v, k) - jk.entries @ v)) <= 1e-12
+
+
+def test_brackets_and_means_match_dense(device):
+    amps = sl.extract_error_amplitudes(device)
+    j_pa = device.j_pa
+    pairs = [(amps.u, amps.u_err), (amps.d, amps.d_err)]
+    for bra, ket in pairs:
+        if bra is None or ket is None:
+            continue
+        for k, jk in enumerate(j_pa):
+            got = apparatus._j_bracket(device, bra.amplitudes, ket.amplitudes, k)
+            assert abs(got - sl.bracket(bra, jk, ket)) <= 1e-12
+        dense_means = [sl.expectation(bra, jk).real for jk in j_pa]
+        assert np.max(np.abs(apparatus._j_means(device, bra.amplitudes) - dense_means)) <= 1e-12
+
+
+def test_angular_spread_matches_dense_jx_squared(device):
+    psi = device.apparatus_state
+    jx = device.spin_app.jx.entries
+    jz = device.spin_app.jz
+    var = sl.expectation(psi, sl.Operator(jx @ jx, hermitian=True)).real \
+        - sl.expectation(psi, device.spin_app.jx).real ** 2
+    delta_l = math.sqrt(max(var, 0.0))
+    spread = sl.angular_spread(psi, device.ladder)
+    assert spread.delta_l == pytest.approx(delta_l, abs=1e-12 * max(1.0, delta_l))
+    theta = delta_l / sl.expectation(psi, jz).real
+    assert spread.delta_theta == pytest.approx(theta, abs=1e-12 * max(1.0, theta))
+    assert sl.angular_spread(psi, device.spin_app) == spread
+
+
+@pytest.mark.parametrize("L", L_VALUES)
+def test_sector_blocks_match_the_s_dot_l_projectors(L):
+    s, a = sl.spin_operators(0.5), sl.spin_operators(L)
+    s_dot_l = apparatus._s_dot_l(s, a)
+    plus = (s_dot_l + (L + 1) / 2 * np.eye(s_dot_l.shape[0])) / (L + 0.5)
+    sys_m = sl.build_measurement_unitary(L)
+    assert np.max(np.abs(sys_m.proj_plus.entries - plus)) <= 1e-12
+    assert np.max(np.abs(sys_m.proj_minus.entries - (np.eye(plus.shape[0]) - plus))) <= 1e-12
+
+
+def test_tilt_zero_build_uses_neither_dense_audit_nor_dense_spin_l(monkeypatch):
+    dense_spins = []
+    real_spin_operators = sl.spin_operators
+
+    def spy(j):
+        dense_spins.append(j)
+        return real_spin_operators(j)
+
+    def no_commutator(*args):
+        raise AssertionError("a build called commutator_norm")
+
+    monkeypatch.setattr(apparatus, "spin_operators", spy)
+    monkeypatch.setattr(angular, "spin_operators", spy)
+    monkeypatch.setattr(kernel, "commutator_norm", no_commutator)
+    monkeypatch.setattr(apparatus, "commutator_norm", no_commutator, raising=False)
+    sys_m = sl.build_measurement_unitary(40)
+    sl.extract_error_amplitudes(sys_m)
+    assert dense_spins == [0.5]
+    # a tilted device still builds its coherent state from the dense algebra
+    sl.build_measurement_unitary(40, tilt=0.4)
+    assert dense_spins == [0.5, 40.0, 0.5]
+
+
+def _rows(path):
+    return list(csv.DictReader(ln for ln in path.read_text().splitlines()
+                               if ln and not ln.startswith("#")))
+
+
+def test_measure_macroscopic_sweep_matches_closed_forms(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    code = cli_main(["measure", "--L", "1,10,100,1000,10000,100000", "--output", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    rows = _rows(path)
+    assert [float(r["L"]) for r in rows] == [1, 10, 100, 1000, 10000, 100000]
+    for r in rows:
+        L = float(r["L"])
+        want = {
+            "F": 1 / math.sqrt(2 * L + 1),
+            "E": math.sqrt(2 * L / (2 * L + 1)),
+            "bracket_jx_mag": math.sqrt(2 * L + 1) / 2,
+            "delta_L": math.sqrt(L / 2),
+        }
+        for col, target in want.items():
+            assert float(r[col]) == pytest.approx(target, rel=1e-12), (L, col)
+        assert float(r["C"]) == 1.0 and float(r["D"]) == 0.0
+        assert float(r["matching_residual_max"]) <= sl.NUMERICS.conservation_atol
+
+
+def test_oversize_device_is_refused_before_it_allocates(monkeypatch, capsys):
+    def no_alloc(*args):
+        raise AssertionError("refused build allocated its device")
+
+    monkeypatch.setattr(apparatus, "_ladder", no_alloc)
+    monkeypatch.setattr(apparatus, "_sector_projectors", no_alloc)
+    # 4 (2L+1) = 8000004 > 2^20
+    with pytest.raises(ValueError, match="exceeds the configured maximum total dimension 1048576"):
+        sl.build_measurement_unitary(1e6)
+    assert cli_main(["measure", "--L", "1000000"]) == 1
+    assert "maximum total dimension" in capsys.readouterr().err
+
+
+def test_size_guard_follows_the_configured_maximum(monkeypatch, capsys):
+    monkeypatch.setattr(sl.NUMERICS, "max_total_dim", 64)
+    assert sl.build_measurement_unitary(7.5).dims == (2, 16, 2)   # 4 x 16 = 64
+    with pytest.raises(ValueError, match="4 x 17 = 68 exceeds the configured maximum total "
+                                         "dimension 64"):
+        sl.build_measurement_unitary(8)
+    assert cli_main(["measure", "--L", "7.5,8"]) == 1
+    assert "68 exceeds" in capsys.readouterr().err
