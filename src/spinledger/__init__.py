@@ -4,7 +4,8 @@ A numerical laboratory for the question of whether quantum measurement
 violates conservation laws.  The pieces:
 
 * kernel      dense states/operators over tensor-product spaces
-* angular     spin-j algebras, coherent states, the Bloch map
+* angular     the banded spin-j algebra, closed-form coherent states,
+              the Bloch map
 * ideal       the idealized-measurement algebra and violation taxonomy
 * apparatus   an exactly conserving quantum measuring device
 * decoherence record amplification and cross-term suppression
@@ -17,7 +18,6 @@ __version__ = "0.1.0"
 from .angular import (
     AngularSpread,
     BlochVector,
-    SpinLadder,
     SpinOperators,
     angular_spread,
     bloch_vector,

@@ -26,14 +26,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .angular import (
-    SpinLadder,
     SpinOperators,
-    _check_bands,
     _check_spin,
     _check_spinor,
     _coherent_state,
-    _ladder,
-    _ladder_bands,
     _ladder_matvec,
     angular_spread,
     spin_operators,
@@ -162,13 +158,12 @@ def _sector_identity(d: int) -> np.ndarray:
     return _to_sectors(np.ones(2 * d)).real[:, :, None] * np.eye(2)
 
 
-def _raising_blocks(lad: SpinLadder) -> np.ndarray:
+def _raising_blocks(half: SpinOperators, app: SpinOperators) -> np.ndarray:
     """J+ = S+ (x) 1 + 1 (x) L+ as (2L+1, 2, 2) blocks; block k-1 maps sector k to k-1."""
-    half = _ladder(0.5)
-    raising = np.zeros((lad.dim, 2, 2))
-    raising[:-1, 0, 0] = lad.jplus        # |up, m> -> |up, m+1>
-    raising[:, 0, 1] = half.jplus[0]      # |down, m> -> |up, m>
-    raising[1:, 1, 1] = lad.jplus         # |down, m> -> |down, m+1>
+    raising = np.zeros((app.dim, 2, 2))
+    raising[:-1, 0, 0] = app.raising      # |up, m> -> |up, m+1>
+    raising[:, 0, 1] = half.raising[0]    # |down, m> -> |up, m>
+    raising[1:, 1, 1] = app.raising       # |down, m> -> |down, m+1>
     return raising
 
 
@@ -193,11 +188,11 @@ class CompositeSystem:
 
     The record carries no angular momentum, so U = P+ (x) 1 + P- (x) X and
     J = j_pa (x) 1 are fixed by the projectors and the spin algebras.  A
-    build keeps P+ and P- as (2L+2, 2, 2) sector blocks and the
-    apparatus's `SpinLadder`; `premeasure` and every audit work on those
-    in O(L).  `proj_plus`, `proj_minus`, `j_pa`, `spin_app`, `u_meas` and
-    `j_total` build the dense operators anew on each access, uncached, for
-    tests and small-L demonstrations.
+    build keeps P+ and P- as (2L+2, 2, 2) sector blocks and both spins'
+    banded `SpinOperators`; `premeasure` and every audit work on those in
+    O(L).  `proj_plus`, `proj_minus`, `j_pa`, `u_meas` and `j_total` build
+    the dense operators anew on each access, uncached, for tests and
+    small-L demonstrations.
     """
 
     L: float
@@ -205,18 +200,13 @@ class CompositeSystem:
     dims: tuple[int, int, int]
     apparatus_state: StateVector
     spin_half: SpinOperators
-    ladder: SpinLadder
+    spin_app: SpinOperators
     plus_blocks: np.ndarray
     minus_blocks: np.ndarray
 
     @property
     def pa_dim(self) -> int:
         return self.dims[0] * self.dims[1]
-
-    @property
-    def spin_app(self) -> SpinOperators:
-        """Dense spin-L operators of the apparatus."""
-        return spin_operators(self.L)
 
     @property
     def proj_plus(self) -> Operator:
@@ -258,10 +248,9 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     With tilt = 0 the apparatus is the coherent state |L, L> aligned with
     the measurement axis, which makes the wrong-record amplitude for a
     +z particle exactly zero.  A positive tilt rotates the device by that
-    angle toward +x, making all four error amplitudes nonzero (that state
-    is still built with dense spin-L operators).  A device whose full
-    composite, 4(2L+1), exceeds `NUMERICS.max_total_dim` is refused
-    before anything is allocated.
+    angle toward +x, making all four error amplitudes nonzero.  A device
+    whose full composite, 4(2L+1), exceeds `NUMERICS.max_total_dim` is
+    refused before anything is allocated.
     """
     L = _check_spin(L, 0.5, "apparatus spin")
     d = round(2 * L + 1)
@@ -270,8 +259,7 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
             f"build_measurement_unitary refused: 4 x {d} = {4 * d} exceeds the "
             f"configured maximum total dimension {NUMERICS.max_total_dim}"
         )
-    lad = _ladder(L)
-    _check_bands(L, *_ladder_bands(lad))
+    half, app = spin_operators(0.5), spin_operators(L)
     plus, minus = _sector_projectors(L)
 
     # U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X, per sector
@@ -284,8 +272,8 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     # share an entry, so the max-entry norm is the larger block's.  An
     # idempotent P+ of rank 2L+2 that commutes with every J_k can only be
     # the j = L+1/2 projector, so these audits pin the device completely.
-    raising = _raising_blocks(lad)
-    jz = _to_sectors(np.add.outer(_ladder(0.5).m, lad.m)).real   # total Jz of each slot
+    raising = _raising_blocks(half, app)
+    jz = _to_sectors(np.add.outer(half.m, app.m)).real   # total Jz of each slot
     devs = [max(pair) for pair in zip(_commutator_devs(plus, raising, jz),
                                       _commutator_devs(minus, raising, jz))]
     for axis, dev in zip("xyz", devs):
@@ -300,8 +288,8 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
         tilt=float(tilt),
         dims=(2, d, 2),
         apparatus_state=_coherent_state(L, tilt, 0.0),
-        spin_half=spin_operators(0.5),
-        ladder=lad,
+        spin_half=half,
+        spin_app=app,
         plus_blocks=plus,
         minus_blocks=minus,
     )
@@ -326,8 +314,8 @@ def measurement_unitary_from_interaction(L) -> Operator:
 def _j_matvec(sys: CompositeSystem, v: np.ndarray, k: int) -> np.ndarray:
     """J_k v = (S_k (x) 1 + 1 (x) L_k) v over particle (x) apparatus, in O(L)."""
     t = v.reshape(2, -1)
-    return (_ladder_matvec(_ladder(0.5), t, k, axis=0)
-            + _ladder_matvec(sys.ladder, t, k, axis=1)).reshape(v.shape)
+    return (_ladder_matvec(sys.spin_half, t, k, axis=0)
+            + _ladder_matvec(sys.spin_app, t, k, axis=1)).reshape(v.shape)
 
 
 def _j_bracket(sys: CompositeSystem, bra: np.ndarray, ket: np.ndarray, k: int) -> complex:
@@ -506,7 +494,7 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
         sys = build_measurement_unitary(L)
         amps = extract_error_amplitudes(sys)
         mag = abs(_j_bracket(sys, amps.u.amplitudes, amps.u_err.amplitudes, 0))
-        spread = angular_spread(sys.apparatus_state, sys.ladder)
+        spread = angular_spread(sys.apparatus_state, sys.spin_app)
         rows.append(BracketScalingRow(
             L=sys.L,
             bracket_magnitude=mag,

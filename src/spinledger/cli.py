@@ -173,7 +173,7 @@ def _measure_row(L: float, numerics: NumericsConfig = NUMERICS) -> list:
     sys_model = build_measurement_unitary(L)
     amps = extract_error_amplitudes(sys_model)
     residuals = _matching_residuals(sys_model, amps)
-    spread = angular_spread(sys_model.apparatus_state, sys_model.ladder)
+    spread = angular_spread(sys_model.apparatus_state, sys_model.spin_app)
     mag = abs(_j_bracket(sys_model, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     return [
         L, amps.C, amps.D, amps.E, amps.F,

@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .angular import SpinLadder, _check_spin, _ladder, bloch_vector, coherent_spin_state
+from .angular import (
+    SpinOperators,
+    _check_spin,
+    bloch_vector,
+    coherent_spin_state,
+    spin_operators,
+)
 from .apparatus import (
     _initial_state,
     _j_means,
@@ -209,7 +215,7 @@ def entangled_source_emit(source_state: StateVector, K) -> StateVector:
             f"source dims {source_state.dims} do not match spin K={K} "
             f"(expected ({d_in},))"
         )
-    kz_mean = float(np.abs(source_state.amplitudes) ** 2 @ _ladder(K).m)
+    kz_mean = float(np.abs(source_state.amplitudes) ** 2 @ spin_operators(K).m)
     if kz_mean <= 0.0:
         raise ValueError(
             f"<Kz> = {kz_mean:.6g} <= 0: source orientation undefined"
@@ -261,10 +267,9 @@ def prepare_internal_source(K, margin: int,
             f"source spin K={K} too small for edge margin {margin}"
         )
     amps = coherent_spin_state(K, tilt, 0.0).amplitudes.copy()
-    for i in range(amps.size):
-        m = K - i
-        if abs(m) > K - margin + 1e-9:
-            amps[i] = 0.0
+    # levels i = K - m with |m| > K - margin
+    amps[:margin] = 0.0
+    amps[amps.size - margin:] = 0.0
     nrm = np.linalg.norm(amps)
     if nrm < 1e-12:
         raise ValueError(
@@ -321,13 +326,13 @@ def _trace(x: np.ndarray) -> float:
     return float(np.real(np.trace(x)))
 
 
-def _ladder_trace(lad: SpinLadder, x: np.ndarray, axis: int) -> float:
+def _ladder_trace(ops: SpinOperators, x: np.ndarray, axis: int) -> float:
     """Re Tr(K_axis x) (axis 0, 1, 2 for x, y, z), read from the spin-K bands in O(K)."""
     if axis == 2:
-        return float(np.real(lad.m @ np.diagonal(x)))
+        return float(np.real(ops.m @ np.diagonal(x)))
     below, above = np.diagonal(x, -1), np.diagonal(x, 1)   # x[i+1, i], x[i, i+1]
     paired = below + above if axis == 0 else (below - above) / 1j
-    return float(np.real(lad.jplus @ paired)) / 2
+    return float(np.real(ops.raising @ paired)) / 2
 
 
 def _external_streak(L, pattern: str) -> StreakReport:
@@ -436,12 +441,12 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
 
     def moments(slots: int) -> tuple[float, float, float]:
         """<J^2> and <Jz> of source + particles, and the combined Jz ledger."""
-        lad = _ladder(k_cur)
+        ops = spin_operators(k_cur)
         # sum_a Tr(K_a^2 rho) is the Casimir K(K+1) Tr rho of the register
         j2 = k_cur * (k_cur + 1) * _trace(rho)
         for axis, (sig, ta) in enumerate(zip(sigma, tau)):
-            j2 += 2 * _ladder_trace(lad, sig, axis) + _trace(ta)
-        kz = _ladder_trace(lad, rho, 2)
+            j2 += 2 * _ladder_trace(ops, sig, axis) + _trace(ta)
+        kz = _ladder_trace(ops, rho, 2)
         # the ledger also counts each device, less its initial <Lz> = L,
         # so it audits changes, not absolute offsets
         return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * l_val

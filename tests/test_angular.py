@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinledger as sl
-from spinledger.angular import _check_algebra
+from spinledger.angular import _check_bands, _ladder_matvec
 
 
 def test_spin_half_is_pauli_over_two():
@@ -74,6 +74,46 @@ def test_coherent_expectation_direction(j, theta, phi):
         np.cos(theta),
     ])
     assert np.max(np.abs(vec - target)) <= 1e-10
+
+
+def _rotated_top(j, theta, phi):
+    """Dense oracle: exp(-i theta (-sin phi Jx + cos phi Jy)) |j, j>."""
+    s = sl.spin_operators(j)
+    gen = sl.Operator(-np.sin(phi) * s.jx.entries + np.cos(phi) * s.jy.entries,
+                      hermitian=True)
+    return sl.apply(sl.expm_hermitian(gen, theta), sl.basis_state((s.dim,), (0,)))
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 2.5, 8, 40, 200])
+def test_coherent_closed_form_matches_dense_rotation(j):
+    # theta covers both edges, both sides of pi/2 and values outside (0, pi)
+    for theta in (0.3, 1.2, np.pi / 2, np.radians(85), 2.5, np.pi, -0.7, 4.0):
+        for phi in (0.0, 2.0, -0.7):
+            got = sl.coherent_spin_state(j, theta, phi).amplitudes
+            want = _rotated_top(j, theta, phi).amplitudes
+            assert np.max(np.abs(got - want)) <= 1e-13, (theta, phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=20000).map(lambda two_j: two_j / 2),
+    st.floats(min_value=0.0, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+)
+def test_coherent_mean_and_spread_from_the_bands(j, theta, phi):
+    s = sl.spin_operators(j)
+    psi = sl.coherent_spin_state(j, theta, phi).amplitudes
+    mean = [np.vdot(psi, _ladder_matvec(s, psi, k)).real for k in range(3)]
+    target = j * np.array([np.sin(theta) * np.cos(phi),
+                           np.sin(theta) * np.sin(phi),
+                           np.cos(theta)])
+    assert np.max(np.abs(mean - target)) <= 1e-12 * j
+    # at phi = 0 the spread of Jx is sqrt(j/2) |cos theta|; compared as a
+    # variance, whose rounding grows as <Jx^2> ~ j^2 eps
+    psi0 = sl.coherent_spin_state(j, theta, 0.0).amplitudes
+    jx_psi = _ladder_matvec(s, psi0, 0)
+    var = np.vdot(jx_psi, jx_psi).real - np.vdot(psi0, jx_psi).real ** 2
+    assert var == pytest.approx(j / 2 * np.cos(theta) ** 2, abs=1e-12 * max(1.0, j * j))
 
 
 @pytest.mark.parametrize("L", [1, 4, 8])
@@ -150,19 +190,12 @@ def test_spin_self_check_admits_exact_algebra_at_j_1000():
 @pytest.mark.parametrize("j", [2, 50])
 def test_spin_self_check_trips_on_perturbed_algebra(j):
     s = sl.spin_operators(j)
-    jx = s.jx.entries.copy()
-    jx[0, 1] += 1e-6
+    _check_bands(float(j), s.m, s.raising)
+    for band in ("m", "raising"):
+        bands = {"m": s.m.copy(), "raising": s.raising.copy()}
+        bands[band][0] += 1e-6
+        with pytest.raises(ValueError, match="self-check"):
+            _check_bands(float(j), bands["m"], bands["raising"])
+    # exact bands checked against the wrong j(j+1) trip the Casimir gate alone
     with pytest.raises(ValueError, match="self-check"):
-        _check_algebra(float(j), jx, s.jy.entries, s.jz.entries)
-
-
-@pytest.mark.parametrize("j", [2, 50])
-@pytest.mark.parametrize("axis,cell", [("jx", (0, 3)), ("jy", (3, 0)), ("jz", (0, 1))])
-def test_spin_self_check_trips_off_the_band(j, axis, cell):
-    # the residuals are read from the diagonals, so an entry off the band
-    # must be caught by the band scan itself
-    s = sl.spin_operators(j)
-    mats = {name: getattr(s, name).entries.copy() for name in ("jx", "jy", "jz")}
-    mats[axis][cell] += 1e-6
-    with pytest.raises(ValueError, match="self-check.*off the band"):
-        _check_algebra(float(j), mats["jx"], mats["jy"], mats["jz"])
+        _check_bands(j + 1e-6, s.m, s.raising)

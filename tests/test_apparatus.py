@@ -362,10 +362,13 @@ def test_built_system_holds_no_record_level_matrix(L):
     assert vars(sys_m) == before
 
 
-@pytest.mark.parametrize("L", [0.5, 3, 40])
-def test_default_build_holds_no_quadratic_array(L):
+@pytest.mark.parametrize("L,tilt", [
+    *(pytest.param(L, 0.0, id=f"{L:g}") for L in (0.5, 3, 40)),
+    *(pytest.param(L, 0.4, id=f"{L:g}-tilt0.4") for L in (0.5, 3, 40)),
+])
+def test_default_build_holds_no_quadratic_array(L, tilt):
     # the sector blocks, (2L+2, 2, 2), are the largest arrays a build keeps
-    sizes = [arr.size for arr in _held_arrays(sl.build_measurement_unitary(L))]
+    sizes = [arr.size for arr in _held_arrays(sl.build_measurement_unitary(L, tilt=tilt))]
     assert sizes and max(sizes) <= 4 * (2 * L + 2)
 
 

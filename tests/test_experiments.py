@@ -158,6 +158,18 @@ def test_sequential_emissions_entangle_the_pair():
     assert purity < 0.99
 
 
+@pytest.mark.parametrize("K,margin", [(1, 0), (1, 1), (2.5, 1), (4, 2), (16, 8), (7.5, 7)])
+def test_internal_source_vacates_exactly_the_edge_levels(K, margin):
+    # reference: the level-by-level loop over |m| > K - margin
+    amps = sl.coherent_spin_state(K, sl.DEFAULT_SOURCE_TILT, 0.0).amplitudes.copy()
+    for i in range(amps.size):
+        if abs(K - i) > K - margin + 1e-9:
+            amps[i] = 0.0
+    want = amps / np.linalg.norm(amps)
+    got = sl.prepare_internal_source(K, margin).amplitudes
+    assert np.array_equal(got, want)
+
+
 def test_internal_source_preparation_validates():
     with pytest.raises(ValueError, match="margin"):
         sl.prepare_internal_source(4, margin=-1)

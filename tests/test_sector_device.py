@@ -3,7 +3,7 @@
 A build stores P+ and P- as (2L+2, 2, 2) sector blocks and the apparatus
 spin as its two ladder bands; premeasure, the audits, the brackets and
 the spread run on those in O(L).  The dense operators (`u_meas`, `j_pa`,
-`proj_plus`, `spin_app`) are built on access and serve as the oracle here.
+`proj_plus`, `spin_app.jx`) are built on access and serve as the oracle here.
 """
 
 import csv
@@ -70,11 +70,11 @@ def test_angular_spread_matches_dense_jx_squared(device):
     var = sl.expectation(psi, sl.Operator(jx @ jx, hermitian=True)).real \
         - sl.expectation(psi, device.spin_app.jx).real ** 2
     delta_l = math.sqrt(max(var, 0.0))
-    spread = sl.angular_spread(psi, device.ladder)
+    spread = sl.angular_spread(psi, device.spin_app)
     assert spread.delta_l == pytest.approx(delta_l, abs=1e-12 * max(1.0, delta_l))
     theta = delta_l / sl.expectation(psi, jz).real
     assert spread.delta_theta == pytest.approx(theta, abs=1e-12 * max(1.0, theta))
-    assert sl.angular_spread(psi, device.spin_app) == spread
+    assert sl.angular_spread(psi, sl.spin_operators(device.L)) == spread
 
 
 @pytest.mark.parametrize("L", L_VALUES)
@@ -87,27 +87,43 @@ def test_sector_blocks_match_the_s_dot_l_projectors(L):
     assert np.max(np.abs(sys_m.proj_minus.entries - (np.eye(plus.shape[0]) - plus))) <= 1e-12
 
 
-def test_tilt_zero_build_uses_neither_dense_audit_nor_dense_spin_l(monkeypatch):
+def test_no_build_uses_a_dense_audit_or_a_dense_spin_l(monkeypatch):
     dense_spins = []
-    real_spin_operators = sl.spin_operators
+    for name in ("jx", "jy", "jz", "jplus", "jminus"):
+        real = getattr(angular.SpinOperators, name).fget
 
-    def spy(j):
-        dense_spins.append(j)
-        return real_spin_operators(j)
+        def spy(ops, real=real):
+            dense_spins.append(ops.j)
+            return real(ops)
+
+        monkeypatch.setattr(angular.SpinOperators, name, property(spy))
 
     def no_commutator(*args):
         raise AssertionError("a build called commutator_norm")
 
-    monkeypatch.setattr(apparatus, "spin_operators", spy)
-    monkeypatch.setattr(angular, "spin_operators", spy)
     monkeypatch.setattr(kernel, "commutator_norm", no_commutator)
     monkeypatch.setattr(apparatus, "commutator_norm", no_commutator, raising=False)
-    sys_m = sl.build_measurement_unitary(40)
-    sl.extract_error_amplitudes(sys_m)
-    assert dense_spins == [0.5]
-    # a tilted device still builds its coherent state from the dense algebra
-    sl.build_measurement_unitary(40, tilt=0.4)
-    assert dense_spins == [0.5, 40.0, 0.5]
+    for tilt in (0.0, 0.4):
+        sys_m = sl.build_measurement_unitary(40, tilt=tilt)
+        sl.extract_error_amplitudes(sys_m)
+    assert dense_spins == []
+    # the spy sees the dense operators when they are asked for
+    assert sys_m.spin_app.jx.dim == 81 and dense_spins == [40.0]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sl.extract_error_amplitudes(sl.build_measurement_unitary(1e5, tilt=0.4)),
+                 id="tilted-build-1e5"),
+    pytest.param(lambda: sl.prepare_internal_source(1000, 10), id="internal-source-1000"),
+])
+def test_build_and_source_diagonalize_nothing(monkeypatch, call):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense diagonalization was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    monkeypatch.setattr(kernel, "expm_hermitian", no_dense)
+    monkeypatch.setattr(apparatus, "expm_hermitian", no_dense)
+    call()
 
 
 def _rows(path):
@@ -140,7 +156,7 @@ def test_oversize_device_is_refused_before_it_allocates(monkeypatch, capsys):
     def no_alloc(*args):
         raise AssertionError("refused build allocated its device")
 
-    monkeypatch.setattr(apparatus, "_ladder", no_alloc)
+    monkeypatch.setattr(apparatus, "spin_operators", no_alloc)
     monkeypatch.setattr(apparatus, "_sector_projectors", no_alloc)
     # 4 (2L+1) = 8000004 > 2^20
     with pytest.raises(ValueError, match="exceeds the configured maximum total dimension 1048576"):
