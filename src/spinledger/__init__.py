@@ -41,6 +41,7 @@ from .apparatus import (
 )
 from .config import NUMERICS, NumericsConfig
 from .decoherence import (
+    AmplifiedRecord,
     EnvironmentConfig,
     amplify_record,
     macroscopic_cross_term,

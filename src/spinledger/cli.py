@@ -40,7 +40,7 @@ from .config import NUMERICS, NumericsConfig
 from .decoherence import EnvironmentConfig, amplify_record, macroscopic_cross_term, overlap_decay_curve
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
-from .kernel import ConservationError, Operator
+from .kernel import ConservationError
 
 __all__ = ["main"]
 
@@ -68,6 +68,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _format_rows(rows: list):
+    """Each row as its `_fmt` cells joined by commas.
+
+    Rows with the same cell types share one %-template, so a long table
+    is formatted in C rather than by a `_fmt` call per cell.  A row with
+    a complex cell, which %-formatting cannot spell like `_fmt`, goes
+    cell by cell.
+    """
+    templates = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        if types not in templates:
+            spell = ("%.17g" if issubclass(t, float) else "%s" for t in types)
+            templates[types] = (None if any(issubclass(t, complex) for t in types)
+                                else ",".join(spell))
+        template = templates[types]
+        yield ",".join(map(_fmt, row)) if template is None else template % tuple(row)
+
+
 def _metadata(args, extra=None) -> dict:
     # echo a re-runnable command line: subcommand first, then flags
     flags = []
@@ -90,12 +109,13 @@ def _metadata(args, extra=None) -> dict:
     return meta
 
 
-def _write_table(args, meta: dict, columns: list[str], rows: list[list]) -> None:
+def _write_table(args, meta: dict, columns: list[str], rows: list) -> None:
     if args.format == "json":
         payload = {
             "metadata": meta,
             "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
+            # cells are numbers and labels, none of which holds a comma
+            "rows": [line.split(",") for line in _format_rows(rows)],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -103,8 +123,8 @@ def _write_table(args, meta: dict, columns: list[str], rows: list[list]) -> None
         for key in sorted(meta):
             buf.write(f"# {key} = {meta[key]}\n")
         buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        for line in _format_rows(rows):
+            buf.write(line + "\n")
         text = buf.getvalue()
     if args.output:
         path = args.output
@@ -207,17 +227,18 @@ def _cmd_thermal(args) -> None:
     _write_table(args, meta, ["I", "T", "IkT", "delta_L", "delta_theta"], rows)
 
 
+def _flip_particle(v: np.ndarray) -> np.ndarray:
+    """(sigma_x (x) 1) v over particle (x) apparatus: swap the particle halves, O(L)."""
+    return v.reshape(2, -1)[::-1].reshape(-1)
+
+
 def _cmd_decohere(args) -> None:
     sys_model = build_measurement_unitary(args.L)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     final = premeasure(inv_sqrt2, inv_sqrt2, sys_model)
     # particle sigma_x extended over the apparatus: couples the two
     # total-j manifolds, so its record-sector bracket is nonzero at n=0
-    probe = Operator(
-        np.kron(np.array([[0, 1], [1, 0]], dtype=complex),
-                np.eye(sys_model.dims[1])),
-        hermitian=True,
-    )
+    probe = _flip_particle
     baseline = macroscopic_cross_term(
         final, probe, sys_model, EnvironmentConfig(0, args.overlap)
     )
@@ -240,13 +261,14 @@ def _cmd_satellite(args) -> None:
     meta = _metadata(args, {"seed": str(args.seed), **{
         k: v for k, v in run.metadata.items() if k not in ("prng", "seed")
     }})
-    rows = []
-    for s in run.trajectory:
-        rows.append([
-            s.step, s.outcome, s.branch_weight,
-            *s.per_branch_j, *s.ideal_ledger_j, *s.full_ledger_j,
-            s.audit_deviation,
-        ])
+    info, up = run.branch_info, run.outcome_up
+    columns = np.column_stack([
+        np.where(up, info["up"]["weight"], info["dn"]["weight"]),
+        np.where(up[:, None], info["up"]["j"], info["dn"]["j"]),
+        run.ideal_ledger, run.full_ledger,
+        np.full(run.n_particles, run.audit_deviation),
+    ]).T.tolist()
+    rows = list(zip(range(1, run.n_particles + 1), np.where(up, "up", "dn").tolist(), *columns))
     _write_table(args, meta, [
         "step", "outcome", "branch_weight",
         "branch_jx", "branch_jy", "branch_jz",

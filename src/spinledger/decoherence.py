@@ -7,11 +7,14 @@ the two macroscopic branches then pick up a factor o^n: orthogonal
 copies (o = 0) kill them outright, near-identical copies (o close to 1)
 only suppress them geometrically.  The environment carries no angular
 momentum, so amplification leaves every conservation audit untouched.
+Each branch's environment is a product state and is kept as its n
+factor kets, so amplification and the cross term cost O(pa_dim + n).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,7 @@ from .config import NUMERICS
 from .kernel import Operator, StateVector
 
 __all__ = [
+    "AmplifiedRecord",
     "EnvironmentConfig",
     "amplify_record",
     "macroscopic_cross_term",
@@ -49,58 +53,68 @@ class EnvironmentConfig:
             )
 
 
-def _conditional_kets(env: EnvironmentConfig):
-    """Product environment states conditioned on record up / down."""
-    ket_up = np.array([1.0, 0.0], dtype=np.complex128)
-    chi = math.acos(env.copy_fidelity)
-    ket_dn = np.array([math.cos(chi), math.sin(chi)], dtype=np.complex128)
-    e_up = np.ones(1, dtype=np.complex128)
-    e_dn = np.ones(1, dtype=np.complex128)
-    for _ in range(env.n_qubits):
-        e_up = np.kron(e_up, ket_up)
-        e_dn = np.kron(e_dn, ket_dn)
-    return e_up, e_dn
+@dataclass(frozen=True)
+class AmplifiedRecord:
+    """A premeasured state whose record has been copied into n qubits.
+
+    Each record branch leaves the environment in a product state, so the
+    environment is kept as its factor kets: env_kets[r, i] is qubit i's
+    ket when the record reads r, shape (2, n, 2).  Memory is
+    O(pa_dim + n); the 2^n amplitudes of the full state are never formed.
+    """
+
+    premeasured: StateVector
+    env_kets: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.premeasured.dims + (2,) * self.env_kets.shape[1]
 
 
 def amplify_record(state: StateVector, sys: CompositeSystem,
-                   env: EnvironmentConfig) -> StateVector:
+                   env: EnvironmentConfig) -> StateVector | AmplifiedRecord:
     """Copy the record into env.n_qubits fresh qubits.
 
     Record up leaves each qubit in |0>; record down rotates it to
     cos(chi)|0> + sin(chi)|1> with cos(chi) = copy_fidelity.  The
     operation is a record-controlled product unitary, so branch weights
-    and all angular-momentum expectations are unchanged.
+    and all angular-momentum expectations are unchanged, and `state`
+    itself is returned for n = 0.  Factor kets of more than
+    `NUMERICS.max_total_dim` amplitudes are refused before allocation.
     """
     if state.dims[:3] != sys.dims:
         raise ValueError(f"state dims {state.dims} do not match system {sys.dims}")
     if len(state.dims) != 3:
         raise ValueError("state already carries an environment register")
-    total = state.dim * 2 ** env.n_qubits
-    if total > NUMERICS.max_total_dim:
+    size = 4 * env.n_qubits
+    if size > NUMERICS.max_total_dim:
         raise ValueError(
-            f"amplification refused: total dimension {total} exceeds the "
-            f"configured maximum {NUMERICS.max_total_dim}"
+            f"amplification refused: factor kets of 2 x {env.n_qubits} x 2 = {size} "
+            f"amplitudes exceed the configured maximum {NUMERICS.max_total_dim}"
         )
     if env.n_qubits == 0:
         return state
-    e_up, e_dn = _conditional_kets(env)
-    t = state.amplitudes.reshape(sys.pa_dim, 2)
-    out = np.zeros((sys.pa_dim, 2, 2 ** env.n_qubits), dtype=np.complex128)
-    out[:, 0, :] = t[:, 0:1] * e_up[None, :]
-    out[:, 1, :] = t[:, 1:2] * e_dn[None, :]
-    dims = sys.dims + (2,) * env.n_qubits
-    return StateVector(dims, out.reshape(-1))
+    chi = math.acos(env.copy_fidelity)
+    kets = np.empty((2, env.n_qubits, 2), dtype=np.complex128)
+    kets[0] = (1.0, 0.0)
+    kets[1] = (math.cos(chi), math.sin(chi))
+    kets.setflags(write=False)
+    return AmplifiedRecord(state, kets)
 
 
-def macroscopic_cross_term(state: StateVector, a: Operator,
+def macroscopic_cross_term(state: StateVector | AmplifiedRecord,
+                           a: Operator | Callable[[np.ndarray], np.ndarray],
                            sys: CompositeSystem,
                            env: EnvironmentConfig) -> complex:
     """<branch_up| A (x) 1_env |branch_dn> between normalized record sectors.
 
-    a acts on particle (x) apparatus and is extended by the identity over
-    the environment; the record label itself is factored out of each
-    sector.  The magnitude is bounded by copy_fidelity**n_qubits times the
-    unamplified value.
+    a acts on particle (x) apparatus, as a dense Operator or as a function
+    applying it to an amplitude vector of that space, and is extended by
+    the identity over the environment; the record label itself is
+    factored out of each sector.  The bracket is taken on particle (x)
+    apparatus and multiplied by the product of the n per-qubit overlaps
+    <e_up,i|e_dn,i>, so its magnitude is copy_fidelity**n_qubits times the
+    unamplified value up to rounding.
     """
     expected_dims = sys.dims + (2,) * env.n_qubits
     if state.dims != expected_dims:
@@ -108,22 +122,28 @@ def macroscopic_cross_term(state: StateVector, a: Operator,
             f"state dims {state.dims} do not match system + environment "
             f"{expected_dims}"
         )
-    if a.dim != sys.pa_dim:
-        raise ValueError(
-            f"operator dim {a.dim} must act on particle (x) apparatus "
-            f"({sys.pa_dim})"
-        )
-    n_env = 2 ** env.n_qubits
-    t = state.amplitudes.reshape(sys.pa_dim, 2, n_env)
+    if isinstance(a, Operator):
+        if a.dim != sys.pa_dim:
+            raise ValueError(
+                f"operator dim {a.dim} must act on particle (x) apparatus "
+                f"({sys.pa_dim})"
+            )
+        a = a.entries.__matmul__
+    premeasured = state.premeasured if isinstance(state, AmplifiedRecord) else state
+    t = premeasured.amplitudes.reshape(sys.pa_dim, 2)
     sectors = []
     for r in range(2):
-        comp = t[:, r, :]
+        comp = t[:, r]
         weight = float(np.real(np.vdot(comp, comp)))
         if weight < NUMERICS.branch_weight_floor:
             raise ValueError(f"record sector {r} is empty (weight {weight:.3e})")
         sectors.append(comp / math.sqrt(weight))
     up, dn = sectors
-    return complex(np.vdot(up, a.entries @ dn))
+    cross = complex(np.vdot(up, a(dn)))
+    if isinstance(state, AmplifiedRecord):
+        kets = state.env_kets
+        cross *= complex(np.prod(np.sum(kets[0].conj() * kets[1], axis=1)))
+    return cross
 
 
 def overlap_decay_curve(o: float, n_max: int) -> list[tuple[int, float]]:

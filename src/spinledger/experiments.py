@@ -88,13 +88,46 @@ class SatelliteStep:
 
 @dataclass(frozen=True)
 class SatelliteRun:
+    """A satellite run kept as arrays, one row per particle.
+
+    outcome_up[k] is True when particle k+1 registered up; ideal_ledger
+    and full_ledger are the (n, 3) cumulative ledgers after each step.
+    `trajectory` builds the per-step `SatelliteStep` records from them on
+    each access, uncached.
+    """
+
     n_particles: int
     L: float
     polarization: tuple[complex, complex]
     seed: int
-    trajectory: tuple[SatelliteStep, ...]
+    outcome_up: np.ndarray
+    ideal_ledger: np.ndarray
+    full_ledger: np.ndarray
+    audit_deviation: float
     branch_info: dict
     metadata: dict = field(repr=False)
+
+    @property
+    def trajectory(self) -> tuple[SatelliteStep, ...]:
+        branch = {label: (v["weight"], tuple(v["j"].tolist()))
+                  for label, v in self.branch_info.items()}
+        return tuple(
+            SatelliteStep(
+                step=k,
+                outcome=label,
+                branch_weight=branch[label][0],
+                per_branch_j=branch[label][1],
+                ideal_ledger_j=tuple(ideal),
+                full_ledger_j=tuple(full),
+                audit_deviation=self.audit_deviation,
+            )
+            for k, label, ideal, full in zip(
+                range(1, self.n_particles + 1),
+                ("up" if u else "dn" for u in self.outcome_up.tolist()),
+                self.ideal_ledger.tolist(),
+                self.full_ledger.tolist(),
+            )
+        )
 
 
 def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
@@ -105,10 +138,19 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
     transverse polarization (so its x-entry reaches -n/2 for +x input),
     while the full account adds the sampled branch's conditional change.
     The unconditioned totals are audited against their initial values at
-    every step.  Trajectories are deterministic given (n, L, a, b, seed).
+    every step.  Trajectories are deterministic given (n, L, a, b, seed):
+    the outcomes are one `rng.random(n)` draw, the same stream as n
+    single draws, and the ledgers accumulate their steps in order.  A run
+    of more than `NUMERICS.max_total_dim` particles is refused before
+    anything is allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n!r}")
+    if n > NUMERICS.max_total_dim:
+        raise ValueError(
+            f"satellite_run refused: n = {n} particles exceeds the configured "
+            f"maximum total dimension {NUMERICS.max_total_dim}"
+        )
     sys = build_measurement_unitary(L)
     u_s = bloch_vector(a, b).as_array()
 
@@ -132,32 +174,28 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
             f"unconditioned totals drifted by {audit:.3e} in the satellite shot"
         )
 
-    w_up = info["up"]["weight"]
     rng = np.random.Generator(np.random.PCG64(seed))
-    ideal = np.zeros(3)
-    full = np.zeros(3)
-    steps = []
-    for k in range(1, n + 1):
-        outcome = "up" if rng.random() < w_up else "dn"
-        sign = +0.5 if outcome == "up" else -0.5
-        ideal = ideal + (np.array([0.0, 0.0, sign]) - 0.5 * u_s)
-        full = full + (info[outcome]["j"] - initial_j)
-        steps.append(SatelliteStep(
-            step=k,
-            outcome=outcome,
-            branch_weight=info[outcome]["weight"],
-            per_branch_j=tuple(info[outcome]["j"]),
-            ideal_ledger_j=tuple(ideal),
-            full_ledger_j=tuple(full),
-            audit_deviation=audit,
-        ))
+    up = rng.random(n) < info["up"]["weight"]
+    ideal = np.zeros((n, 3))
+    ideal[:, 2] = np.where(up, 0.5, -0.5)
+    ideal -= 0.5 * u_s
+    full = np.where(up[:, None], info["up"]["j"] - initial_j, info["dn"]["j"] - initial_j)
+    # the ledgers start from +0.0, which turns a leading -0.0 step into +0.0
+    for ledger in (ideal, full):
+        ledger[0] += 0.0
+        np.cumsum(ledger, axis=0, out=ledger)
+        ledger.setflags(write=False)
+    up.setflags(write=False)
 
     return SatelliteRun(
         n_particles=n,
         L=sys.L,
         polarization=(complex(a), complex(b)),
         seed=int(seed),
-        trajectory=tuple(steps),
+        outcome_up=up,
+        ideal_ledger=ideal,
+        full_ledger=full,
+        audit_deviation=audit,
         branch_info=info,
         metadata={
             "prng": PRNG_ID,

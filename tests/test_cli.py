@@ -1,8 +1,10 @@
 import functools
 import json
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from spinledger import NUMERICS, cli
@@ -80,6 +82,17 @@ def test_decohere_tracks_bound(capsys):
     for row in rows:
         assert float(row["deviation"]) <= 1e-10
     assert float(rows[4]["bound"]) == pytest.approx(0.8 ** 4, rel=1e-12)
+
+
+def test_row_templates_spell_every_cell_like_fmt():
+    rng = np.random.default_rng(5)
+    floats = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1e300, math.inf, -math.inf,
+              math.nan, 0.1, *rng.standard_normal(20).tolist(),
+              *(rng.standard_normal(20) * 10.0 ** rng.integers(-30, 30, 20)).tolist()]
+    rows = [[k, "up", x, np.float64(x), True, np.int64(-k), ""] for k, x in enumerate(floats)]
+    rows += [[1.5, complex(x, -x), "dn"] for x in floats[:4]]
+    rows += [[], [3], ["a", 2.0]]
+    assert list(cli._format_rows(rows)) == [",".join(cli._fmt(v) for v in row) for row in rows]
 
 
 def test_satellite_byte_identical_reruns(tmp_path, capsys):

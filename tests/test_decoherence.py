@@ -1,7 +1,57 @@
+import math
+
 import numpy as np
 import pytest
 
 import spinledger as sl
+from spinledger.cli import _flip_particle, main
+
+
+# ---------------------------------------------------------------- dense oracle
+# The amplified state as one pa_dim * 2 * 2^n amplitude vector, and the
+# cross term read from it: the implementation that the factored path
+# replaced, kept to check it at small n.
+
+def _dense_conditional_kets(env):
+    ket_up = np.array([1.0, 0.0], dtype=np.complex128)
+    chi = math.acos(env.copy_fidelity)
+    ket_dn = np.array([math.cos(chi), math.sin(chi)], dtype=np.complex128)
+    e_up = np.ones(1, dtype=np.complex128)
+    e_dn = np.ones(1, dtype=np.complex128)
+    for _ in range(env.n_qubits):
+        e_up = np.kron(e_up, ket_up)
+        e_dn = np.kron(e_dn, ket_dn)
+    return e_up, e_dn
+
+
+def dense_amplify_record(state, sys, env):
+    if state.dims[:3] != sys.dims:
+        raise ValueError(f"state dims {state.dims} do not match system {sys.dims}")
+    if len(state.dims) != 3:
+        raise ValueError("state already carries an environment register")
+    total = state.dim * 2 ** env.n_qubits
+    if total > sl.NUMERICS.max_total_dim:
+        raise ValueError(
+            f"amplification refused: total dimension {total} exceeds the "
+            f"configured maximum {sl.NUMERICS.max_total_dim}"
+        )
+    if env.n_qubits == 0:
+        return state
+    e_up, e_dn = _dense_conditional_kets(env)
+    t = state.amplitudes.reshape(sys.pa_dim, 2)
+    out = np.zeros((sys.pa_dim, 2, 2 ** env.n_qubits), dtype=np.complex128)
+    out[:, 0, :] = t[:, 0:1] * e_up[None, :]
+    out[:, 1, :] = t[:, 1:2] * e_dn[None, :]
+    dims = sys.dims + (2,) * env.n_qubits
+    return sl.StateVector(dims, out.reshape(-1))
+
+
+def dense_cross_term(state, a, sys, env):
+    assert state.dims == sys.dims + (2,) * env.n_qubits
+    t = state.amplitudes.reshape(sys.pa_dim, 2, 2 ** env.n_qubits)
+    up, dn = (t[:, r, :] / math.sqrt(np.real(np.vdot(t[:, r, :], t[:, r, :])))
+              for r in range(2))
+    return complex(np.vdot(up, a.entries @ dn))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +111,7 @@ def test_env_overlap_factor(premeasured):
 def test_conservation_untouched_by_amplification(premeasured):
     sys_m, final = premeasured
     env = sl.EnvironmentConfig(6, 0.7)
-    amplified = sl.amplify_record(final, sys_m, env)
+    amplified = dense_amplify_record(final, sys_m, env)
     n_env = 2 ** env.n_qubits
     for jk in sys_m.j_total:
         big = sl.Operator(np.kron(jk.entries, np.eye(n_env)), hermitian=True)
@@ -73,7 +123,7 @@ def test_conservation_untouched_by_amplification(premeasured):
 def test_branch_weights_invariant_under_amplification(premeasured):
     sys_m, final = premeasured
     env = sl.EnvironmentConfig(5, 0.6)
-    amplified = sl.amplify_record(final, sys_m, env)
+    amplified = dense_amplify_record(final, sys_m, env)
     t0 = final.amplitudes.reshape(sys_m.pa_dim, 2)
     t1 = amplified.amplitudes.reshape(sys_m.pa_dim, 2, -1)
     for r in range(2):
@@ -134,7 +184,7 @@ def test_amplification_dimension_cap():
     r = 1 / np.sqrt(2)
     final = sl.premeasure(r, r, sys_m)
     with pytest.raises(ValueError, match="exceeds"):
-        sl.amplify_record(final, sys_m, sl.EnvironmentConfig(20, 0.5))
+        dense_amplify_record(final, sys_m, sl.EnvironmentConfig(20, 0.5))
 
 
 def test_empty_branch_rejected():
@@ -143,3 +193,103 @@ def test_empty_branch_rejected():
     env = sl.EnvironmentConfig(0, 0.5)
     with pytest.raises(ValueError, match="empty"):
         sl.macroscopic_cross_term(final, particle_sigma_x(sys_m), sys_m, env)
+
+
+# ---------------------------------------------------------------- factored path
+
+def _probes(sys_m, final):
+    sigma_x = particle_sigma_x(sys_m)
+    decomp = sl.decompose_branches(final, sys_m)
+    states = {lbl: st for _, st, lbl in decomp.branches}
+    outer = np.outer(states["up"].amplitudes, states["dn"].amplitudes.conj())
+    coupler = sl.Operator(outer + outer.conj().T, hermitian=True)
+    return [("sigma_x", sigma_x, sigma_x), ("swap", _flip_particle, sigma_x),
+            ("coupler", coupler, coupler),
+            *((f"J{k}", jk, jk) for k, jk in zip("xyz", sys_m.j_pa))]
+
+
+@pytest.mark.parametrize("o", [0.0, 0.5, 0.8, 0.99])
+@pytest.mark.parametrize("L", [0.5, 2, 3.5])
+def test_factored_cross_term_matches_dense_oracle(L, o):
+    sys_m = sl.build_measurement_unitary(L)
+    r = 1 / np.sqrt(2)
+    final = sl.premeasure(r, r, sys_m)
+    probes = _probes(sys_m, final)
+    for n in range(11):
+        env = sl.EnvironmentConfig(n, o)
+        factored = sl.amplify_record(final, sys_m, env)
+        dense = dense_amplify_record(final, sys_m, env)
+        assert factored.dims == dense.dims
+        for name, probe, dense_probe in probes:
+            got = sl.macroscopic_cross_term(factored, probe, sys_m, env)
+            want = dense_cross_term(dense, dense_probe, sys_m, env)
+            assert abs(got - want) <= 1e-13, (name, n)
+
+
+def test_factored_state_holds_no_exponential_array(premeasured):
+    sys_m, final = premeasured
+    amplified = sl.amplify_record(final, sys_m, sl.EnvironmentConfig(40, 0.8))
+    assert amplified.premeasured is final
+    assert amplified.env_kets.shape == (2, 40, 2)
+    assert not amplified.env_kets.flags.writeable
+    assert len(amplified.dims) == 43
+
+
+def test_cross_term_multiplies_each_qubit_overlap(premeasured):
+    # distinct kets per qubit: the factor is the product of the n overlaps,
+    # not a power of one of them
+    sys_m, final = premeasured
+    probe = particle_sigma_x(sys_m)
+    baseline = sl.macroscopic_cross_term(final, probe, sys_m, sl.EnvironmentConfig(0, 0.5))
+    angles = np.array([0.1, 0.7, 1.3])
+    kets = np.zeros((2, 3, 2), dtype=np.complex128)
+    kets[0, :, 0] = 1.0
+    kets[1, :, 0] = np.cos(angles)
+    kets[1, :, 1] = np.sin(angles) * 1j
+    amplified = sl.AmplifiedRecord(final, kets)
+    cross = sl.macroscopic_cross_term(amplified, probe, sys_m, sl.EnvironmentConfig(3, 0.5))
+    assert cross == pytest.approx(baseline * np.prod(np.cos(angles)), abs=1e-15)
+
+
+def test_factored_kets_refused_before_allocating(premeasured, monkeypatch):
+    sys_m, final = premeasured
+    monkeypatch.setattr(sl.NUMERICS, "max_total_dim", 64)
+    # 2 branches x 17 qubits x 2 amplitudes = 68 > 64
+    with pytest.raises(ValueError, match="exceed the configured maximum 64"):
+        sl.amplify_record(final, sys_m, sl.EnvironmentConfig(17, 0.8))
+    assert sl.amplify_record(final, sys_m, sl.EnvironmentConfig(16, 0.8)).env_kets.size == 64
+
+
+def test_cli_refuses_oversize_factor_kets(monkeypatch, capsys):
+    monkeypatch.setattr(sl.NUMERICS, "max_total_dim", 64)
+    assert main(["decohere", "--L", "2", "--n-env", "17"]) == 1
+    assert "exceed the configured maximum 64" in capsys.readouterr().err
+
+
+def _decohere_rows(args, capsys):
+    code = main(["decohere", *args])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = out.splitlines()
+    baseline = float(next(ln for ln in lines if ln.startswith("# baseline_cross_term"))
+                     .partition(" = ")[2])
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert body[0] == ["n_env", "bound", "measured_cross_mag",
+                       "predicted_cross_mag", "deviation"]
+    return baseline, [[float(x) for x in row] for row in body[1:]]
+
+
+def test_decohere_at_macroscopic_size(capsys):
+    baseline, rows = _decohere_rows(["--L", "10000", "--n-env", "1000"], capsys)
+    assert len(rows) == 1001
+    for n, (n_env, _, measured, _, _) in enumerate(rows):
+        assert n_env == n
+        assert abs(measured - baseline * 0.8 ** n) <= sl.NUMERICS.conservation_atol
+
+
+@pytest.mark.parametrize("args", [["--L", "100", "--n-env", "17"],
+                                  ["--L", "8", "--n-env", "40"]])
+def test_decohere_beyond_the_dense_limit(args, capsys):
+    _, rows = _decohere_rows(args, capsys)
+    assert len(rows) == int(args[-1]) + 1
+    assert all(row[4] <= sl.NUMERICS.conservation_atol for row in rows)

@@ -1,0 +1,129 @@
+"""The array-backed satellite run against the per-step loop it replaced.
+
+`satellite_run` draws every outcome with one `rng.random(n)` and builds
+both ledgers with `np.cumsum`.  The oracle here is the original loop: one
+`rng.random()` per particle and one ledger addition per step.  Both must
+agree bit for bit.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+import spinledger as sl
+import spinledger.experiments as ex
+from spinledger.cli import main
+
+PLUS_X = (0.7071067811865476, 0.7071067811865475)
+TILTED = (math.cos(0.3), math.sin(0.3) * complex(math.cos(0.7), math.sin(0.7)))
+UP = (1.0, 0.0)   # the dn sector is empty and listed as omitted
+
+
+def loop_satellite(n, L, a, b, seed):
+    """Branch info and per-step records from the original step loop."""
+    sys = sl.build_measurement_unitary(L)
+    u_s = sl.bloch_vector(a, b).as_array()
+    decomp = sl.decompose_branches(sl.premeasure(a, b, sys), sys)
+    initial_j = ex._j_means(sys, ex._initial_state(a, b, sys).amplitudes)
+    info = {}
+    for coeff, state, label in decomp.branches:
+        info[label] = {"weight": coeff ** 2, "j": ex._j_means(sys, state.amplitudes)}
+    for label in decomp.omitted:
+        info[label] = {"weight": 0.0, "j": initial_j.copy()}
+    final_j = sum(v["weight"] * v["j"] for v in info.values())
+    audit = float(np.max(np.abs(final_j - initial_j)))
+
+    w_up = info["up"]["weight"]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ideal = np.zeros(3)
+    full = np.zeros(3)
+    steps = []
+    for k in range(1, n + 1):
+        outcome = "up" if rng.random() < w_up else "dn"
+        sign = +0.5 if outcome == "up" else -0.5
+        ideal = ideal + (np.array([0.0, 0.0, sign]) - 0.5 * u_s)
+        full = full + (info[outcome]["j"] - initial_j)
+        steps.append(ex.SatelliteStep(
+            step=k,
+            outcome=outcome,
+            branch_weight=info[outcome]["weight"],
+            per_branch_j=tuple(info[outcome]["j"]),
+            ideal_ledger_j=tuple(ideal),
+            full_ledger_j=tuple(full),
+            audit_deviation=audit,
+        ))
+    return info, tuple(steps)
+
+
+@pytest.mark.parametrize("spinor", [PLUS_X, TILTED, UP], ids=["plus_x", "tilted", "up"])
+@pytest.mark.parametrize("n", [1, 64, 5000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024])
+def test_arrays_match_the_step_loop_bit_for_bit(seed, n, spinor):
+    info, steps = loop_satellite(n, 3.5, *spinor, seed)
+    run = sl.satellite_run(n, 3.5, *spinor, seed)
+    assert run.outcome_up.tolist() == [s.outcome == "up" for s in steps]
+    for field, ledger in (("ideal_ledger_j", run.ideal_ledger),
+                          ("full_ledger_j", run.full_ledger)):
+        want = np.array([getattr(s, field) for s in steps])
+        assert ledger.shape == (n, 3)
+        assert ledger.tobytes() == want.tobytes()
+    assert run.trajectory == steps
+    assert run.branch_info.keys() == info.keys()
+    for label, v in info.items():
+        assert run.branch_info[label]["weight"] == v["weight"]
+        assert run.branch_info[label]["j"].tobytes() == v["j"].tobytes()
+
+
+def test_leading_negative_zero_step_matches_the_loop(monkeypatch):
+    # the loop's ledgers start from +0.0, so a -0.0 first step must print
+    # as 0, not -0: give every branch a -0.0 where the initial <J> has +0.0
+    means = ex._j_means
+    calls = []
+
+    def signed_zero_means(sys, v):
+        j = means(sys, v)
+        calls.append(None)
+        return j if len(calls) == 1 else np.where(j == 0.0, -0.0, j)
+
+    for seed in (0, 1):
+        calls.clear()
+        monkeypatch.setattr(ex, "_j_means", signed_zero_means)
+        _, steps = loop_satellite(64, 8, *PLUS_X, seed)
+        calls.clear()
+        run = sl.satellite_run(64, 8, *PLUS_X, seed)
+        monkeypatch.undo()
+        want = np.array([s.full_ledger_j for s in steps])
+        assert np.signbit(want[:, 1]).sum() == 0
+        assert run.full_ledger.tobytes() == want.tobytes()
+
+
+def test_run_arrays_are_read_only():
+    run = sl.satellite_run(8, 2, *PLUS_X, seed=0)
+    for arr in (run.outcome_up, run.ideal_ledger, run.full_ledger):
+        assert not arr.flags.writeable
+
+
+def test_oversize_run_refused_before_it_allocates(monkeypatch, capsys):
+    monkeypatch.setattr(sl.NUMERICS, "max_total_dim", 64)
+    assert sl.satellite_run(64, 2, *PLUS_X, seed=0).full_ledger.shape == (64, 3)
+
+    def no_build(L):
+        raise AssertionError("device built for a refused run")
+
+    monkeypatch.setattr(ex, "build_measurement_unitary", no_build)
+    with pytest.raises(ValueError, match="exceeds the configured maximum total dimension 64"):
+        sl.satellite_run(65, 2, *PLUS_X, seed=0)
+    assert main(["satellite", "--n", "65", "--L", "2"]) == 1
+    assert "exceeds the configured maximum total dimension 64" in capsys.readouterr().err
+
+
+def test_satellite_csv_is_pinned(tmp_path, capsys):
+    # sha256 of this command's CSV as written by the step loop
+    path = tmp_path / "sat.csv"
+    assert main(["satellite", "--n", "40000", "--L", "8", "--seed", "1",
+                 "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0761d10ddd6477846db5fd5e4f0192e07ca7f95e4cc0da3aeef45f19365d05b2")
