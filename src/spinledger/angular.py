@@ -95,22 +95,23 @@ class SpinOperators:
         return Operator(self._dense_ladder()[1])
 
 
-def _ladder_matvec(ops: SpinOperators, v: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
-    """J_k v along one axis of v (k = 0, 1, 2 for x, y, z), from the bands in O(v.size)."""
-    v = np.moveaxis(v, axis, -1)
-    if k == 2:
-        return np.moveaxis(ops.m * v, -1, axis)
-    # Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i
-    out = np.zeros(v.shape, dtype=np.complex128)
-    out[..., :-1] = ops.raising * v[..., 1:]
+def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx v, Jy v, Jz v) along the last axis of v, from the bands in O(v.size).
+
+    The zero-padded J+ v and the J- v products are formed once and shared:
+    Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i.  Pass a transposed view to act
+    along another axis of a matrix.
+    """
+    raised = np.zeros(v.shape, dtype=np.complex128)
+    raised[..., :-1] = ops.raising * v[..., 1:]
     lowered = ops.raising * v[..., :-1]
-    if k == 0:
-        out[..., 1:] += lowered
-        out /= 2
-    else:
-        out[..., 1:] -= lowered
-        out /= 2j
-    return np.moveaxis(out, -1, axis)
+    jx = raised.copy()
+    jx[..., 1:] += lowered
+    jx /= 2
+    jy = raised
+    jy[..., 1:] -= lowered
+    jy /= 2j
+    return jx, jy, ops.m * v
 
 
 def _check_bands(j: float, m: np.ndarray, raising: np.ndarray) -> None:
@@ -243,7 +244,7 @@ def angular_spread(apparatus_state: StateVector, ops: SpinOperators) -> AngularS
         raise ValueError(
             f"<Jz> = {jz_mean:.6g} <= 0: orientation undefined for this estimator"
         )
-    jx_psi = _ladder_matvec(ops, psi, 0)
+    jx_psi = _ladder_matvecs(ops, psi)[0]
     var = np.vdot(jx_psi, jx_psi).real - np.vdot(psi, jx_psi).real ** 2
     delta_l = math.sqrt(max(var, 0.0))
     return AngularSpread(delta_l=delta_l, delta_theta=delta_l / jz_mean)

@@ -30,7 +30,7 @@ from .angular import (
     _check_spin,
     _check_spinor,
     _coherent_state,
-    _ladder_matvec,
+    _ladder_matvecs,
     angular_spread,
     spin_operators,
 )
@@ -311,21 +311,22 @@ def measurement_unitary_from_interaction(L) -> Operator:
     return expm_hermitian(gen, math.pi / (L + 0.5))
 
 
-def _j_matvec(sys: CompositeSystem, v: np.ndarray, k: int) -> np.ndarray:
-    """J_k v = (S_k (x) 1 + 1 (x) L_k) v over particle (x) apparatus, in O(L)."""
+def _j_matvecs(sys: CompositeSystem, v: np.ndarray) -> list[np.ndarray]:
+    """[Jx v, Jy v, Jz v] with J_k = S_k (x) 1 + 1 (x) L_k over particle (x) apparatus, in O(L)."""
     t = v.reshape(2, -1)
-    return (_ladder_matvec(sys.spin_half, t, k, axis=0)
-            + _ladder_matvec(sys.spin_app, t, k, axis=1)).reshape(v.shape)
+    half = _ladder_matvecs(sys.spin_half, t.T)
+    app = _ladder_matvecs(sys.spin_app, t)
+    return [(h.T + a).reshape(v.shape) for h, a in zip(half, app)]
 
 
-def _j_bracket(sys: CompositeSystem, bra: np.ndarray, ket: np.ndarray, k: int) -> complex:
-    """<bra|J_k|ket> over particle (x) apparatus."""
-    return complex(np.vdot(bra, _j_matvec(sys, ket, k)))
+def _j_brackets(sys: CompositeSystem, bra: np.ndarray, ket: np.ndarray) -> tuple[complex, ...]:
+    """(<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>) over particle (x) apparatus."""
+    return tuple(complex(np.vdot(bra, jv)) for jv in _j_matvecs(sys, ket))
 
 
 def _j_means(sys: CompositeSystem, v: np.ndarray) -> np.ndarray:
     """(<Jx>, <Jy>, <Jz>) of particle (x) apparatus amplitudes v."""
-    return np.array([_j_bracket(sys, v, v, k).real for k in range(3)])
+    return np.array([b.real for b in _j_brackets(sys, v, v)])
 
 
 def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
@@ -457,13 +458,14 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
 
 def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes) -> np.ndarray:
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
+    pairs = ((amps.C * amps.F, amps.u, amps.u_err), (amps.E * amps.D, amps.d, amps.d_err))
+    terms = [(weight, _j_brackets(sys, bra.amplitudes, ket.amplitudes))
+             for weight, bra, ket in pairs if bra is not None and ket is not None]
     residuals = np.zeros(3, dtype=np.complex128)
     for k in range(3):
         lhs = 0.0 + 0.0j
-        if amps.u is not None and amps.u_err is not None:
-            lhs += amps.C * amps.F * _j_bracket(sys, amps.u.amplitudes, amps.u_err.amplitudes, k)
-        if amps.d is not None and amps.d_err is not None:
-            lhs += amps.E * amps.D * _j_bracket(sys, amps.d.amplitudes, amps.d_err.amplitudes, k)
+        for weight, brackets in terms:
+            lhs += weight * brackets[k]
         residuals[k] = lhs - targets[k]
     worst = float(np.max(np.abs(residuals)))
     if worst > NUMERICS.conservation_atol:
@@ -493,7 +495,7 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
     for L in L_list:
         sys = build_measurement_unitary(L)
         amps = extract_error_amplitudes(sys)
-        mag = abs(_j_bracket(sys, amps.u.amplitudes, amps.u_err.amplitudes, 0))
+        mag = abs(_j_brackets(sys, amps.u.amplitudes, amps.u_err.amplitudes)[0])
         spread = angular_spread(sys.apparatus_state, sys.spin_app)
         rows.append(BracketScalingRow(
             L=sys.L,

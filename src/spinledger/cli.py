@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .angular import _check_spin, angular_spread, bloch_vector
 from .apparatus import (
-    _j_bracket,
+    _j_brackets,
     _j_means,
     _matching_residuals,
     build_measurement_unitary,
@@ -45,6 +45,9 @@ from .kernel import ConservationError
 __all__ = ["main"]
 
 OUTDIR_ENV = "SPINLEDGER_OUTDIR"
+
+# rows formatted and written per chunk of a streamed table
+_CHUNK_ROWS = 4096
 
 # header key of each NUMERICS field, in echo order; the first three keep
 # the short names that headers carried before the other four were added
@@ -109,32 +112,42 @@ def _metadata(args, extra=None) -> dict:
     return meta
 
 
-def _write_table(args, meta: dict, columns: list[str], rows: list) -> None:
+def _csv_chunks(meta: dict, columns: list[str], rows):
+    """The CSV text: the header, then the formatted rows `_CHUNK_ROWS` at a time."""
+    yield ("".join(f"# {key} = {meta[key]}\n" for key in sorted(meta))
+           + ",".join(columns) + "\n")
+    lines = _format_rows(rows)
+    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+        chunk.append("")
+        yield "\n".join(chunk)
+
+
+def _write_table(args, meta: dict, columns: list[str], rows) -> None:
+    """Write a table to --output or stdout; CSV streams, JSON is one payload.
+
+    rows may be any iterable, so a long table need never be held whole.
+    Cells are numbers and labels, none of which holds a comma; a row may
+    also carry a run of cells already spelled by `_format_rows`, joined by
+    the same comma, so splitting a line on commas gives one cell per column.
+    """
     if args.format == "json":
         payload = {
             "metadata": meta,
             "columns": columns,
-            # cells are numbers and labels, none of which holds a comma
             "rows": [line.split(",") for line in _format_rows(rows)],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     else:
-        buf = io.StringIO()
-        for key in sorted(meta):
-            buf.write(f"# {key} = {meta[key]}\n")
-        buf.write(",".join(columns) + "\n")
-        for line in _format_rows(rows):
-            buf.write(line + "\n")
-        text = buf.getvalue()
+        chunks = _csv_chunks(meta, columns, rows)
     if args.output:
         path = args.output
         outdir = os.environ.get(OUTDIR_ENV)
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _spinor(args) -> tuple[complex, complex]:
@@ -194,7 +207,7 @@ def _measure_row(L: float, numerics: NumericsConfig = NUMERICS) -> list:
     amps = extract_error_amplitudes(sys_model)
     residuals = _matching_residuals(sys_model, amps)
     spread = angular_spread(sys_model.apparatus_state, sys_model.spin_app)
-    mag = abs(_j_bracket(sys_model, amps.u.amplitudes, amps.u_err.amplitudes, 0))
+    mag = abs(_j_brackets(sys_model, amps.u.amplitudes, amps.u_err.amplitudes)[0])
     return [
         L, amps.C, amps.D, amps.E, amps.F,
         float(np.max(np.abs(residuals))),
@@ -255,20 +268,28 @@ def _cmd_decohere(args) -> None:
     ], rows)
 
 
+def _satellite_rows(run, outcome_cells: dict, audit_cell: str):
+    """Satellite table rows, built from one `_CHUNK_ROWS` slice of the arrays at a time."""
+    for start in range(0, run.n_particles, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        ups = run.outcome_up[start:stop].tolist()
+        ledgers = np.hstack([run.ideal_ledger[start:stop], run.full_ledger[start:stop]]).tolist()
+        for step, up, books in zip(itertools.count(start + 1), ups, ledgers):
+            yield (step, outcome_cells[up], *books, audit_cell)
+
+
 def _cmd_satellite(args) -> None:
     a, b = _spinor(args)
     run = satellite_run(args.n, args.L, a, b, args.seed)
     meta = _metadata(args, {"seed": str(args.seed), **{
         k: v for k, v in run.metadata.items() if k not in ("prng", "seed")
     }})
-    info, up = run.branch_info, run.outcome_up
-    columns = np.column_stack([
-        np.where(up, info["up"]["weight"], info["dn"]["weight"]),
-        np.where(up[:, None], info["up"]["j"], info["dn"]["j"]),
-        run.ideal_ledger, run.full_ledger,
-        np.full(run.n_particles, run.audit_deviation),
-    ]).T.tolist()
-    rows = list(zip(range(1, run.n_particles + 1), np.where(up, "up", "dn").tolist(), *columns))
+    info = run.branch_info
+    # the outcome's label, weight and <J>, and the audit, spelled once
+    outcome_cells = dict(zip((True, False), _format_rows(
+        [label, info[label]["weight"], *info[label]["j"].tolist()] for label in ("up", "dn"))))
+    audit_cell = next(_format_rows([[run.audit_deviation]]))
+    rows = _satellite_rows(run, outcome_cells, audit_cell)
     _write_table(args, meta, [
         "step", "outcome", "branch_weight",
         "branch_jx", "branch_jy", "branch_jz",

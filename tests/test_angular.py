@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinledger as sl
-from spinledger.angular import _check_bands, _ladder_matvec
+from spinledger.angular import _check_bands, _ladder_matvecs
 
 
 def test_spin_half_is_pauli_over_two():
@@ -103,7 +103,7 @@ def test_coherent_closed_form_matches_dense_rotation(j):
 def test_coherent_mean_and_spread_from_the_bands(j, theta, phi):
     s = sl.spin_operators(j)
     psi = sl.coherent_spin_state(j, theta, phi).amplitudes
-    mean = [np.vdot(psi, _ladder_matvec(s, psi, k)).real for k in range(3)]
+    mean = [np.vdot(psi, _ladder_matvecs(s, psi)[k]).real for k in range(3)]
     target = j * np.array([np.sin(theta) * np.cos(phi),
                            np.sin(theta) * np.sin(phi),
                            np.cos(theta)])
@@ -111,7 +111,7 @@ def test_coherent_mean_and_spread_from_the_bands(j, theta, phi):
     # at phi = 0 the spread of Jx is sqrt(j/2) |cos theta|; compared as a
     # variance, whose rounding grows as <Jx^2> ~ j^2 eps
     psi0 = sl.coherent_spin_state(j, theta, 0.0).amplitudes
-    jx_psi = _ladder_matvec(s, psi0, 0)
+    jx_psi = _ladder_matvecs(s, psi0)[0]
     var = np.vdot(jx_psi, jx_psi).real - np.vdot(psi0, jx_psi).real ** 2
     assert var == pytest.approx(j / 2 * np.cos(theta) ** 2, abs=1e-12 * max(1.0, j * j))
 

@@ -107,6 +107,28 @@ def test_satellite_byte_identical_reruns(tmp_path, capsys):
     assert out1.read_bytes() != b""
 
 
+def test_satellite_streams_the_same_bytes_in_any_chunk_size(monkeypatch, tmp_path, capsys):
+    argv = ["satellite", "--n", "23", "--L", "3.5", "--seed", "3"]
+    whole = run_cli(argv, capsys)[1]
+    for chunk in (1, 4, 22, 23):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        path = tmp_path / f"sat-{chunk}.csv"
+        assert main([*argv, "--output", str(path)]) == 0
+        assert run_cli(argv, capsys)[1] == whole
+        assert path.read_text(encoding="utf-8") == whole
+    assert len(parse_csv(whole)[1]) == 23
+
+
+def test_satellite_json_has_one_cell_per_column(capsys):
+    # the outcome and audit cells are spelled once and joined into each
+    # row; the JSON rows must still split into one cell per column
+    argv = ["satellite", "--n", "50", "--L", "2"]
+    payload = json.loads(run_cli([*argv, "--format", "json"], capsys)[1])
+    _, rows = parse_csv(run_cli(argv, capsys)[1])
+    assert len(payload["columns"]) == 13
+    assert payload["rows"] == [[row[c] for c in payload["columns"]] for row in rows]
+
+
 def test_streak_external_and_internal(capsys):
     code, out, _ = run_cli(["streak", "--n", "4", "--L", "2",
                             "--mode", "external"], capsys)

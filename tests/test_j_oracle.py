@@ -1,0 +1,159 @@
+"""The three-component J pass against the per-component path it replaced.
+
+`angular._ladder_matvecs` forms the zero-padded J+ v and the J- v
+products once and builds Jx, Jy and Jz from them; `apparatus._j_matvecs`
+applies it to both factors of particle (x) apparatus.  The oracle here is
+the original code, one `moveaxis` ladder matvec per component and per
+factor.  Every result must agree bit for bit, signed zeros included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import spinledger as sl
+from spinledger import angular, apparatus
+
+L_VALUES = [0.5, 1, 2.5, 7, 40, 150]
+
+
+def oracle_ladder_matvec(ops, v, k, axis=-1):
+    """J_k v along one axis of v (k = 0, 1, 2 for x, y, z), one component per call."""
+    v = np.moveaxis(v, axis, -1)
+    if k == 2:
+        return np.moveaxis(ops.m * v, -1, axis)
+    out = np.zeros(v.shape, dtype=np.complex128)
+    out[..., :-1] = ops.raising * v[..., 1:]
+    lowered = ops.raising * v[..., :-1]
+    if k == 0:
+        out[..., 1:] += lowered
+        out /= 2
+    else:
+        out[..., 1:] -= lowered
+        out /= 2j
+    return np.moveaxis(out, -1, axis)
+
+
+def oracle_j_matvec(sys, v, k):
+    t = v.reshape(2, -1)
+    return (oracle_ladder_matvec(sys.spin_half, t, k, axis=0)
+            + oracle_ladder_matvec(sys.spin_app, t, k, axis=1)).reshape(v.shape)
+
+
+def oracle_j_bracket(sys, bra, ket, k):
+    return complex(np.vdot(bra, oracle_j_matvec(sys, ket, k)))
+
+
+def oracle_j_means(sys, v):
+    return np.array([oracle_j_bracket(sys, v, v, k).real for k in range(3)])
+
+
+def oracle_matching_residuals(amps, sys):
+    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
+    residuals = np.zeros(3, dtype=np.complex128)
+    for k in range(3):
+        lhs = 0.0 + 0.0j
+        if amps.u is not None and amps.u_err is not None:
+            lhs += amps.C * amps.F * oracle_j_bracket(sys, amps.u.amplitudes, amps.u_err.amplitudes, k)
+        if amps.d is not None and amps.d_err is not None:
+            lhs += amps.E * amps.D * oracle_j_bracket(sys, amps.d.amplitudes, amps.d_err.amplitudes, k)
+        residuals[k] = lhs - targets[k]
+    return residuals
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # array_equal counts -0.0 == +0.0; the bit patterns do not
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def signed_zero_vector(rng, n):
+    """A random complex vector with a third of its parts set to +-0.0."""
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    parts = v.view(np.float64).copy()
+    zeros = rng.random(parts.size) < 1 / 3
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return parts.view(np.complex128)
+
+
+def test_signed_zero_vector_holds_both_zeros():
+    parts = signed_zero_vector(np.random.default_rng(0), 64).view(np.float64)
+    assert np.signbit(parts[parts == 0.0]).any() and not np.signbit(parts[parts == 0.0]).all()
+
+
+@pytest.fixture(scope="module", params=[(L, tilt) for L in L_VALUES for tilt in (0.0, 0.4)],
+                ids=lambda p: f"L{p[0]:g}-tilt{p[1]:g}")
+def device(request):
+    L, tilt = request.param
+    return sl.build_measurement_unitary(L, tilt=tilt)
+
+
+def device_vectors(device):
+    """Seeded random vectors, one with signed zeros, and both record sectors of
+    every premeasured eigenstate and of +x."""
+    rng = np.random.default_rng(round(4 * device.L))
+    n = device.pa_dim
+    vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+    vectors.append(signed_zero_vector(rng, n))
+    for a, b in ((1.0, 0.0), (0.0, 1.0), (2 ** -0.5, 2 ** -0.5)):
+        final = sl.premeasure(a, b, device).amplitudes.reshape(n, 2)
+        vectors += [np.ascontiguousarray(final[:, r]) for r in range(2)]
+    return vectors
+
+
+def test_ladder_matvecs_match_the_per_component_oracle():
+    rng = np.random.default_rng(7)
+    for j in (0.5, 1, 2.5, 7, 40, 150):
+        ops = sl.spin_operators(j)
+        vectors = [rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim),
+                   signed_zero_vector(rng, ops.dim),
+                   sl.coherent_spin_state(j, 0.4, 0.0).amplitudes,
+                   sl.coherent_spin_state(j, 0.0, 0.0).amplitudes]
+        for v in vectors:
+            for k, got in enumerate(angular._ladder_matvecs(ops, v)):
+                assert_bits_equal(got, oracle_ladder_matvec(ops, v, k))
+
+
+def test_j_matvecs_match_the_per_component_oracle(device):
+    for v in device_vectors(device):
+        got = apparatus._j_matvecs(device, v)
+        assert len(got) == 3
+        for k in range(3):
+            assert_bits_equal(got[k], oracle_j_matvec(device, v, k))
+
+
+def test_brackets_and_means_match_the_per_component_oracle(device):
+    vectors = device_vectors(device)
+    for bra, ket in zip(vectors, vectors[1:] + vectors[:1]):
+        got = apparatus._j_brackets(device, bra, ket)
+        want = [oracle_j_bracket(device, bra, ket, k) for k in range(3)]
+        assert all(type(b) is complex for b in got)
+        assert_bits_equal(np.array(got), np.array(want))
+    for v in vectors:
+        assert_bits_equal(apparatus._j_means(device, v), oracle_j_means(device, v))
+
+
+def test_matching_residuals_match_the_per_component_oracle(device):
+    amps = sl.extract_error_amplitudes(device)
+    assert_bits_equal(apparatus._matching_residuals(device, amps),
+                      oracle_matching_residuals(amps, device))
+
+
+@pytest.mark.parametrize("L", L_VALUES)
+def test_bracket_magnitude_matches_the_per_component_oracle(L):
+    device = sl.build_measurement_unitary(L)
+    amps = sl.extract_error_amplitudes(device)
+    want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
+    row = sl.bracket_magnitude_scaling([L])[0]
+    assert_bits_equal(np.float64(row.bracket_magnitude), np.float64(want))
+
+
+def test_angular_spread_matches_the_per_component_oracle(device):
+    psi = device.apparatus_state.amplitudes
+    jx_psi = oracle_ladder_matvec(device.spin_app, psi, 0)
+    var = np.vdot(jx_psi, jx_psi).real - np.vdot(psi, jx_psi).real ** 2
+    delta_l = math.sqrt(max(var, 0.0))
+    assert sl.angular_spread(device.apparatus_state, device.spin_app).delta_l == delta_l

@@ -1,0 +1,60 @@
+"""Byte pins for the benchmarked commands and for `satellite --L 10000`.
+
+Each sha256 is that of the command's CSV as written before the
+three-component J pass and the streamed table writer, so a change to
+either that moves a single output byte turns a test red.  The satellite's
+40000-step pin lives in `test_satellite_arrays.py`.
+"""
+
+import csv
+import hashlib
+
+import pytest
+
+from spinledger import NUMERICS
+from spinledger.cli import main
+
+PINNED = {
+    "measure-64-small": (
+        ["measure", "--L", ",".join(f"{k / 2:g}" for k in range(1, 65))],
+        "655b4fa4c6558051ac9e3f091c7045e5d349d5b916219ea2f8c41ed166939076"),
+    "measure-large": (
+        ["measure", "--L", "64,96,128,160"],
+        "0b1205c32b13b49347be0758b564903252d5ad11e57d9e775b759947ea6d4aab"),
+    "decohere": (
+        ["decohere", "--L", "0.5", "--overlap", "0.8", "--n-env", "17"],
+        "bb6648e8c6e13ff79b47030b302182e19be8b114448d7a6aeb542b140df7991a"),
+    "ideal": (
+        ["ideal"],
+        "a43dcc2e85588e7c031859b2742bfaae15244e87ecbd1f138f920682daf1b276"),
+    "streak-internal": (
+        ["streak", "--mode", "internal", "--n", "8", "--K", "16", "--L", "4"],
+        "8f292ba638545eee24e362836a2870a78a235f4041a98bffd16aec32e729a268"),
+}
+
+
+def run_to_file(argv, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(path)]) == 0
+    capsys.readouterr()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_benchmarked_command_is_pinned(name, tmp_path, capsys):
+    argv, digest = PINNED[name]
+    assert hashlib.sha256(run_to_file(argv, tmp_path, capsys)).hexdigest() == digest
+
+
+def test_satellite_at_macroscopic_l(tmp_path, capsys):
+    text = run_to_file(["satellite", "--L", "10000"], tmp_path, capsys)
+    assert hashlib.sha256(text).hexdigest() == (
+        "6b0aab566c0e0a0ef609a8228a9c85153a960b1de31e6d5599da1ea617bbda72")
+    lines = [ln for ln in text.decode().splitlines() if not ln.startswith("# ")]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 100
+    for k, row in enumerate(rows, start=1):
+        assert int(row["step"]) == k
+        # +x input: the idealized books lose exactly 1/2 of Jx per particle
+        assert float(row["ideal_x"]) == pytest.approx(-k / 2, rel=1e-12)
+        assert float(row["audit_deviation"]) <= NUMERICS.conservation_atol
