@@ -15,12 +15,23 @@ import numpy as np
 
 import spinledger as sl
 
+
+def dense_device(L):
+    """Dense U = P+ (x) 1 + P- (x) X and J_k over particle (x) apparatus, from S.L."""
+    s, a = sl.spin_operators(0.5), sl.spin_operators(L)
+    pairs = [(sk.entries, ak.entries) for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz))]
+    eye = np.eye(2 * a.dim)
+    plus = (sum(np.kron(sk, ak) for sk, ak in pairs) + (L + 1) / 2 * eye) / (L + 0.5)
+    u = np.kron(plus, np.eye(2)) + np.kron(eye - plus, [[0, 1], [1, 0]])
+    return u, [np.kron(sk, np.eye(a.dim)) + np.kron(np.eye(2), ak) for sk, ak in pairs]
+
+
 print("L    C        D        E        F        1/sqrt(2L+1)   max|[U,J]|")
 for L in (1, 2, 4, 8, 16):
     sys_m = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(sys_m)
-    u = sys_m.u_meas  # built on each access: fetch once
-    comm = max(sl.commutator_norm(u, jk) for jk in sys_m.j_total)
+    u, j_pa = dense_device(L)
+    comm = max(np.max(np.abs(u @ j - j @ u)) for j in (np.kron(jk, np.eye(2)) for jk in j_pa))
     print(f"{L:<4} {amps.C:<8.5f} {amps.D:<8.1e} {amps.E:<8.5f} "
           f"{amps.F:<8.5f} {1/np.sqrt(2*L+1):<14.5f} {comm:.1e}")
 
@@ -29,7 +40,8 @@ for L in (1, 4, 12):
     sys_m = sl.build_measurement_unitary(L)
     res = sl.verify_matching_equations(sys_m)
     amps = sl.extract_error_amplitudes(sys_m)
-    bx = sl.bracket(amps.u, sys_m.j_pa[0], amps.u_err)
+    jx = dense_device(L)[1][0]
+    bx = np.vdot(amps.u.amplitudes, jx @ amps.u_err.amplitudes)
     print(f"  L={L:<3} <u|Jx|u'> = {bx.real:.5f} (= sqrt(2L+1)/2 = "
           f"{np.sqrt(2*L+1)/2:.5f}), residuals {np.max(np.abs(res)):.1e}")
 
@@ -42,11 +54,3 @@ for row in rows:
 print("\nAll three columns grow like sqrt(L): the error bracket is as large")
 print("as the device's own angular-momentum uncertainty, which is what")
 print("lets amplitude-F terms carry order-1/2 angular momentum.")
-
-print("\ncross-check: the projector unitary equals the exponentiated")
-print("interaction exp(-i tau (S.L - L/2) (x) |minus><minus|):")
-for L in (1, 3):
-    sys_m = sl.build_measurement_unitary(L)
-    alt = sl.measurement_unitary_from_interaction(L)
-    print(f"  L={L}: max entry difference "
-          f"{np.max(np.abs(sys_m.u_meas.entries - alt.entries)):.2e}")

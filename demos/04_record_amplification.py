@@ -38,6 +38,9 @@ for o in (0.0, 0.5, 0.9):
 print("Angular momentum itself never needed the suppression: J preserves")
 print("the total-j manifolds that label the record sectors, so its")
 print("branch cross terms are zero before any environment is attached:")
-for jk, name in zip(sys_m.j_pa, "xyz"):
+s, a = sys_m.spin_half, sys_m.spin_app
+for sk, ak, name in ((s.jx, a.jx, "x"), (s.jy, a.jy, "y"), (s.jz, a.jz, "z")):
+    jk = sl.Operator(np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries),
+                     hermitian=True)
     cross = sl.macroscopic_cross_term(final, jk, sys_m, sl.EnvironmentConfig(0, 0.5))
     print(f"  <up|J{name}|dn> = {abs(cross):.2e}")

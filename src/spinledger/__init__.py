@@ -3,11 +3,12 @@
 A numerical laboratory for the question of whether quantum measurement
 violates conservation laws.  The pieces:
 
-* kernel      dense states/operators over tensor-product spaces
+* kernel      states and small dense operators over tensor-product spaces
 * angular     the banded spin-j algebra, closed-form coherent states,
               the Bloch map
 * ideal       the idealized-measurement algebra and violation taxonomy
-* apparatus   an exactly conserving quantum measuring device
+* apparatus   an exactly conserving quantum measuring device, kept as its
+              Clebsch-Gordan sector blocks (dense oracle: tests/dense_oracle.py)
 * decoherence record amplification and cross-term suppression
 * experiments satellite ledgers and lucky-streak post-selection
 * cli         batch interface emitting CSV/JSON tables
@@ -33,8 +34,6 @@ from .apparatus import (
     build_measurement_unitary,
     decompose_branches,
     extract_error_amplitudes,
-    manifold_projectors,
-    measurement_unitary_from_interaction,
     premeasure,
     thermal_orientation_uncertainty,
     verify_matching_equations,
@@ -72,9 +71,7 @@ from .kernel import (
     apply,
     basis_state,
     bracket,
-    commutator_norm,
     expectation,
-    expm_hermitian,
     identity,
     kron,
     partial_trace,

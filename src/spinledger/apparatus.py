@@ -35,12 +35,7 @@ from .angular import (
     spin_operators,
 )
 from .config import NUMERICS
-from .kernel import (
-    ConservationError,
-    Operator,
-    StateVector,
-    expm_hermitian,
-)
+from .kernel import ConservationError, StateVector
 
 __all__ = [
     "CompositeSystem",
@@ -50,9 +45,7 @@ __all__ = [
     "BracketScalingRow",
     "BOLTZMANN_K",
     "HBAR_SI",
-    "manifold_projectors",
     "build_measurement_unitary",
-    "measurement_unitary_from_interaction",
     "premeasure",
     "decompose_branches",
     "extract_error_amplitudes",
@@ -93,45 +86,13 @@ def _from_sectors(sec: np.ndarray) -> np.ndarray:
     return np.concatenate([sec[:-1, 0], sec[1:, 1]])
 
 
-def _dense_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The 2(2L+1)-square kron-layout matrix of a sector block stack (tests, demos)."""
-    d = blocks.shape[0] - 1
-    k = np.arange(d + 1)
-    idx = np.stack([k, d + k - 1], axis=1)
-    idx[d, 0] = idx[0, 1] = 2 * d   # phantoms land in a row and column cut off below
-    out = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.complex128)
-    out[idx[:, :, None], idx[:, None, :]] = blocks
-    return out[:-1, :-1]
-
-
-def _s_dot_l(s: SpinOperators, a: SpinOperators) -> np.ndarray:
-    """S.L on spin-1/2 (x) spin-L."""
-    return (
-        np.kron(s.jx.entries, a.jx.entries)
-        + np.kron(s.jy.entries, a.jy.entries)
-        + np.kron(s.jz.entries, a.jz.entries)
-    )
-
-
-def manifold_projectors(L) -> tuple[Operator, Operator]:
-    """Spectral projectors onto the total-j = L+1/2 and L-1/2 manifolds.
-
-    S.L has exactly two eigenvalues on spin-1/2 (x) spin-L, namely L/2 on
-    the stretched manifold and -(L+1)/2 on the other, so the projectors
-    are first-order polynomials in S.L and inherit its exact rotational
-    invariance.  Returned dense, built from the sector blocks of
-    `_sector_projectors`.
-    """
-    L = _check_spin(L, 0.5, "apparatus spin")
-    return tuple(Operator(_dense_blocks(p), hermitian=True) for p in _sector_projectors(L))
-
-
 def _sector_projectors(L: float) -> tuple[np.ndarray, np.ndarray]:
     """P+ and P- as (2L+2, 2, 2) sector blocks, idempotence and rank audited.
 
-    On sector M, P+ = [[L+1/2+M, r], [r, L+1/2-M]] / (2L+1) with
-    r = sqrt((L+1/2)^2 - M^2): the Clebsch-Gordan form of
-    (S.L + (L+1)/2) / (L+1/2).  The edge sectors are 1x1 with P+ = 1.
+    S.L has the two eigenvalues L/2 and -(L+1)/2, so P+ = (S.L + (L+1)/2) /
+    (L+1/2) is exactly rotationally invariant; on sector M it is
+    [[L+1/2+M, r], [r, L+1/2-M]] / (2L+1) with r = sqrt((L+1/2)^2 - M^2).
+    The edge sectors are 1x1 with P+ = 1.
     """
     d = round(2 * L + 1)
     M = L + 0.5 - np.arange(d + 1)
@@ -190,9 +151,8 @@ class CompositeSystem:
     J = j_pa (x) 1 are fixed by the projectors and the spin algebras.  A
     build keeps P+ and P- as (2L+2, 2, 2) sector blocks and both spins'
     banded `SpinOperators`; `premeasure` and every audit work on those in
-    O(L).  `proj_plus`, `proj_minus`, `j_pa`, `u_meas` and `j_total` build
-    the dense operators anew on each access, uncached, for tests and
-    small-L demonstrations.
+    O(L).  That is the device's only representation: no dense operator of
+    side 2(2L+1) or 4(2L+1) is built, kept or offered.
     """
 
     L: float
@@ -207,39 +167,6 @@ class CompositeSystem:
     @property
     def pa_dim(self) -> int:
         return self.dims[0] * self.dims[1]
-
-    @property
-    def proj_plus(self) -> Operator:
-        """Dense P+ over particle (x) apparatus."""
-        return Operator(_dense_blocks(self.plus_blocks), hermitian=True)
-
-    @property
-    def proj_minus(self) -> Operator:
-        """Dense P- over particle (x) apparatus."""
-        return Operator(_dense_blocks(self.minus_blocks), hermitian=True)
-
-    @property
-    def j_pa(self) -> tuple[Operator, Operator, Operator]:
-        """Dense S_k (x) 1 + 1 (x) L_k over particle (x) apparatus, one Operator per axis."""
-        s, a = self.spin_half, self.spin_app
-        return tuple(
-            Operator(np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries),
-                     hermitian=True)
-            for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz))
-        )
-
-    @property
-    def u_meas(self) -> Operator:
-        """Dense P+ (x) 1 + P- (x) X over the full composite."""
-        x_rec = np.array([[0, 1], [1, 0]])
-        return Operator(np.kron(self.proj_plus.entries, np.eye(2))
-                        + np.kron(self.proj_minus.entries, x_rec), unitary=True)
-
-    @property
-    def j_total(self) -> tuple[Operator, Operator, Operator]:
-        """Dense j_pa (x) 1 over the full composite, one Operator per axis."""
-        return tuple(Operator(np.kron(jk.entries, np.eye(2)), hermitian=True)
-                     for jk in self.j_pa)
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -293,22 +220,6 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
         plus_blocks=plus,
         minus_blocks=minus,
     )
-
-
-def measurement_unitary_from_interaction(L) -> Operator:
-    """Cross-check path: the same unitary from an exponentiated coupling.
-
-    exp(-i tau (S.L - (L/2)) (x) |minus><minus|_rec) with tau = pi/(L+1/2)
-    reproduces the projector form without extra phases, because the two
-    S.L eigenvalues differ by exactly L+1/2.
-    """
-    L = _check_spin(L, 0.5, "apparatus spin")
-    a = spin_operators(L)
-    dim = 2 * a.dim
-    s_dot_l = _s_dot_l(spin_operators(0.5), a)
-    g_rec = 0.5 * np.array([[1, -1], [-1, 1]], dtype=np.complex128)
-    gen = Operator(np.kron(s_dot_l - (L / 2.0) * np.eye(dim), g_rec), hermitian=True)
-    return expm_hermitian(gen, math.pi / (L + 0.5))
 
 
 def _j_matvecs(sys: CompositeSystem, v: np.ndarray) -> list[np.ndarray]:
@@ -378,14 +289,18 @@ def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomp
     branches = []
     omitted = []
     total = 0.0
+    recon_dev = 0.0   # max |coeff * state - sector| over both sectors
     for r, label in enumerate(_LABELS):
         comp = t[:, r]
         weight = float(np.real(np.vdot(comp, comp)))
         if weight < NUMERICS.branch_weight_floor:
             omitted.append(label)
+            recon_dev = max(recon_dev, np.max(np.abs(comp)))
             continue
         coeff = math.sqrt(weight)
-        branches.append((coeff, StateVector((2, sys.dims[1]), comp / coeff), label))
+        state = StateVector((2, sys.dims[1]), comp / coeff)
+        branches.append((coeff, state, label))
+        recon_dev = max(recon_dev, np.max(np.abs(coeff * state.amplitudes - comp)))
         total += weight
     if abs(total - 1.0) > NUMERICS.operator_atol:
         raise AssertionError(f"branch weights sum to {total!r}")
@@ -393,10 +308,7 @@ def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomp
         ov = abs(branches[0][1].overlap(branches[1][1]))
         if ov > NUMERICS.state_atol:
             raise AssertionError(f"record sectors not orthogonal: {ov:.3e}")
-    recon = np.zeros_like(t)
-    for coeff, state, label in branches:
-        recon[:, _LABELS.index(label)] = coeff * state.amplitudes
-    if np.max(np.abs(recon - t)) > NUMERICS.conservation_atol:
+    if recon_dev > NUMERICS.conservation_atol:
         raise AssertionError("branch reconstruction failed")
     return BranchDecomposition(
         branches=tuple(branches),

@@ -122,23 +122,40 @@ def _csv_chunks(meta: dict, columns: list[str], rows):
         yield "\n".join(chunk)
 
 
+_json_string = json.JSONEncoder(ensure_ascii=True).encode
+
+
+def _json_row(line: str) -> str:
+    """One `_format_rows` line as a row of the indent-2 JSON table."""
+    return "    [\n      " + ",\n      ".join(map(_json_string, line.split(","))) + "\n    ]"
+
+
+def _json_chunks(meta: dict, columns: list[str], rows):
+    """`json.dumps(payload, indent=2, sort_keys=True) + "\n"`, streamed.
+
+    Sorted keys put "rows" last, so json.dumps spells "columns" and
+    "metadata", and the rows follow in its layout a chunk at a time.
+    """
+    empty = json.dumps({"columns": columns, "metadata": meta, "rows": []},
+                       indent=2, sort_keys=True)
+    yield empty[:-len("[]\n}")]
+    sep = "[\n"
+    lines = _format_rows(rows)
+    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+        yield sep + ",\n".join(map(_json_row, chunk))
+        sep = ",\n"
+    yield "[]\n}\n" if sep == "[\n" else "\n  ]\n}\n"
+
+
 def _write_table(args, meta: dict, columns: list[str], rows) -> None:
-    """Write a table to --output or stdout; CSV streams, JSON is one payload.
+    """Write a table to --output or stdout, CSV or JSON, streamed either way.
 
     rows may be any iterable, so a long table need never be held whole.
     Cells are numbers and labels, none of which holds a comma; a row may
     also carry a run of cells already spelled by `_format_rows`, joined by
     the same comma, so splitting a line on commas gives one cell per column.
     """
-    if args.format == "json":
-        payload = {
-            "metadata": meta,
-            "columns": columns,
-            "rows": [line.split(",") for line in _format_rows(rows)],
-        }
-        chunks = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
-    else:
-        chunks = _csv_chunks(meta, columns, rows)
+    chunks = (_json_chunks if args.format == "json" else _csv_chunks)(meta, columns, rows)
     if args.output:
         path = args.output
         outdir = os.environ.get(OUTDIR_ENV)
@@ -252,17 +269,16 @@ def _cmd_decohere(args) -> None:
     # particle sigma_x extended over the apparatus: couples the two
     # total-j manifolds, so its record-sector bracket is nonzero at n=0
     probe = _flip_particle
-    baseline = macroscopic_cross_term(
-        final, probe, sys_model, EnvironmentConfig(0, args.overlap)
-    )
-    rows = []
-    for n_q, bound in overlap_decay_curve(args.overlap, args.n_env):
+    curve = overlap_decay_curve(args.overlap, args.n_env)
+    measured = []
+    for n_q, _ in curve:
         env = EnvironmentConfig(n_q, args.overlap)
         amplified = amplify_record(final, sys_model, env)
-        measured = macroscopic_cross_term(amplified, probe, sys_model, env)
-        rows.append([n_q, bound, abs(measured), abs(baseline) * bound,
-                     abs(abs(measured) - abs(baseline) * bound)])
-    meta = _metadata(args, {"baseline_cross_term": _fmt(abs(baseline))})
+        measured.append(abs(macroscopic_cross_term(amplified, probe, sys_model, env)))
+    baseline = measured[0]   # n = 0: the record not yet amplified
+    rows = [[n_q, bound, m, baseline * bound, abs(m - baseline * bound)]
+            for (n_q, bound), m in zip(curve, measured)]
+    meta = _metadata(args, {"baseline_cross_term": _fmt(baseline)})
     _write_table(args, meta, [
         "n_env", "bound", "measured_cross_mag", "predicted_cross_mag", "deviation",
     ], rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apparatus import CompositeSystem
+from .apparatus import CompositeSystem, decompose_branches
 from .config import NUMERICS
 from .kernel import Operator, StateVector
 
@@ -130,16 +130,11 @@ def macroscopic_cross_term(state: StateVector | AmplifiedRecord,
             )
         a = a.entries.__matmul__
     premeasured = state.premeasured if isinstance(state, AmplifiedRecord) else state
-    t = premeasured.amplitudes.reshape(sys.pa_dim, 2)
-    sectors = []
-    for r in range(2):
-        comp = t[:, r]
-        weight = float(np.real(np.vdot(comp, comp)))
-        if weight < NUMERICS.branch_weight_floor:
-            raise ValueError(f"record sector {r} is empty (weight {weight:.3e})")
-        sectors.append(comp / math.sqrt(weight))
-    up, dn = sectors
-    cross = complex(np.vdot(up, a(dn)))
+    decomp = decompose_branches(premeasured, sys)
+    if decomp.omitted:
+        raise ValueError(f"record sector {decomp.omitted[0]} is empty")
+    (_, up, _), (_, dn, _) = decomp.branches
+    cross = complex(np.vdot(up.amplitudes, a(dn.amplitudes)))
     if isinstance(state, AmplifiedRecord):
         kets = state.env_kets
         cross *= complex(np.prod(np.sum(kets[0].conj() * kets[1], axis=1)))

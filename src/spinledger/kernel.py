@@ -26,8 +26,6 @@ __all__ = [
     "apply",
     "expectation",
     "bracket",
-    "expm_hermitian",
-    "commutator_norm",
     "partial_trace",
 ]
 
@@ -195,26 +193,6 @@ def bracket(phi: StateVector, a: Operator, psi: StateVector) -> complex:
             f"dimension mismatch: operator {a.dim}, bra {phi.dim}, ket {psi.dim}"
         )
     return complex(np.vdot(phi.amplitudes, a.entries @ psi.amplitudes))
-
-
-def expm_hermitian(h: Operator, t: float) -> Operator:
-    """exp(-i H t) by spectral decomposition.
-
-    The spectral form keeps the result unitary to rounding for any t,
-    which series or scaling-squaring methods only approximate.
-    """
-    if not h.hermitian:
-        raise ValueError("expm_hermitian requires a Hermitian-flagged operator")
-    w, v = np.linalg.eigh(h.entries)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(u, unitary=True)
-
-
-def commutator_norm(a: Operator, b: Operator) -> float:
-    """Max-entry norm of AB - BA."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.max(np.abs(a.entries @ b.entries - b.entries @ a.entries)))
 
 
 def partial_trace(psi: StateVector, keep) -> np.ndarray:

@@ -10,6 +10,7 @@ pinned in test_apparatus.py).
 import numpy as np
 import pytest
 
+import dense_oracle
 import spinledger as sl
 from spinledger.cli import main as cli_main
 from spinledger.ideal import ViolationKind
@@ -73,7 +74,7 @@ def test_c03_exact_conservation():
                 np.kron(np.kron([a, b], sys_m.apparatus_state.amplitudes), [1, 0]),
             )
             final = sl.premeasure(a, b, sys_m)
-            for jk in sys_m.j_total:
+            for jk in dense_oracle.j_total(sys_m):
                 drift = abs(sl.expectation(final, jk) - sl.expectation(initial, jk))
                 worst = max(worst, drift)
     report("3", worst <= 1e-10,
@@ -91,7 +92,7 @@ def test_c04_matching_equations():
         worst_res = max(worst_res, float(np.max(np.abs(res))))
         amps = sl.extract_error_amplitudes(sys_m)
         worst_f = max(worst_f, abs(amps.F - 1 / np.sqrt(2 * L + 1)))
-        mag = abs(sl.bracket(amps.u, sys_m.j_pa[0], amps.u_err))
+        mag = abs(sl.bracket(amps.u, dense_oracle.j_pa(sys_m)[0], amps.u_err))
         worst_br = max(worst_br, abs(mag - np.sqrt(2 * L + 1) / 2))
     ok = worst_res <= 1e-10 and worst_f <= 1e-10 and worst_br <= 1e-10
     report("4", ok,
@@ -160,7 +161,7 @@ def test_c07_violation_taxonomy():
     sys0 = systems[2]
     decomp = sl.decompose_branches(sl.premeasure(r, r, sys0), sys0)
     branches = [
-        (c, [sl.expectation(s, jk).real for jk in sys0.j_pa])
+        (c, [sl.expectation(s, jk).real for jk in dense_oracle.j_pa(sys0)])
         for c, s, _ in decomp.branches
     ]
     init = [0.5, 0.0, float(sys0.L)]
@@ -175,7 +176,7 @@ def test_c07_violation_taxonomy():
         final = sl.premeasure(aa, bb, sys_m)
         decomp = sl.decompose_branches(final, sys_m)
         branches = [
-            (c, [sl.expectation(s, jk).real for jk in sys_m.j_pa])
+            (c, [sl.expectation(s, jk).real for jk in dense_oracle.j_pa(sys_m)])
             for c, s, _ in decomp.branches
         ]
         u_s = sl.bloch_vector(aa, bb).as_array()

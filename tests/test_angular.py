@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 import spinledger as sl
 from spinledger.angular import _check_bands, _ladder_matvecs
 
@@ -81,7 +82,7 @@ def _rotated_top(j, theta, phi):
     s = sl.spin_operators(j)
     gen = sl.Operator(-np.sin(phi) * s.jx.entries + np.cos(phi) * s.jy.entries,
                       hermitian=True)
-    return sl.apply(sl.expm_hermitian(gen, theta), sl.basis_state((s.dim,), (0,)))
+    return sl.apply(dense_oracle.expm_hermitian(gen, theta), sl.basis_state((s.dim,), (0,)))
 
 
 @pytest.mark.parametrize("j", [0.5, 1, 2.5, 8, 40, 200])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dense_oracle
 import spinledger as sl
 from spinledger import apparatus
 
@@ -34,7 +35,7 @@ def eig_projector_oracle(L):
 
 @pytest.mark.parametrize("L", [0.5, 1, 2, 5])
 def test_projectors_match_eigendecomposition_oracle(L):
-    plus, minus = sl.manifold_projectors(L)
+    plus, minus = dense_oracle.manifold_projectors(L)
     oplus, ominus = eig_projector_oracle(L)
     assert np.max(np.abs(plus.entries - oplus)) <= 1e-12
     assert np.max(np.abs(minus.entries - ominus)) <= 1e-12
@@ -42,7 +43,7 @@ def test_projectors_match_eigendecomposition_oracle(L):
 
 @pytest.mark.parametrize("L", [0.5, 1, 3.5, 8])
 def test_projector_algebra(L):
-    plus, minus = sl.manifold_projectors(L)
+    plus, minus = dense_oracle.manifold_projectors(L)
     d = plus.dim
     assert np.max(np.abs(plus.entries + minus.entries - np.eye(d))) <= 1e-12
     assert np.max(np.abs(plus.entries @ plus.entries - plus.entries)) <= 1e-12
@@ -52,22 +53,22 @@ def test_projector_algebra(L):
 
 def test_projector_ranks_two_spin_half():
     # two spin-1/2: triplet rank 3, singlet rank 1
-    plus, minus = sl.manifold_projectors(0.5)
+    plus, minus = dense_oracle.manifold_projectors(0.5)
     assert np.trace(plus.entries).real == pytest.approx(3, abs=1e-12)
     assert np.trace(minus.entries).real == pytest.approx(1, abs=1e-12)
 
 
 @pytest.mark.parametrize("L", [1, 2, 6])
 def test_projectors_commute_with_total_j(L):
-    plus, _ = sl.manifold_projectors(L)
+    plus, _ = dense_oracle.manifold_projectors(L)
     sys_m = sl.build_measurement_unitary(L)
-    for jk in sys_m.j_pa:
-        assert sl.commutator_norm(plus, jk) <= 1e-12
+    for jk in dense_oracle.j_pa(sys_m):
+        assert dense_oracle.commutator_norm(plus, jk) <= 1e-12
 
 
 def test_stretched_state_lies_in_plus_manifold():
     L = 3
-    plus, _ = sl.manifold_projectors(L)
+    plus, _ = dense_oracle.manifold_projectors(L)
     psi = np.zeros(2 * (2 * L + 1), dtype=complex)
     psi[0] = 1.0  # |up> (x) |L, L>
     assert np.max(np.abs(plus.entries @ psi - psi)) <= 1e-12
@@ -76,7 +77,7 @@ def test_stretched_state_lies_in_plus_manifold():
 @pytest.mark.parametrize("L,expected", [(1, 1 / 3), (2, 1 / 5), (8, 1 / 17)])
 def test_down_stretched_projection_weight(L, expected):
     # Clebsch-Gordan oracle: |<plus manifold| down,LL>|^2 = 1/(2L+1)
-    plus, _ = sl.manifold_projectors(L)
+    plus, _ = dense_oracle.manifold_projectors(L)
     d_app = round(2 * L + 1)
     psi = np.zeros(2 * d_app, dtype=complex)
     psi[d_app] = 1.0  # |down> (x) |L, L>
@@ -89,15 +90,15 @@ def test_down_stretched_projection_weight(L, expected):
 @pytest.mark.parametrize("L", [1, 2, 5, 10.5])
 def test_measurement_unitary_conserves_all_components(L):
     sys_m = sl.build_measurement_unitary(L)
-    for jk in sys_m.j_total:
-        assert sl.commutator_norm(sys_m.u_meas, jk) <= 1e-12
+    for jk in dense_oracle.j_total(sys_m):
+        assert dense_oracle.commutator_norm(dense_oracle.u_meas(sys_m), jk) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [1, 2, 4.5])
 def test_interaction_variant_reproduces_projector_unitary(L):
     sys_m = sl.build_measurement_unitary(L)
-    alt = sl.measurement_unitary_from_interaction(L)
-    assert np.max(np.abs(sys_m.u_meas.entries - alt.entries)) <= 1e-10
+    alt = dense_oracle.measurement_unitary_from_interaction(L)
+    assert np.max(np.abs(dense_oracle.u_meas(sys_m).entries - alt.entries)) <= 1e-10
 
 
 def test_invalid_apparatus_spin():
@@ -145,7 +146,7 @@ def test_premeasure_conserves_expectations_random_spinors():
                 np.kron(np.kron(v, sys_m.apparatus_state.amplitudes), [1, 0]),
             )
             final = sl.premeasure(v[0], v[1], sys_m)
-            for jk in sys_m.j_total:
+            for jk in dense_oracle.j_total(sys_m):
                 drift = abs(sl.expectation(final, jk) - sl.expectation(initial, jk))
                 assert drift <= CONS_ATOL
 
@@ -155,7 +156,7 @@ def test_premeasure_transverse_expectation_preserved():
     sys_m = sl.build_measurement_unitary(4)
     r = 1 / np.sqrt(2)
     final = sl.premeasure(r, r, sys_m)
-    assert sl.expectation(final, sys_m.j_total[0]).real == pytest.approx(0.5, abs=1e-12)
+    assert sl.expectation(final, dense_oracle.j_total(sys_m)[0]).real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_premeasure_rejects_unnormalized():
@@ -197,7 +198,7 @@ def test_record_sector_cross_terms_of_j_vanish():
     sys_m = sl.build_measurement_unitary(3)
     decomp = sl.decompose_branches(sl.premeasure(0.6, 0.8j, sys_m), sys_m)
     (c1, up, _), (c2, dn, _) = decomp.branches
-    for jk in sys_m.j_pa:
+    for jk in dense_oracle.j_pa(sys_m):
         assert abs(sl.bracket(up, jk, dn)) <= 1e-12
 
 
@@ -237,8 +238,8 @@ def test_error_amplitudes_with_tilted_apparatus():
     assert amps.d_err is not None
     assert amps.C ** 2 + amps.D ** 2 == pytest.approx(1.0, abs=1e-10)
     # conservation still exact with the tilted device
-    for jk in sys_m.j_total:
-        assert sl.commutator_norm(sys_m.u_meas, jk) <= 1e-12
+    for jk in dense_oracle.j_total(sys_m):
+        assert dense_oracle.commutator_norm(dense_oracle.u_meas(sys_m), jk) <= 1e-12
 
 
 # ---------------------------------------------------------------- matching equations
@@ -255,9 +256,9 @@ def test_matching_bracket_ladder_oracle():
     for L in (1, 4, 9):
         sys_m = sl.build_measurement_unitary(L)
         amps = sl.extract_error_amplitudes(sys_m)
-        got = sl.bracket(amps.u, sys_m.j_pa[0], amps.u_err)
+        got = sl.bracket(amps.u, dense_oracle.j_pa(sys_m)[0], amps.u_err)
         assert got == pytest.approx(np.sqrt(2 * L + 1) / 2, abs=1e-10)
-        got_y = sl.bracket(amps.u, sys_m.j_pa[1], amps.u_err)
+        got_y = sl.bracket(amps.u, dense_oracle.j_pa(sys_m)[1], amps.u_err)
         assert got_y == pytest.approx(-1j * np.sqrt(2 * L + 1) / 2, abs=1e-10)
 
 
@@ -334,7 +335,7 @@ def _held_arrays(obj):
 @pytest.mark.parametrize("L", [0.5, 1, 2.5, 7])
 def test_premeasure_matches_dense_unitary(L, tilt):
     sys_m = sl.build_measurement_unitary(L, tilt=tilt)
-    u = sys_m.u_meas.entries
+    u = dense_oracle.u_meas(sys_m).entries
     rng = np.random.default_rng(round(4 * L) + round(10 * tilt))
     spinors = [(1.0, 0.0), (0.0, 1.0)]
     for _ in range(5):
@@ -356,10 +357,9 @@ def test_built_system_holds_no_record_level_matrix(L):
     arrays = list(_held_arrays(sys_m))
     assert arrays
     assert all(side not in arr.shape for arr in arrays)
-    # the dense operators are built on access and never cached
-    before = dict(vars(sys_m))
-    assert sys_m.u_meas is not sys_m.u_meas
-    assert vars(sys_m) == before
+    # the dense operators live only in the test oracle
+    for name in ("proj_plus", "proj_minus", "j_pa", "u_meas", "j_total"):
+        assert not hasattr(sys_m, name)
 
 
 @pytest.mark.parametrize("L,tilt", [
@@ -372,19 +372,6 @@ def test_default_build_holds_no_quadratic_array(L, tilt):
     assert sizes and max(sizes) <= 4 * (2 * L + 2)
 
 
-@pytest.mark.parametrize("L", [0.5, 2])
-def test_record_level_operators_built_on_access(L):
-    sys_m = sl.build_measurement_unitary(L)
-    x_rec = np.array([[0, 1], [1, 0]])
-    u = sys_m.u_meas
-    assert u.unitary
-    assert np.array_equal(u.entries, np.kron(sys_m.proj_plus.entries, np.eye(2))
-                          + np.kron(sys_m.proj_minus.entries, x_rec))
-    for jt, jk in zip(sys_m.j_total, sys_m.j_pa):
-        assert jt.hermitian
-        assert np.array_equal(jt.entries, np.kron(jk.entries, np.eye(2)))
-
-
 def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
     real = apparatus._sector_projectors
 
@@ -393,7 +380,7 @@ def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
         # term -i eps [Sz (x) 1, P]: the pair stays complementary projectors
         # (so U stays unitary) and commutes with Jz, but not with Jx.  The
         # rotation is diagonal on the (up, down) slots of every sector.
-        v = sl.expm_hermitian(sl.spin_operators(0.5).jz, 1e-6).entries
+        v = dense_oracle.expm_hermitian(sl.spin_operators(0.5).jz, 1e-6).entries
         return tuple(v @ p @ v.conj().T for p in real(L))
 
     monkeypatch.setattr(apparatus, "_sector_projectors", rotated)

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import math
@@ -153,6 +154,21 @@ def test_json_format(capsys):
     assert payload["metadata"]["prng"] == "numpy.random.PCG64"
     assert payload["columns"][0] == "I"
     assert len(payload["rows"]) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 4096])
+@pytest.mark.parametrize("n_rows", [0, 1, 9])
+def test_json_table_streams_the_bytes_of_one_json_dumps(n_rows, chunk, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    meta = {"version": "0.1.0", "note": 'a "quote", a \\ and non-ASCII \u00e9 \u2192'}
+    columns = ["k", "x", "z", "label"]
+    rows = [[k, k / 7, complex(k, -k / 3), f'r\u00e9"{k}'] for k in range(n_rows)]
+    path = tmp_path / "table.json"
+    cli._write_table(argparse.Namespace(format="json", output=str(path)), meta, columns, rows)
+    payload = {"metadata": meta, "columns": columns,
+               "rows": [line.split(",") for line in cli._format_rows(rows)]}
+    assert len(payload["rows"]) == n_rows
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_unknown_subcommand_exits_one(capsys):

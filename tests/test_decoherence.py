@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 import spinledger as sl
 from spinledger.cli import _flip_particle, main
 
@@ -113,7 +114,7 @@ def test_conservation_untouched_by_amplification(premeasured):
     env = sl.EnvironmentConfig(6, 0.7)
     amplified = dense_amplify_record(final, sys_m, env)
     n_env = 2 ** env.n_qubits
-    for jk in sys_m.j_total:
+    for jk in dense_oracle.j_total(sys_m):
         big = sl.Operator(np.kron(jk.entries, np.eye(n_env)), hermitian=True)
         before = sl.expectation(final, jk).real
         after = sl.expectation(amplified, big).real
@@ -136,7 +137,7 @@ def test_j_cross_terms_zero_even_without_environment(premeasured):
     # J preserves the total-j manifolds that label the record sectors
     sys_m, final = premeasured
     env = sl.EnvironmentConfig(0, 0.8)
-    for jk in sys_m.j_pa:
+    for jk in dense_oracle.j_pa(sys_m):
         cross = sl.macroscopic_cross_term(final, jk, sys_m, env)
         assert abs(cross) <= 1e-12
 
@@ -205,7 +206,7 @@ def _probes(sys_m, final):
     coupler = sl.Operator(outer + outer.conj().T, hermitian=True)
     return [("sigma_x", sigma_x, sigma_x), ("swap", _flip_particle, sigma_x),
             ("coupler", coupler, coupler),
-            *((f"J{k}", jk, jk) for k, jk in zip("xyz", sys_m.j_pa))]
+            *((f"J{k}", jk, jk) for k, jk in zip("xyz", dense_oracle.j_pa(sys_m)))]
 
 
 @pytest.mark.parametrize("o", [0.0, 0.5, 0.8, 0.99])

@@ -1,9 +1,11 @@
-"""Byte pins for the benchmarked commands and for `satellite --L 10000`.
+"""Byte pins for the benchmarked commands, `satellite --L 10000` and JSON tables.
 
-Each sha256 is that of the command's CSV as written before the
-three-component J pass and the streamed table writer, so a change to
-either that moves a single output byte turns a test red.  The satellite's
-40000-step pin lives in `test_satellite_arrays.py`.
+Each CSV sha256 is that of the command's CSV as written before the
+three-component J pass and the streamed table writer, and each JSON
+sha256 that of the output written whole by one `json.dumps`, before the
+JSON writer streamed; a change that moves a single output byte turns a
+test red.  The satellite's 40000-step pin lives in
+`test_satellite_arrays.py`.
 """
 
 import csv
@@ -32,6 +34,21 @@ PINNED = {
         "8f292ba638545eee24e362836a2870a78a235f4041a98bffd16aec32e729a268"),
 }
 
+PINNED_JSON = {
+    "satellite": (
+        ["satellite", "--n", "50", "--L", "2"],
+        "5f604c8d571c4b26dbf8c2376ece3e1d4fb95576fc4968cd6b326a4cbf3e3b26"),
+    "measure": (
+        ["measure", "--L", "1.5"],
+        "bba81d03901eae693a60df13db709107308d83bdee55bcbb4181165d50db39eb"),
+    "decohere": (
+        ["decohere", "--L", "3", "--overlap", "0.5", "--n-env", "6"],
+        "4c7484df145278b6de57cdcd524392533d4ec626e17a654d1df9fc970cea4b53"),
+    "streak-internal": (
+        ["streak", "--mode", "internal", "--n", "5", "--K", "9", "--L", "2.5"],
+        "3fa7fedd9eea6eb055f2fbdf6e8c07d311a863acbbf632abab9d1f4e598e92db"),
+}
+
 
 def run_to_file(argv, tmp_path, capsys):
     path = tmp_path / "out.csv"
@@ -44,6 +61,13 @@ def run_to_file(argv, tmp_path, capsys):
 def test_benchmarked_command_is_pinned(name, tmp_path, capsys):
     argv, digest = PINNED[name]
     assert hashlib.sha256(run_to_file(argv, tmp_path, capsys)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", PINNED_JSON)
+def test_json_table_is_pinned(name, tmp_path, capsys):
+    argv, digest = PINNED_JSON[name]
+    text = run_to_file([*argv, "--format", "json"], tmp_path, capsys)
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_satellite_at_macroscopic_l(tmp_path, capsys):

@@ -147,3 +147,22 @@ def test_satellite_table_streams_in_bounded_memory(tmp_path, capsys):
     assert peak <= 32 * 2 ** 20
     lines = path.read_bytes().splitlines()
     assert lines[-1].startswith(b"200000,") and lines[-200001].startswith(b"step,")
+
+
+def test_satellite_json_streams_in_bounded_memory(tmp_path, capsys):
+    # one json.dumps of the whole 100000-step payload peaked at 216 MiB of
+    # Python allocations; rows streamed a chunk at a time peak near 8 MiB,
+    # and the bytes are those the single dump wrote
+    path = tmp_path / "sat.json"
+    tracemalloc.start()
+    try:
+        code = main(["satellite", "--n", "100000", "--L", "8", "--seed", "1",
+                     "--format", "json", "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 32 * 2 ** 20
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a07b87ef4681790bddb9107d72ae177946aad51c54f8e336bcfc18106cf13636")

@@ -2,8 +2,9 @@
 
 A build stores P+ and P- as (2L+2, 2, 2) sector blocks and the apparatus
 spin as its two ladder bands; premeasure, the audits, the brackets and
-the spread run on those in O(L).  The dense operators (`u_meas`, `j_pa`,
-`proj_plus`, `spin_app.jx`) are built on access and serve as the oracle here.
+the spread run on those in O(L).  The oracle is dense: `dense_oracle`
+builds U, J and P+- from S.L and the dense spin matrices, never from the
+blocks, and `spin_app.jx` is built on access.
 """
 
 import csv
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 import spinledger as sl
 from spinledger import angular, apparatus, kernel
 from spinledger.cli import main as cli_main
@@ -36,7 +38,7 @@ def device(request):
 
 
 def test_premeasure_matches_dense_unitary(device):
-    u = device.u_meas.entries
+    u = dense_oracle.u_meas(device).entries
     for a, b in _spinors(round(4 * device.L)):
         dense = u @ np.kron(np.kron([a, b], device.apparatus_state.amplitudes), [1, 0])
         assert np.max(np.abs(sl.premeasure(a, b, device).amplitudes - dense)) <= 1e-12
@@ -45,13 +47,13 @@ def test_premeasure_matches_dense_unitary(device):
 def test_structured_j_matches_dense_j_pa(device):
     rng = np.random.default_rng(round(4 * device.L))
     v = rng.normal(size=device.pa_dim) + 1j * rng.normal(size=device.pa_dim)
-    for k, jk in enumerate(device.j_pa):
+    for k, jk in enumerate(dense_oracle.j_pa(device)):
         assert np.max(np.abs(apparatus._j_matvecs(device, v)[k] - jk.entries @ v)) <= 1e-12
 
 
 def test_brackets_and_means_match_dense(device):
     amps = sl.extract_error_amplitudes(device)
-    j_pa = device.j_pa
+    j_pa = dense_oracle.j_pa(device)
     pairs = [(amps.u, amps.u_err), (amps.d, amps.d_err)]
     for bra, ket in pairs:
         if bra is None or ket is None:
@@ -79,12 +81,12 @@ def test_angular_spread_matches_dense_jx_squared(device):
 
 @pytest.mark.parametrize("L", L_VALUES)
 def test_sector_blocks_match_the_s_dot_l_projectors(L):
-    s, a = sl.spin_operators(0.5), sl.spin_operators(L)
-    s_dot_l = apparatus._s_dot_l(s, a)
+    s_dot_l = dense_oracle.s_dot_l(L)
     plus = (s_dot_l + (L + 1) / 2 * np.eye(s_dot_l.shape[0])) / (L + 0.5)
     sys_m = sl.build_measurement_unitary(L)
-    assert np.max(np.abs(sys_m.proj_plus.entries - plus)) <= 1e-12
-    assert np.max(np.abs(sys_m.proj_minus.entries - (np.eye(plus.shape[0]) - plus))) <= 1e-12
+    assert np.max(np.abs(dense_oracle.dense_blocks(sys_m.plus_blocks) - plus)) <= 1e-12
+    assert np.max(np.abs(dense_oracle.dense_blocks(sys_m.minus_blocks)
+                         - (np.eye(plus.shape[0]) - plus))) <= 1e-12
 
 
 def test_no_build_uses_a_dense_audit_or_a_dense_spin_l(monkeypatch):
@@ -101,8 +103,8 @@ def test_no_build_uses_a_dense_audit_or_a_dense_spin_l(monkeypatch):
     def no_commutator(*args):
         raise AssertionError("a build called commutator_norm")
 
-    monkeypatch.setattr(kernel, "commutator_norm", no_commutator)
-    monkeypatch.setattr(apparatus, "commutator_norm", no_commutator, raising=False)
+    assert not hasattr(kernel, "commutator_norm") and not hasattr(apparatus, "commutator_norm")
+    monkeypatch.setattr(dense_oracle, "commutator_norm", no_commutator)
     for tilt in (0.0, 0.4):
         sys_m = sl.build_measurement_unitary(40, tilt=tilt)
         sl.extract_error_amplitudes(sys_m)
@@ -121,9 +123,26 @@ def test_build_and_source_diagonalize_nothing(monkeypatch, call):
         raise AssertionError("a dense diagonalization was called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_dense)
-    monkeypatch.setattr(kernel, "expm_hermitian", no_dense)
-    monkeypatch.setattr(apparatus, "expm_hermitian", no_dense)
+    assert not hasattr(kernel, "expm_hermitian") and not hasattr(apparatus, "expm_hermitian")
+    monkeypatch.setattr(dense_oracle, "expm_hermitian", no_dense)
     call()
+
+
+REMOVED_NAMES = ("manifold_projectors", "measurement_unitary_from_interaction", "expm_hermitian",
+                 "commutator_norm", "_dense_blocks", "_s_dot_l")
+DENSE_ATTRIBUTES = ("proj_plus", "proj_minus", "j_pa", "u_meas", "j_total")
+
+
+def test_src_keeps_one_device_representation():
+    # the dense device lives in the test oracle, built from S.L
+    for module in (sl, apparatus, kernel):
+        for name in REMOVED_NAMES:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ())
+    for tilt in (0.0, 0.4):
+        sys_m = sl.build_measurement_unitary(3, tilt=tilt)
+        for name in DENSE_ATTRIBUTES:
+            assert not hasattr(sys_m, name), (tilt, name)
 
 
 def _rows(path):
