@@ -43,6 +43,7 @@ from .decoherence import (
     AmplifiedRecord,
     EnvironmentConfig,
     amplify_record,
+    cross_term_curve,
     macroscopic_cross_term,
     overlap_decay_curve,
 )

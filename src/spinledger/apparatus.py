@@ -368,11 +368,23 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     return _matching_residuals(sys, extract_error_amplitudes(sys))
 
 
-def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes) -> np.ndarray:
-    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
+def _matching_brackets(sys: CompositeSystem, amps: ErrorAmplitudes) -> list:
+    """(weight, (<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>)) of each matching term.
+
+    The terms are C F <u|J|u_err> and E D <d|J|d_err>, in that order; a
+    term whose bra or ket is an empty sector is left out.
+    """
     pairs = ((amps.C * amps.F, amps.u, amps.u_err), (amps.E * amps.D, amps.d, amps.d_err))
-    terms = [(weight, _j_brackets(sys, bra.amplitudes, ket.amplitudes))
-             for weight, bra, ket in pairs if bra is not None and ket is not None]
+    return [(weight, _j_brackets(sys, bra.amplitudes, ket.amplitudes))
+            for weight, bra, ket in pairs if bra is not None and ket is not None]
+
+
+def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes,
+                        terms: list | None = None) -> np.ndarray:
+    """Residuals of the matching equations from their `_matching_brackets` terms."""
+    if terms is None:
+        terms = _matching_brackets(sys, amps)
+    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     residuals = np.zeros(3, dtype=np.complex128)
     for k in range(3):
         lhs = 0.0 + 0.0j

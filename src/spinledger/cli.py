@@ -17,18 +17,18 @@ import argparse
 import functools
 import itertools
 import json
+import locale  # noqa: F401  argparse's gettext loads it at every first parse; load it with the module
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .angular import _check_spin, angular_spread, bloch_vector
 from .apparatus import (
-    _j_brackets,
     _j_means,
+    _matching_brackets,
     _matching_residuals,
     build_measurement_unitary,
     decompose_branches,
@@ -37,7 +37,7 @@ from .apparatus import (
     thermal_orientation_uncertainty,
 )
 from .config import NUMERICS, NumericsConfig
-from .decoherence import EnvironmentConfig, amplify_record, macroscopic_cross_term, overlap_decay_curve
+from .decoherence import EnvironmentConfig, amplify_record, cross_term_curve, overlap_decay_curve
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
 from .kernel import ConservationError
@@ -222,9 +222,11 @@ def _measure_row(L: float, numerics: NumericsConfig = NUMERICS) -> list:
     vars(NUMERICS).update(vars(numerics))
     sys_model = build_measurement_unitary(L)
     amps = extract_error_amplitudes(sys_model)
-    residuals = _matching_residuals(sys_model, amps)
+    terms = _matching_brackets(sys_model, amps)
+    residuals = _matching_residuals(sys_model, amps, terms)
     spread = angular_spread(sys_model.apparatus_state, sys_model.spin_app)
-    mag = abs(_j_brackets(sys_model, amps.u.amplitudes, amps.u_err.amplitudes)[0])
+    # the first term's brackets are <u|J|u_err>
+    mag = abs(terms[0][1][0])
     return [
         L, amps.C, amps.D, amps.E, amps.F,
         float(np.max(np.abs(residuals))),
@@ -238,6 +240,9 @@ def _cmd_measure(args) -> None:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     workers = min(args.jobs, os.cpu_count() or 1, len(l_values))
     if workers > 1:
+        # imported here: a serial run, every other command, never pays for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(functools.partial(_measure_row, numerics=NUMERICS), l_values))
     else:
@@ -270,11 +275,9 @@ def _cmd_decohere(args) -> None:
     # total-j manifolds, so its record-sector bracket is nonzero at n=0
     probe = _flip_particle
     curve = overlap_decay_curve(args.overlap, args.n_env)
-    measured = []
-    for n_q, _ in curve:
-        env = EnvironmentConfig(n_q, args.overlap)
-        amplified = amplify_record(final, sys_model, env)
-        measured.append(abs(macroscopic_cross_term(amplified, probe, sys_model, env)))
+    env = EnvironmentConfig(args.n_env, args.overlap)
+    amplified = amplify_record(final, sys_model, env)
+    measured = [abs(cross) for cross in cross_term_curve(amplified, probe, sys_model, env)]
     baseline = measured[0]   # n = 0: the record not yet amplified
     rows = [[n_q, bound, m, baseline * bound, abs(m - baseline * bound)]
             for (n_q, bound), m in zip(curve, measured)]

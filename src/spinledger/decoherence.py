@@ -27,6 +27,7 @@ __all__ = [
     "AmplifiedRecord",
     "EnvironmentConfig",
     "amplify_record",
+    "cross_term_curve",
     "macroscopic_cross_term",
     "overlap_decay_curve",
 ]
@@ -102,19 +103,17 @@ def amplify_record(state: StateVector, sys: CompositeSystem,
     return AmplifiedRecord(state, kets)
 
 
-def macroscopic_cross_term(state: StateVector | AmplifiedRecord,
-                           a: Operator | Callable[[np.ndarray], np.ndarray],
-                           sys: CompositeSystem,
-                           env: EnvironmentConfig) -> complex:
-    """<branch_up| A (x) 1_env |branch_dn> between normalized record sectors.
+def cross_term_curve(state: StateVector | AmplifiedRecord,
+                     a: Operator | Callable[[np.ndarray], np.ndarray],
+                     sys: CompositeSystem,
+                     env: EnvironmentConfig) -> list[complex]:
+    """`macroscopic_cross_term` after the first n record copies, for n = 0..n_qubits.
 
-    a acts on particle (x) apparatus, as a dense Operator or as a function
-    applying it to an amplitude vector of that space, and is extended by
-    the identity over the environment; the record label itself is
-    factored out of each sector.  The bracket is taken on particle (x)
-    apparatus and multiplied by the product of the n per-qubit overlaps
-    <e_up,i|e_dn,i>, so its magnitude is copy_fidelity**n_qubits times the
-    unamplified value up to rounding.
+    The branches are decomposed and the bracket taken once; entry n is the
+    bracket times the running product of the first n per-qubit overlaps,
+    one `np.cumprod` for the whole curve, so a table of n_qubits + 1 rows
+    costs O(pa_dim + n_qubits).  Each entry equals the cross term of the
+    state amplified with n qubits, bit for bit.
     """
     expected_dims = sys.dims + (2,) * env.n_qubits
     if state.dims != expected_dims:
@@ -135,10 +134,30 @@ def macroscopic_cross_term(state: StateVector | AmplifiedRecord,
         raise ValueError(f"record sector {decomp.omitted[0]} is empty")
     (_, up, _), (_, dn, _) = decomp.branches
     cross = complex(np.vdot(up.amplitudes, a(dn.amplitudes)))
+    curve = [cross]
     if isinstance(state, AmplifiedRecord):
         kets = state.env_kets
-        cross *= complex(np.prod(np.sum(kets[0].conj() * kets[1], axis=1)))
-    return cross
+        overlaps = np.cumprod(np.sum(kets[0].conj() * kets[1], axis=1))
+        curve += [cross * product for product in overlaps.tolist()]
+    return curve
+
+
+def macroscopic_cross_term(state: StateVector | AmplifiedRecord,
+                           a: Operator | Callable[[np.ndarray], np.ndarray],
+                           sys: CompositeSystem,
+                           env: EnvironmentConfig) -> complex:
+    """<branch_up| A (x) 1_env |branch_dn> between normalized record sectors.
+
+    a acts on particle (x) apparatus, as a dense Operator or as a function
+    applying it to an amplitude vector of that space, and is extended by
+    the identity over the environment; the record label itself is
+    factored out of each sector.  The bracket is taken on particle (x)
+    apparatus and multiplied by the product of the n per-qubit overlaps
+    <e_up,i|e_dn,i>, so its magnitude is copy_fidelity**n_qubits times the
+    unamplified value up to rounding.  It is the last entry of
+    `cross_term_curve`.
+    """
+    return cross_term_curve(state, a, sys, env)[-1]
 
 
 def overlap_decay_curve(o: float, n_max: int) -> list[tuple[int, float]]:

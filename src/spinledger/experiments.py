@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .angular import (
     SpinOperators,
@@ -340,23 +340,34 @@ def _channel_weights(K: float) -> np.ndarray:
 
 
 def _channel_pairs(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """E_p x E_q^dag for both emission channels p, q, shape (2, 2, d, d).
+    """E_p x E_q^dag for both emission channels p, q, as the rows (p, q) of a (4, d*d) array.
 
     E_p maps level i + p to level i with amplitude bands[p, i], so each
     product is the shifted slice x[p:p+d, q:q+d] scaled by the
-    `_channel_weights`.
+    `_channel_weights`; the four slices are one strided view of x.
     """
     d = weights.shape[-1]
-    return sliding_window_view(x, (d, d)) * weights
+    windows = as_strided(x, (2, 2, d, d), x.strides * 2, writeable=False)
+    return (windows * weights).reshape(4, d * d)
 
 
-def _fold(amp: np.ndarray, pairs: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
-    """sum_{s,s'} op[s', s] M_s x M_s'^dag for the Kraus maps M_s = sum_p amp[s, p] E_p.
+def _fold_coefficients(amp: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
+    """The (1, 4) row of `_fold` for the Kraus maps M_s = sum_p amp[s, p] E_p.
 
-    pairs are the E_p x E_q^dag of x; op defaults to the identity.
+    Entry (p, q) is sum_{s,s'} op[s', s] conj(amp[s', q]) amp[s, p], the
+    coefficient of E_p x E_q^dag in the fold; op defaults to the identity.
     """
     gram = amp.conj().T @ (amp if op is None else op @ amp)
-    return np.tensordot(gram.T, pairs, axes=2)
+    return gram.T.reshape(1, 4)
+
+
+def _fold(coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """sum_{s,s'} op[s', s] M_s x M_s'^dag from its `_fold_coefficients` and x's `_channel_pairs`.
+
+    One (1, 4) by (4, d*d) dot: the reshape-and-dot that
+    `np.tensordot(gram.T, pairs, axes=2)` performs, bit for bit.
+    """
+    return np.dot(coeffs, pairs).reshape(math.isqrt(pairs.shape[1]), -1)
 
 
 def _trace(x: np.ndarray) -> float:
@@ -442,8 +453,15 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
                  + sum_{s,s'} (O^2)_{s's} M_s rho M_s'^dag
 
     and all three are divided by the step weight Tr rho'.  The slot sums
-    fold into 2x2 coefficients on the four banded products E_p X E_q^dag,
-    so a step costs O(K^2) time and memory.
+    fold into 2x2 coefficients on the four banded products E_p X E_q^dag.
+    Those coefficients depend only on the record letter, so each letter's
+    nine rows (all of particle (x) apparatus, the slot, jz_slot, and each
+    axis's O and O^2) are formed once before the streak; a step then takes
+    one strided view per moment matrix for its four products and one
+    (1, 4) by (4, d*d) dot per fold, and costs O(K^2) time and memory.
+    A source whose dense (2K+1)-square moments exceed 4 x
+    `NUMERICS.max_total_dim` entries (K > 1023.5 at the default budget) is
+    refused before anything is allocated.
     """
     K = _check_spin(K, 1.0, "source spin")
     if K < n:
@@ -451,6 +469,13 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
             f"K too small for n in internal mode: the exact-compensation "
             f"construction needs an edge margin of n, so K >= n (got K={K}, "
             f"n={n})"
+        )
+    d_source = round(2 * K + 1)
+    if d_source ** 2 > 4 * NUMERICS.max_total_dim:
+        raise ValueError(
+            f"internal streak refused: K={K} needs {d_source}-square source moment "
+            f"matrices of {d_source ** 2} entries, more than 4 x the configured "
+            f"maximum total dimension {NUMERICS.max_total_dim}"
         )
     sys = build_measurement_unitary(L)
     d_app = sys.dims[1]
@@ -489,16 +514,25 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         # so it audits changes, not absolute offsets
         return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * l_val
 
+    def fold_rows(ch: str) -> tuple:
+        """A record-ch shot's `_fold_coefficients`: whole shot, slot, jz_slot, each O and O^2."""
+        shot_r = shot[:, 0 if ch == "u" else 1]
+        amp = shot_r[slot_idx]
+        return (_fold_coefficients(shot_r), _fold_coefficients(amp),
+                _fold_coefficients(amp, jz_slot),
+                [_fold_coefficients(amp, op) for op in s_slot],
+                [_fold_coefficients(amp, op @ op) for op in s_slot])
+
+    rows = {ch: fold_rows(ch) for ch in set(pattern)}
     series = [moments(0)]
     weights = []
     for step, ch in enumerate(pattern):
-        shot_r = shot[:, 0 if ch == "u" else 1]
-        amp = shot_r[slot_idx]
+        full, slot, jz_row, s_rows, s2_rows = rows[ch]
         chan = _channel_weights(k_cur)
         rho_pairs = _channel_pairs(rho, chan)
         # record-r weight over all of particle (x) apparatus, slot or not
-        w_full = _trace(_fold(shot_r, rho_pairs))
-        rho_new = _fold(amp, rho_pairs)
+        w_full = _trace(_fold(full, rho_pairs))
+        rho_new = _fold(slot, rho_pairs)
         w_slot = _trace(rho_new)
         if w_full - w_slot > NUMERICS.state_atol:
             raise AssertionError(
@@ -509,14 +543,14 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
             raise ConservationError(
                 f"post-selected pattern has vanishing weight at step {step}"
             )
-        for axis, op in enumerate(s_slot):
+        for axis, (s_row, s2_row) in enumerate(zip(s_rows, s2_rows)):
             sig_pairs = _channel_pairs(sigma[axis], chan)
-            tau[axis] = (_fold(amp, _channel_pairs(tau[axis], chan))
-                         + 2 * _fold(amp, sig_pairs, op)
-                         + _fold(amp, rho_pairs, op @ op)) / w_slot
-            sigma[axis] = (_fold(amp, sig_pairs) + _fold(amp, rho_pairs, op)) / w_slot
-        ledger_sigma = (_fold(amp, _channel_pairs(ledger_sigma, chan))
-                        + _fold(amp, rho_pairs, jz_slot)) / w_slot
+            tau[axis] = (_fold(slot, _channel_pairs(tau[axis], chan))
+                         + 2 * _fold(s_row, sig_pairs)
+                         + _fold(s2_row, rho_pairs)) / w_slot
+            sigma[axis] = (_fold(slot, sig_pairs) + _fold(s_row, rho_pairs)) / w_slot
+        ledger_sigma = (_fold(slot, _channel_pairs(ledger_sigma, chan))
+                        + _fold(jz_row, rho_pairs)) / w_slot
         rho = rho_new / w_slot
         k_cur -= 0.5
         weights.append(w_slot)

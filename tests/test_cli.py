@@ -1,9 +1,13 @@
 import argparse
+import concurrent.futures
 import functools
 import json
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,7 +203,11 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the CLI's process pool for an in-process map; collect max_workers."""
+    """Swap the CLI's process pool for an in-process map; collect max_workers.
+
+    The CLI imports the pool from concurrent.futures only when a sweep runs
+    in parallel, so the patch goes where that import looks it up.
+    """
     sizes = []
 
     class RecordingPool:
@@ -215,7 +223,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -274,10 +282,22 @@ def test_measure_workers_use_the_parents_tolerances(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(NUMERICS, "operator_atol", 1e-30)
     serial = main(["measure", "--L", "1,2", "--output", str(tmp_path / "s.csv")])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
     pooled = main(["measure", "--L", "1,2", "--jobs", "2",
                    "--output", str(tmp_path / "p.csv")])
     capsys.readouterr()
     assert serial != 0
     assert pooled == serial
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # a serial run never needs the pool; its import is paid only by --jobs > 1
+    code = ("import sys, spinledger.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

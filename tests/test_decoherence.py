@@ -294,3 +294,57 @@ def test_decohere_beyond_the_dense_limit(args, capsys):
     _, rows = _decohere_rows(args, capsys)
     assert len(rows) == int(args[-1]) + 1
     assert all(row[4] <= sl.NUMERICS.conservation_atol for row in rows)
+
+
+# ------------------------------------------------------------- the whole curve
+
+def per_row_cross_term(final, kets, probe, sys_m):
+    """The cross term of one row as each row took it before: decompose the
+    premeasured state, bracket, times np.prod of the row's n overlaps."""
+    decomp = sl.decompose_branches(final, sys_m)
+    (_, up, _), (_, dn, _) = decomp.branches
+    cross = complex(np.vdot(up.amplitudes, probe(dn.amplitudes)))
+    if kets.shape[1]:
+        cross *= complex(np.prod(np.sum(kets[0].conj() * kets[1], axis=1)))
+    return cross
+
+
+@pytest.mark.parametrize("o", [0.0, 0.5, 0.8, 0.999])
+@pytest.mark.parametrize("L", [0.5, 3, 100])
+def test_curve_equals_the_per_row_cross_terms_bit_for_bit(L, o):
+    sys_m = sl.build_measurement_unitary(L)
+    r = 1 / np.sqrt(2)
+    final = sl.premeasure(r, r, sys_m)
+    env = sl.EnvironmentConfig(200, o)
+    amplified = sl.amplify_record(final, sys_m, env)
+    curve = sl.cross_term_curve(amplified, _flip_particle, sys_m, env)
+    assert len(curve) == 201
+    for n, cross in enumerate(curve):
+        want = per_row_cross_term(final, amplified.env_kets[:, :n], _flip_particle, sys_m)
+        assert (cross.real, cross.imag) == (want.real, want.imag), n
+    assert sl.macroscopic_cross_term(amplified, _flip_particle, sys_m, env) == curve[-1]
+
+
+def test_curve_multiplies_distinct_overlaps_in_order(premeasured):
+    sys_m, final = premeasured
+    rng = np.random.default_rng(3)
+    kets = rng.standard_normal((2, 300, 2)) + 1j * rng.standard_normal((2, 300, 2))
+    kets /= np.linalg.norm(kets, axis=2, keepdims=True)
+    curve = sl.cross_term_curve(sl.AmplifiedRecord(final, kets), _flip_particle, sys_m,
+                                sl.EnvironmentConfig(300, 0.5))
+    for n, cross in enumerate(curve):
+        assert cross == per_row_cross_term(final, kets[:, :n], _flip_particle, sys_m), n
+
+
+def test_decohere_decomposes_once_per_table(monkeypatch, capsys):
+    calls = []
+    decompose = sl.decoherence.decompose_branches
+
+    def counting(*args):
+        calls.append(1)
+        return decompose(*args)
+
+    monkeypatch.setattr(sl.decoherence, "decompose_branches", counting)
+    assert main(["decohere", "--L", "50", "--n-env", "300"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

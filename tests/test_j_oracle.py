@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spinledger as sl
-from spinledger import angular, apparatus
+from spinledger import angular, apparatus, cli
 
 L_VALUES = [0.5, 1, 2.5, 7, 40, 150]
 
@@ -140,6 +140,18 @@ def test_matching_residuals_match_the_per_component_oracle(device):
     amps = sl.extract_error_amplitudes(device)
     assert_bits_equal(apparatus._matching_residuals(device, amps),
                       oracle_matching_residuals(amps, device))
+
+
+@pytest.mark.parametrize("L", L_VALUES)
+def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
+    # a measure row takes |<u|Jx|u_err>| from the residual pass's brackets
+    device = sl.build_measurement_unitary(L)
+    amps = sl.extract_error_amplitudes(device)
+    weight, brackets = apparatus._matching_brackets(device, amps)[0]
+    assert weight == amps.C * amps.F
+    want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
+    assert_bits_equal(np.float64(abs(brackets[0])), np.float64(want))
+    assert_bits_equal(np.float64(cli._measure_row(L)[6]), np.float64(want))
 
 
 @pytest.mark.parametrize("L", L_VALUES)

@@ -1,7 +1,9 @@
 """Byte pins for the benchmarked commands, `satellite --L 10000` and JSON tables.
 
 Each CSV sha256 is that of the command's CSV as written before the
-three-component J pass and the streamed table writer, and each JSON
+three-component J pass and the streamed table writer; the two further
+internal streaks are pinned as written by the tensordot fold, before the
+per-fold dot.  Each JSON
 sha256 that of the output written whole by one `json.dumps`, before the
 JSON writer streamed; a change that moves a single output byte turns a
 test red.  The satellite's 40000-step pin lives in
@@ -32,6 +34,12 @@ PINNED = {
     "streak-internal": (
         ["streak", "--mode", "internal", "--n", "8", "--K", "16", "--L", "4"],
         "8f292ba638545eee24e362836a2870a78a235f4041a98bffd16aec32e729a268"),
+    "streak-internal-K40": (
+        ["streak", "--mode", "internal", "--n", "6", "--K", "40", "--L", "8"],
+        "4d92b28076a36474580269bf1279b33c03c089d0f8f32e2b5871856b25b0769e"),
+    "streak-internal-n12": (
+        ["streak", "--mode", "internal", "--n", "12", "--K", "24", "--L", "2"],
+        "5e9e9faee71a76718eb3b12388b6130eb4982282f5a6785de8bf327cf32606a3"),
 }
 
 PINNED_JSON = {
