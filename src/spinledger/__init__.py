@@ -55,7 +55,6 @@ from .experiments import (
     lucky_streak_j2,
     prepare_internal_source,
     satellite_run,
-    sequential_emissions,
 )
 from .ideal import (
     IdealBrackets,

@@ -77,10 +77,14 @@ def _format_rows(rows: list):
     Rows with the same cell types share one %-template, so a long table
     is formatted in C rather than by a `_fmt` call per cell.  A row with
     a complex cell, which %-formatting cannot spell like `_fmt`, goes
-    cell by cell.
+    cell by cell.  A row that is a `str` is a whole line already spelled
+    and passes through unchanged.
     """
     templates = {}
     for row in rows:
+        if type(row) is str:
+            yield row
+            continue
         types = tuple(map(type, row))
         if types not in templates:
             spell = ("%.17g" if issubclass(t, float) else "%s" for t in types)
@@ -154,6 +158,8 @@ def _write_table(args, meta: dict, columns: list[str], rows) -> None:
     Cells are numbers and labels, none of which holds a comma; a row may
     also carry a run of cells already spelled by `_format_rows`, joined by
     the same comma, so splitting a line on commas gives one cell per column.
+    A row may also be a whole line already spelled the same way, a `str`
+    without its newline, which `_format_rows` passes on as it stands.
     """
     chunks = (_json_chunks if args.format == "json" else _csv_chunks)(meta, columns, rows)
     if args.output:
@@ -287,14 +293,24 @@ def _cmd_decohere(args) -> None:
     ], rows)
 
 
-def _satellite_rows(run, outcome_cells: dict, audit_cell: str):
-    """Satellite table rows, built from one `_CHUNK_ROWS` slice of the arrays at a time."""
+def _satellite_lines(run, outcome_cells: np.ndarray, audit_cell: str):
+    """Satellite table lines, each `_CHUNK_ROWS` block spelled by one `%` call.
+
+    A block's cells fill an (m, 8) object array: the step, the outcome's
+    pre-spelled cells looked up by `outcome_up` in the two-entry
+    `outcome_cells` (dn, up), and the six ledger floats.  One row template,
+    repeated m times, spells them all with the `%.17g` of `_format_rows`.
+    """
+    row = "%d,%s" + ",%.17g" * 6 + "," + audit_cell.replace("%", "%%")
+    block = np.empty((min(_CHUNK_ROWS, run.n_particles), 8), dtype=object)
     for start in range(0, run.n_particles, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        ups = run.outcome_up[start:stop].tolist()
-        ledgers = np.hstack([run.ideal_ledger[start:stop], run.full_ledger[start:stop]]).tolist()
-        for step, up, books in zip(itertools.count(start + 1), ups, ledgers):
-            yield (step, outcome_cells[up], *books, audit_cell)
+        stop = min(start + _CHUNK_ROWS, run.n_particles)
+        cells = block[:stop - start]
+        cells[:, 0] = np.arange(start + 1, stop + 1)
+        cells[:, 1] = outcome_cells[run.outcome_up[start:stop].astype(np.intp)]
+        cells[:, 2:5] = run.ideal_ledger[start:stop]
+        cells[:, 5:] = run.full_ledger[start:stop]
+        yield from ("\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())).split("\n")
 
 
 def _cmd_satellite(args) -> None:
@@ -304,11 +320,13 @@ def _cmd_satellite(args) -> None:
         k: v for k, v in run.metadata.items() if k not in ("prng", "seed")
     }})
     info = run.branch_info
-    # the outcome's label, weight and <J>, and the audit, spelled once
-    outcome_cells = dict(zip((True, False), _format_rows(
-        [label, info[label]["weight"], *info[label]["j"].tolist()] for label in ("up", "dn"))))
+    # the outcome's label, weight and <J>, in the (dn, up) order that
+    # `outcome_up` indexes, and the audit, spelled once
+    outcome_cells = np.array(list(_format_rows(
+        [label, info[label]["weight"], *info[label]["j"].tolist()] for label in ("dn", "up"))),
+        dtype=object)
     audit_cell = next(_format_rows([[run.audit_deviation]]))
-    rows = _satellite_rows(run, outcome_cells, audit_cell)
+    rows = _satellite_lines(run, outcome_cells, audit_cell)
     _write_table(args, meta, [
         "step", "outcome", "branch_weight",
         "branch_jx", "branch_jy", "branch_jz",
@@ -345,7 +363,9 @@ def _parse_l(value: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spinledger",
         description="Angular-momentum bookkeeping for quantum spin measurement",

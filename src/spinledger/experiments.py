@@ -57,7 +57,6 @@ __all__ = [
     "StreakReport",
     "satellite_run",
     "entangled_source_emit",
-    "sequential_emissions",
     "prepare_internal_source",
     "lucky_streak_j2",
 ]
@@ -226,17 +225,6 @@ def _emission_bands(K: float) -> np.ndarray:
     return bands
 
 
-def _emission_matrix(K: float) -> np.ndarray:
-    """Isometry from the spin-K register to spin-(K-1/2) (x) particle."""
-    bands = _emission_bands(K)
-    d_out = bands.shape[1]
-    i = np.arange(d_out)
-    v = np.zeros((d_out, 2, d_out + 1), dtype=np.complex128)
-    v[i, 0, i] = bands[0]
-    v[i, 1, i + 1] = bands[1]
-    return v.reshape(2 * d_out, d_out + 1)
-
-
 def entangled_source_emit(source_state: StateVector, K) -> StateVector:
     """Emit one transversely polarized particle from a spin-K source.
 
@@ -258,34 +246,11 @@ def entangled_source_emit(source_state: StateVector, K) -> StateVector:
         raise ValueError(
             f"<Kz> = {kz_mean:.6g} <= 0: source orientation undefined"
         )
-    out = _emission_matrix(K) @ source_state.amplitudes
-    return StateVector((round(2 * K), 2), out)
-
-
-def sequential_emissions(source_state: StateVector, K, n: int) -> StateVector:
-    """n successive emissions; returns source (x) particle_1 ... particle_n."""
-    K = _check_spin(K, 1.0, "source spin")
-    if n < 1:
-        raise ValueError("need at least one emission")
-    d_final = round(2 * K + 1) - n
-    if d_final < 1:
-        raise ValueError(f"source spin K={K} cannot emit {n} particles")
-    if d_final * 2 ** n > NUMERICS.max_total_dim:
-        raise ValueError(
-            f"sequential_emissions refused: {d_final} x 2^{n} = {d_final * 2 ** n} "
-            f"exceeds the configured maximum total dimension {NUMERICS.max_total_dim}"
-        )
-    t = source_state.amplitudes.copy()
-    shape = [round(2 * K + 1)]
-    k_cur = K
-    for _ in range(n):
-        v3 = _emission_matrix(k_cur).reshape(round(2 * k_cur), 2, shape[0])
-        t = np.tensordot(v3, t.reshape(shape), axes=([2], [0]))
-        # new particle axis sits at position 1; push it behind the others
-        t = np.moveaxis(t, 1, -1)
-        shape = [round(2 * k_cur)] + shape[1:] + [2]
-        k_cur -= 0.5
-    return StateVector(tuple(shape), t.reshape(-1))
+    # output level i takes register level i (up) and level i + 1 (down)
+    bands = _emission_bands(K)
+    psi = source_state.amplitudes
+    out = np.stack([bands[0] * psi[:-1], bands[1] * psi[1:]], axis=1)
+    return StateVector((round(2 * K), 2), out.reshape(-1))
 
 
 def prepare_internal_source(K, margin: int,

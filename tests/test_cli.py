@@ -301,3 +301,15 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a parse leaves the parser as it was: defaults come back on the next call
+    first = run_cli(["satellite", "--n", "3", "--L", "2", "--seed", "4"], capsys)[1]
+    assert run_cli(["satellite", "--n", "5", "--a-re", "1", "--b-re", "0"], capsys)[0] == 0
+    assert run_cli(["satellite", "--n", "3", "--L", "2", "--seed", "4"], capsys)[1] == first
+    meta, _ = parse_csv(run_cli(["satellite", "--n", "2"], capsys)[1])
+    assert meta["config"].split() == ["satellite", "--L", "8.0", "--a-im", "0.0",
+                                      "--a-re", "0.7071067811865475", "--b-im", "0.0",
+                                      "--b-re", "0.7071067811865475", "--n", "2", "--seed", "0"]

