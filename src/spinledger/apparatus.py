@@ -59,6 +59,9 @@ HBAR_SI = 1.0546e-34      # J*s
 
 _LABELS = ("up", "dn")
 
+# the spin-1/2 bands, shared by every device
+_SPIN_HALF = spin_operators(0.5)
+
 
 # --------------------------------------------------------------------------
 # Clebsch-Gordan sectors
@@ -71,6 +74,11 @@ _LABELS = ("up", "dn")
 # operator that keeps total Jz is a (d+1, 2, 2) stack of blocks.
 # --------------------------------------------------------------------------
 
+# sectors per pass of the build's audits and of `_sector_j_means`, which
+# bounds their temporaries at any L
+_SECTOR_CHUNK = 4096
+
+
 def _to_sectors(v: np.ndarray) -> np.ndarray:
     """Particle (x) apparatus amplitudes (kron layout) as (d+1, 2) sector slots."""
     t = v.reshape(2, -1)
@@ -81,37 +89,31 @@ def _to_sectors(v: np.ndarray) -> np.ndarray:
     return sec
 
 
-def _from_sectors(sec: np.ndarray) -> np.ndarray:
-    """Inverse of `_to_sectors`: the kron-layout amplitudes, phantoms dropped."""
-    return np.concatenate([sec[:-1, 0], sec[1:, 1]])
-
-
-def _sector_projectors(L: float) -> tuple[np.ndarray, np.ndarray]:
-    """P+ and P- as (2L+2, 2, 2) sector blocks, idempotence and rank audited.
+def _sector_projectors(L: float) -> np.ndarray:
+    """P+ and P- as one (2, 2L+2, 2, 2) stack of sector blocks.
 
     S.L has the two eigenvalues L/2 and -(L+1)/2, so P+ = (S.L + (L+1)/2) /
     (L+1/2) is exactly rotationally invariant; on sector M it is
     [[L+1/2+M, r], [r, L+1/2-M]] / (2L+1) with r = sqrt((L+1/2)^2 - M^2).
-    The edge sectors are 1x1 with P+ = 1.
+    The edge sectors are 1x1 with P+ = 1.  `build_measurement_unitary`
+    audits the stack.
     """
     d = round(2 * L + 1)
     M = L + 0.5 - np.arange(d + 1)
-    plus = np.empty((d + 1, 2, 2))
+    blocks = np.empty((2, d + 1, 2, 2))
+    plus = blocks[0]
     plus[:, 0, 0] = L + 0.5 + M
     plus[:, 0, 1] = plus[:, 1, 0] = np.sqrt((L + 0.5) ** 2 - M ** 2)
     plus[:, 1, 1] = L + 0.5 - M
     plus /= 2 * L + 1
-    minus = _sector_identity(d) - plus
-
-    for p, rank in ((plus, 2 * L + 2), (minus, 2 * L)):
-        idem = np.max(np.abs(p @ p - p))
-        if idem > NUMERICS.state_atol:
-            raise AssertionError(f"projector not idempotent: {idem:.3e}")
-        trace = float(np.sum(np.trace(p, axis1=1, axis2=2).real))
-        if abs(trace - rank) > NUMERICS.operator_atol:
-            raise AssertionError(f"projector rank {trace!r} != {rank}")
-        p.setflags(write=False)
-    return plus, minus
+    # P- = 1 - P+ without forming the identity, which the build forms once
+    # for its unitarity audit: 0 - P+, then 1 added on the real diagonal
+    # slots, gives the bits of 1 - P+, with +0 where P+ is 0
+    minus = np.subtract(0.0, plus, out=blocks[1])
+    minus[:-1, 0, 0] += 1.0
+    minus[1:, 1, 1] += 1.0
+    blocks.setflags(write=False)
+    return blocks
 
 
 def _sector_identity(d: int) -> np.ndarray:
@@ -129,18 +131,36 @@ def _raising_blocks(half: SpinOperators, app: SpinOperators) -> np.ndarray:
 
 
 def _commutator_devs(p: np.ndarray, raising: np.ndarray, jz: np.ndarray) -> tuple[float, ...]:
-    """Max-entry norms of [P, Jx], [P, Jy] and [P, Jz] for a sector block stack P.
+    """Max-entry norms of [P, Jx], [P, Jy] and [P, Jz] over sector block stacks P.
 
-    [P, J+] only links sector k to k-1 and [P, J-] only k-1 to k, so the
-    two never share an entry, and Jx, Jy = (J+ +- J-)/(2 or 2i) give both
-    the norm max(|[P, J+]|, |[P, J-]|) / 2.  Jz is diagonal on each sector.
+    p is (..., 2L+2, 2, 2), one block stack per leading index, and the norms
+    are the largest over all of them.  [P, J+] only links sector k to k-1
+    and [P, J-] only k-1 to k, so the two never share an entry, and Jx, Jy
+    = (J+ +- J-)/(2 or 2i) give both the norm max(|[P, J+]|, |[P, J-]|) / 2.
+    Jz is diagonal on each sector.
     """
     lowering = raising.conj().transpose(0, 2, 1)
-    c_plus = p[:-1] @ raising - raising @ p[1:]
-    c_minus = p[1:] @ lowering - lowering @ p[:-1]
-    transverse = max(np.max(np.abs(c_plus)), np.max(np.abs(c_minus))) / 2
+    head, tail = p[..., :-1, :, :], p[..., 1:, :, :]
+    transverse = max(np.max(np.abs(head @ raising - raising @ tail)),
+                     np.max(np.abs(tail @ lowering - lowering @ head))) / 2
     longitudinal = np.max(np.abs(p * (jz[:, None, :] - jz[:, :, None])))
     return transverse, transverse, longitudinal
+
+
+def _stack_devs(p: np.ndarray, ident: np.ndarray, raising: np.ndarray,
+                jz: np.ndarray) -> np.ndarray:
+    """[unitarity, idempotence, |[P, Jx]|, |[P, Jy]|, |[P, Jz]|] of a P+, P- stack.
+
+    p is (2, n, 2, 2), P+ then P- over n consecutive sectors; ident and jz
+    are the sector identity and slot Jz over the same sectors, raising the
+    n - 1 J+ blocks between them.  Each entry is a max over both projectors.
+    U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X, per sector.
+    """
+    squares = p @ p
+    unitarity = max(np.max(np.abs(squares[0] + squares[1] - ident)),
+                    np.max(np.abs(np.add(*(p @ p[::-1])))))
+    idempotence = np.max(np.abs(squares - p))
+    return np.array([unitarity, idempotence, *_commutator_devs(p, raising, jz)])
 
 
 @dataclass(frozen=True)
@@ -149,10 +169,11 @@ class CompositeSystem:
 
     The record carries no angular momentum, so U = P+ (x) 1 + P- (x) X and
     J = j_pa (x) 1 are fixed by the projectors and the spin algebras.  A
-    build keeps P+ and P- as (2L+2, 2, 2) sector blocks and both spins'
-    banded `SpinOperators`; `premeasure` and every audit work on those in
-    O(L).  That is the device's only representation: no dense operator of
-    side 2(2L+1) or 4(2L+1) is built, kept or offered.
+    build keeps P+ and P- as (2L+2, 2, 2) sector blocks, both spins'
+    banded `SpinOperators`, and the J+ blocks and slot Jz its audits read;
+    `premeasure` and every audit work on those in O(L).  That is the
+    device's only representation: no dense operator of side 2(2L+1) or
+    4(2L+1) is built, kept or offered.
     """
 
     L: float
@@ -163,6 +184,8 @@ class CompositeSystem:
     spin_app: SpinOperators
     plus_blocks: np.ndarray
     minus_blocks: np.ndarray
+    raising_blocks: np.ndarray   # (2L+1, 2, 2), from `_raising_blocks`
+    slot_jz: np.ndarray          # (2L+2, 2), the total Jz of each sector slot
 
     @property
     def pa_dim(self) -> int:
@@ -186,24 +209,36 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
             f"build_measurement_unitary refused: 4 x {d} = {4 * d} exceeds the "
             f"configured maximum total dimension {NUMERICS.max_total_dim}"
         )
-    half, app = spin_operators(0.5), spin_operators(L)
-    plus, minus = _sector_projectors(L)
+    half, app = _SPIN_HALF, spin_operators(L)
+    blocks = np.asarray(_sector_projectors(L))
+    plus, minus = blocks
+    raising = _raising_blocks(half, app)
+    jz = _to_sectors(np.add.outer(half.m, app.m)).real.copy()   # total Jz of each slot
+    ident = _sector_identity(d)
 
-    # U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X, per sector
-    dev = max(np.max(np.abs(plus @ plus + minus @ minus - _sector_identity(d))),
-              np.max(np.abs(plus @ minus + minus @ plus)))
-    if dev > NUMERICS.operator_atol:
-        raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {dev:.3e}")
+    # P+ and P- are audited as one stack.  Every deviation is a max over
+    # sectors, so the stack goes `_SECTOR_CHUNK` sectors at a time, each
+    # chunk with the next sector, which J+ links to its last one.
+    devs = np.zeros(5)
+    for start in range(0, d, _SECTOR_CHUNK):
+        window = slice(start, start + _SECTOR_CHUNK + 1)
+        np.maximum(devs, _stack_devs(blocks[:, window], ident[window],
+                                     raising[start:start + _SECTOR_CHUNK], jz[window]), out=devs)
+    unitarity, idempotence, *commutators = devs.tolist()
+    if unitarity > NUMERICS.operator_atol:
+        raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}")
+    if idempotence > NUMERICS.state_atol:
+        raise AssertionError(f"projector not idempotent: {idempotence:.3e}")
+    traces = np.trace(blocks, axis1=2, axis2=3).real.sum(axis=1)
+    for trace, rank in zip(traces.tolist(), (2 * L + 2, 2 * L)):
+        if abs(trace - rank) > NUMERICS.operator_atol:
+            raise AssertionError(f"projector rank {trace!r} != {rank}")
 
     # [U, J (x) 1] = [P+, J] (x) 1 + [P-, J] (x) X: the two blocks never
     # share an entry, so the max-entry norm is the larger block's.  An
     # idempotent P+ of rank 2L+2 that commutes with every J_k can only be
     # the j = L+1/2 projector, so these audits pin the device completely.
-    raising = _raising_blocks(half, app)
-    jz = _to_sectors(np.add.outer(half.m, app.m)).real   # total Jz of each slot
-    devs = [max(pair) for pair in zip(_commutator_devs(plus, raising, jz),
-                                      _commutator_devs(minus, raising, jz))]
-    for axis, dev in zip("xyz", devs):
+    for axis, dev in zip("xyz", commutators):
         if dev > NUMERICS.operator_atol:
             raise ConservationError(
                 f"premeasurement unitary does not conserve J{axis}: "
@@ -219,6 +254,8 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
         spin_app=app,
         plus_blocks=plus,
         minus_blocks=minus,
+        raising_blocks=raising,
+        slot_jz=jz,
     )
 
 
@@ -245,25 +282,75 @@ def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     return StateVector(sys.dims[:2], np.kron(spinor, sys.apparatus_state.amplitudes))
 
 
+# record 0, record 1, and minus the input: the weights that turn the
+# <J> of an input's three premeasure kets into its drift
+_DRIFT_WEIGHTS = np.array([1.0, 1.0, -1.0])
+
+
+def _sector_j_means(kets: np.ndarray, weights: np.ndarray, raising: np.ndarray,
+                    jz: np.ndarray) -> np.ndarray:
+    """sum_s weights[s] (<Jx>, <Jy>, <Jz>) of each stack of sector kets, shape (..., 3).
+
+    kets is (..., s, 2, 2L+2), slot-major: kets[..., s, a, k] is slot a of
+    sector k (`_to_sectors`).  <J+> = sum_k x_k^dag R_k x_(k+1) reads the
+    J+ blocks R of `_raising_blocks` and <Jz> the slot Jz, the blocks the
+    build's [P, J] audit uses; <Jx> and <Jy> are the real and imaginary
+    parts of <J+>.  The weighted sum over s is taken within each sector
+    before the sectors are summed, so a drift, a small difference of O(L)
+    means, is not rounded at the size of the means.  The sectors go
+    `_SECTOR_CHUNK` at a time.
+    """
+    total = np.zeros(kets.shape[:-3] + (3,))
+    n_sec = kets.shape[-1]
+    for start in range(0, n_sec, _SECTOR_CHUNK):
+        stop = min(start + _SECTOR_CHUNK, n_sec)
+        x = kets[..., start:stop + 1]   # with sector `stop`, which J+ takes into the chunk
+        bras = x.conj()
+        bras *= weights[:, None, None]
+        jplus = np.einsum("...sak,kab,...sbk->...k",
+                          bras[..., :-1], raising[start:stop], x[..., 1:]).sum(axis=-1)
+        jz_mean = np.einsum("...sak,ka,...sak->...k", bras[..., :stop - start], jz[start:stop],
+                            x[..., :stop - start]).sum(axis=-1).real
+        total += np.stack([jplus.real, jplus.imag, jz_mean], axis=-1)
+    return total
+
+
+def _premeasure_all(spinors, sys: CompositeSystem) -> list[StateVector]:
+    """`premeasure` of each (a, b) in spinors on one device, in one sector pass.
+
+    One (n, 3, 2, 2L+2) stack holds, for each input psi, the record-0 ket
+    P+ psi, the record-1 ket P- psi and psi itself as slot-major sector
+    amplitudes; the records are one einsum per projector.  The drift
+    audit reads the whole stack in two einsum passes (`_sector_j_means`)
+    and checks it input by input, so two inputs' drifts cannot cancel.
+    """
+    app = sys.apparatus_state.amplitudes
+    pairs = np.array([_check_spinor(a, b) for a, b in spinors], dtype=np.complex128)
+    kets = np.zeros((len(pairs), 3, 2, app.size + 1), dtype=np.complex128)
+    psi = kets[:, 2]
+    psi[:, 0, :-1] = pairs[:, :1] * app    # |up, m> is slot 0 of sector L - m
+    psi[:, 1, 1:] = pairs[:, 1:] * app     # |down, m> is slot 1 of sector L - m + 1
+    for r, p in enumerate((sys.plus_blocks, sys.minus_blocks)):
+        np.einsum("kab,nbk->nak", p, psi, out=kets[:, r])
+    drift = np.abs(_sector_j_means(kets, _DRIFT_WEIGHTS, sys.raising_blocks, sys.slot_jz))
+    for axis, dev in zip("xyz" * len(pairs), drift.ravel().tolist()):
+        if dev > NUMERICS.conservation_atol:
+            raise ConservationError(
+                f"<J{axis}> drifted by {dev:.3e} during premeasurement"
+            )
+    # the kron layout (particle, apparatus, record), copied once into the state
+    return [StateVector(sys.dims, [rec[:, 0, :-1].T, rec[:, 1, 1:].T]) for rec in kets[:, :2]]
+
+
 def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     """Entangle psi = (a|up> + b|down>) (x) apparatus with a record at 0.
 
     The record ends holding P+ psi at 0 and P- psi at 1, applied sector by
     sector.  Audited: each <J_k>, summed over both record sectors, must
     match <psi|J_k|psi> to the conservation tolerance, else
-    ConservationError.
+    ConservationError.  This is the one-input case of `_premeasure_all`.
     """
-    psi = _initial_state(a, b, sys).amplitudes
-    sec = _to_sectors(psi)
-    by_record = [_from_sectors(np.einsum("kab,kb->ka", p, sec))
-                 for p in (sys.plus_blocks, sys.minus_blocks)]
-    drift = np.abs(sum(_j_means(sys, t) for t in by_record) - _j_means(sys, psi))
-    for axis, dev in zip("xyz", drift):
-        if dev > NUMERICS.conservation_atol:
-            raise ConservationError(
-                f"<J{axis}> drifted by {dev:.3e} during premeasurement"
-            )
-    return StateVector(sys.dims, np.stack(by_record, axis=1))
+    return _premeasure_all([(a, b)], sys)[0]
 
 
 @dataclass(frozen=True)
@@ -346,9 +433,8 @@ def _sectors(final: StateVector, sys: CompositeSystem) -> dict:
 
 
 def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
-    """Run both eigenstate inputs and read off C, D, E, F and the kets."""
-    p = _sectors(premeasure(1.0, 0.0, sys), sys)
-    q = _sectors(premeasure(0.0, 1.0, sys), sys)
+    """Run both eigenstate inputs, premeasured together, and read off C, D, E, F and the kets."""
+    p, q = (_sectors(final, sys) for final in _premeasure_all([(1.0, 0.0), (0.0, 1.0)], sys))
     (c, u), (d_amp, d_err) = p["up"], p["dn"]
     (f, u_err), (e, d) = q["up"], q["dn"]
     for total, name in ((c * c + d_amp * d_amp, "C^2+D^2"),

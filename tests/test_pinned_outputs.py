@@ -3,7 +3,8 @@
 Each CSV sha256 is that of the command's CSV as written before the
 three-component J pass and the streamed table writer; the two further
 internal streaks are pinned as written by the tensordot fold, before the
-per-fold dot.  Each JSON
+per-fold dot, and `measure --L 1000,10000` as written before both
+eigenstate inputs were premeasured in one sector pass.  Each JSON
 sha256 that of the output written whole by one `json.dumps`, before the
 JSON writer streamed; a change that moves a single output byte turns a
 test red.  The satellite's 40000-step pin lives in
@@ -25,6 +26,9 @@ PINNED = {
     "measure-large": (
         ["measure", "--L", "64,96,128,160"],
         "0b1205c32b13b49347be0758b564903252d5ad11e57d9e775b759947ea6d4aab"),
+    "measure-macroscopic": (
+        ["measure", "--L", "1000,10000"],
+        "d67dd14c4aa846e2009b9eed1c875f074e7d4103f550ac50e7d5c842979bd74e"),
     "decohere": (
         ["decohere", "--L", "0.5", "--overlap", "0.8", "--n-env", "17"],
         "bb6648e8c6e13ff79b47030b302182e19be8b114448d7a6aeb542b140df7991a"),
