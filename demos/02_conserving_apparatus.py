@@ -16,14 +16,22 @@ import numpy as np
 import spinledger as sl
 
 
+def spin_matrices(j):
+    """Dense (Jx, Jy, Jz) of spin j, from its Jz diagonal and J+ band."""
+    ops = sl.spin_operators(j)
+    jp = np.diag(ops.raising.astype(complex), 1)
+    jm = jp.conj().T
+    return [(jp + jm) / 2, (jp - jm) / 2j, np.diag(ops.m.astype(complex))]
+
+
 def dense_device(L):
     """Dense U = P+ (x) 1 + P- (x) X and J_k over particle (x) apparatus, from S.L."""
-    s, a = sl.spin_operators(0.5), sl.spin_operators(L)
-    pairs = [(sk.entries, ak.entries) for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz))]
-    eye = np.eye(2 * a.dim)
+    pairs = list(zip(spin_matrices(0.5), spin_matrices(L)))
+    dim = round(2 * L + 1)
+    eye = np.eye(2 * dim)
     plus = (sum(np.kron(sk, ak) for sk, ak in pairs) + (L + 1) / 2 * eye) / (L + 0.5)
     u = np.kron(plus, np.eye(2)) + np.kron(eye - plus, [[0, 1], [1, 0]])
-    return u, [np.kron(sk, np.eye(a.dim)) + np.kron(np.eye(2), ak) for sk, ak in pairs]
+    return u, [np.kron(sk, np.eye(dim)) + np.kron(np.eye(2), ak) for sk, ak in pairs]
 
 
 print("L    C        D        E        F        1/sqrt(2L+1)   max|[U,J]|")

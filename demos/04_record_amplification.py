@@ -16,11 +16,21 @@ sys_m = sl.build_measurement_unitary(2)
 r = 1 / np.sqrt(2)
 final = sl.premeasure(r, r, sys_m)
 
-# a probe that connects the two record sectors: the particle's sigma_x
-probe = sl.Operator(
-    np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(sys_m.dims[1])),
-    hermitian=True,
-)
+
+def probe(v):
+    """A probe that connects the two record sectors: the particle's sigma_x.
+
+    On particle (x) apparatus amplitudes it swaps the particle's halves.
+    """
+    return v.reshape(2, -1)[::-1].reshape(-1)
+
+
+def spin_matrices(ops):
+    """Dense (Jx, Jy, Jz) of a spin, from its Jz diagonal and J+ band."""
+    jp = np.diag(ops.raising.astype(complex), 1)
+    jm = jp.conj().T
+    return [(jp + jm) / 2, (jp - jm) / 2j, np.diag(ops.m.astype(complex))]
+
 
 for o in (0.0, 0.5, 0.9):
     baseline = sl.macroscopic_cross_term(final, probe, sys_m,
@@ -38,9 +48,8 @@ for o in (0.0, 0.5, 0.9):
 print("Angular momentum itself never needed the suppression: J preserves")
 print("the total-j manifolds that label the record sectors, so its")
 print("branch cross terms are zero before any environment is attached:")
-s, a = sys_m.spin_half, sys_m.spin_app
-for sk, ak, name in ((s.jx, a.jx, "x"), (s.jy, a.jy, "y"), (s.jz, a.jz, "z")):
-    jk = sl.Operator(np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries),
-                     hermitian=True)
-    cross = sl.macroscopic_cross_term(final, jk, sys_m, sl.EnvironmentConfig(0, 0.5))
+dim = sys_m.spin_app.dim
+for sk, ak, name in zip(spin_matrices(sys_m.spin_half), spin_matrices(sys_m.spin_app), "xyz"):
+    jk = np.kron(sk, np.eye(dim)) + np.kron(np.eye(2), ak)
+    cross = sl.macroscopic_cross_term(final, jk.__matmul__, sys_m, sl.EnvironmentConfig(0, 0.5))
     print(f"  <up|J{name}|dn> = {abs(cross):.2e}")

@@ -3,7 +3,7 @@
 A numerical laboratory for the question of whether quantum measurement
 violates conservation laws.  The pieces:
 
-* kernel      states and small dense operators over tensor-product spaces
+* kernel      states over tensor-product spaces and their partial trace
 * angular     the banded spin-j algebra, closed-form coherent states,
               the Bloch map
 * ideal       the idealized-measurement algebra and violation taxonomy
@@ -64,16 +64,4 @@ from .ideal import (
     ideal_forced_cross_terms,
     weighted_branch_average,
 )
-from .kernel import (
-    ConservationError,
-    Operator,
-    StateVector,
-    apply,
-    basis_state,
-    bracket,
-    expectation,
-    identity,
-    kron,
-    partial_trace,
-    random_state,
-)
+from .kernel import ConservationError, StateVector, partial_trace

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import NUMERICS
-from .kernel import Operator, StateVector
+from .kernel import StateVector
 
 __all__ = [
     "SpinOperators",
@@ -41,11 +41,14 @@ def _check_spin(j, minimum: float = 0.0, name: str = "spin") -> float:
 
 
 def _check_spinor(a: complex, b: complex) -> tuple[complex, complex]:
-    """(a, b) as complex numbers, if |a|^2 + |b|^2 = 1 to the state tolerance."""
+    """(a, b) as complex numbers, if |a|^2 + |b|^2 = 1 to the state tolerance.
+
+    The gate is written so that a nan norm fails it too.
+    """
     a = complex(a)
     b = complex(b)
     nrm2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(nrm2 - 1.0) > NUMERICS.state_atol:
+    if not abs(nrm2 - 1.0) <= NUMERICS.state_atol:
         raise ValueError(f"spinor not normalized: |a|^2 + |b|^2 = {nrm2!r}")
     return a, b
 
@@ -55,9 +58,8 @@ class SpinOperators:
     """The spin-j algebra as its two bands, in O(j) memory.
 
     m is the Jz diagonal j, j-1, ..., -j; raising is the J+ superdiagonal,
-    raising[i] = <m_i|J+|m_(i+1)>.  Jx, Jy and J- follow from these two.
-    The dense jx, jy, jz, jplus and jminus are built anew on each access,
-    uncached, for tests and small-j demonstrations.
+    raising[i] = <m_i|J+|m_(i+1)>.  Jx, Jy and J- follow from these two;
+    `_ladder_matvecs` applies all three without forming a matrix.
     """
 
     j: float
@@ -67,32 +69,6 @@ class SpinOperators:
     @property
     def dim(self) -> int:
         return self.m.size
-
-    def _dense_ladder(self) -> tuple[np.ndarray, np.ndarray]:
-        jp = np.diag(self.raising.astype(np.complex128), 1)
-        return jp, jp.conj().T
-
-    @property
-    def jx(self) -> Operator:
-        jp, jm = self._dense_ladder()
-        return Operator((jp + jm) / 2, hermitian=True)
-
-    @property
-    def jy(self) -> Operator:
-        jp, jm = self._dense_ladder()
-        return Operator((jp - jm) / 2j, hermitian=True)
-
-    @property
-    def jz(self) -> Operator:
-        return Operator(np.diag(self.m.astype(np.complex128)), hermitian=True)
-
-    @property
-    def jplus(self) -> Operator:
-        return Operator(self._dense_ladder()[0])
-
-    @property
-    def jminus(self) -> Operator:
-        return Operator(self._dense_ladder()[1])
 
 
 def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

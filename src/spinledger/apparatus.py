@@ -537,11 +537,21 @@ class ThermalApparatus:
 
 def thermal_orientation_uncertainty(moment_of_inertia: float,
                                     temperature: float) -> ThermalApparatus:
-    if moment_of_inertia <= 0:
-        raise ValueError(f"moment_of_inertia must be positive, got {moment_of_inertia!r}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    """The thermal estimate for a device of inertia I (kg m^2) at T (K).
+
+    I, T and their product I k T must all be positive and finite.
+    """
+    if not (math.isfinite(moment_of_inertia) and moment_of_inertia > 0):
+        raise ValueError(
+            f"moment_of_inertia must be positive and finite, got {moment_of_inertia!r}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
     ikt = moment_of_inertia * BOLTZMANN_K * temperature
+    if not (math.isfinite(ikt) and ikt > 0):
+        raise ValueError(
+            f"I k T = {moment_of_inertia!r} x {BOLTZMANN_K!r} x {temperature!r} "
+            f"leaves the float range ({ikt!r})"
+        )
     delta_l = math.sqrt(ikt)
     delta_theta = HBAR_SI / delta_l
     return ThermalApparatus(

@@ -183,7 +183,15 @@ def _write_table(args, meta: dict, columns: list[str], rows) -> None:
 def _spinor(args) -> tuple[complex, complex]:
     a = complex(args.a_re, args.a_im)
     b = complex(args.b_re, args.b_im)
-    nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    try:
+        nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    except OverflowError:
+        nrm = math.inf
+    if not math.isfinite(nrm):
+        raise ValueError(
+            f"--a-re/--a-im/--b-re/--b-im must be finite with a finite norm, "
+            f"got a = {a!r}, b = {b!r}"
+        )
     if nrm < 1e-12:
         raise ValueError("spinor amplitudes are all zero")
     return a / nrm, b / nrm

@@ -15,7 +15,9 @@ class NumericsConfig:
     state_atol: float = 1e-12
     # unitarity, hermiticity, commutator checks on operators
     operator_atol: float = 1e-10
-    # kron refuses to build anything larger than this total dimension
+    # size cap checked before allocation: the device's full composite
+    # 4(2L+1), amplification's 4 n_env factor-ket amplitudes, the
+    # satellite's n, and a quarter of the internal streak's (2K+1)^2 moments
     max_total_dim: int = 2**20
     # branches below this Born weight are dropped as empty
     branch_weight_floor: float = 1e-14

@@ -21,7 +21,7 @@ import numpy as np
 
 from .apparatus import CompositeSystem, decompose_branches
 from .config import NUMERICS
-from .kernel import Operator, StateVector
+from .kernel import StateVector
 
 __all__ = [
     "AmplifiedRecord",
@@ -104,7 +104,7 @@ def amplify_record(state: StateVector, sys: CompositeSystem,
 
 
 def cross_term_curve(state: StateVector | AmplifiedRecord,
-                     a: Operator | Callable[[np.ndarray], np.ndarray],
+                     a: Callable[[np.ndarray], np.ndarray],
                      sys: CompositeSystem,
                      env: EnvironmentConfig) -> list[complex]:
     """`macroscopic_cross_term` after the first n record copies, for n = 0..n_qubits.
@@ -121,13 +121,6 @@ def cross_term_curve(state: StateVector | AmplifiedRecord,
             f"state dims {state.dims} do not match system + environment "
             f"{expected_dims}"
         )
-    if isinstance(a, Operator):
-        if a.dim != sys.pa_dim:
-            raise ValueError(
-                f"operator dim {a.dim} must act on particle (x) apparatus "
-                f"({sys.pa_dim})"
-            )
-        a = a.entries.__matmul__
     premeasured = state.premeasured if isinstance(state, AmplifiedRecord) else state
     decomp = decompose_branches(premeasured, sys)
     if decomp.omitted:
@@ -143,18 +136,17 @@ def cross_term_curve(state: StateVector | AmplifiedRecord,
 
 
 def macroscopic_cross_term(state: StateVector | AmplifiedRecord,
-                           a: Operator | Callable[[np.ndarray], np.ndarray],
+                           a: Callable[[np.ndarray], np.ndarray],
                            sys: CompositeSystem,
                            env: EnvironmentConfig) -> complex:
     """<branch_up| A (x) 1_env |branch_dn> between normalized record sectors.
 
-    a acts on particle (x) apparatus, as a dense Operator or as a function
-    applying it to an amplitude vector of that space, and is extended by
-    the identity over the environment; the record label itself is
-    factored out of each sector.  The bracket is taken on particle (x)
-    apparatus and multiplied by the product of the n per-qubit overlaps
-    <e_up,i|e_dn,i>, so its magnitude is copy_fidelity**n_qubits times the
-    unamplified value up to rounding.  It is the last entry of
+    a is the probe A as a function applying it to an amplitude vector of
+    particle (x) apparatus, and is extended by the identity over the
+    environment; the record label itself is factored out of each sector.
+    The bracket is taken on particle (x) apparatus and multiplied by the
+    product of the n per-qubit overlaps <e_up,i|e_dn,i>, so its magnitude
+    is copy_fidelity**n_qubits times the unamplified value up to rounding.  It is the last entry of
     `cross_term_curve`.
     """
     return cross_term_curve(state, a, sys, env)[-1]

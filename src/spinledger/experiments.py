@@ -70,6 +70,13 @@ PRNG_ID = "numpy.random.PCG64"
 # along +z stays positive.
 DEFAULT_SOURCE_TILT = math.radians(85.0)
 
+# The particle's dense (Sx, Sy, Sz) for both streaks, with every zero +0.0
+# as the ladder construction (J+ +- J-)/2 and /2i leaves it.
+_SPIN_HALF = np.array([[[0, 0.5], [0.5, 0]],
+                       [[0, complex(0, -0.5)], [complex(0, 0.5), 0]],
+                       [[0.5, 0], [0, -0.5]]], dtype=np.complex128)
+_SPIN_HALF.setflags(write=False)
+
 
 # --------------------------------------------------------------------------
 # satellite ledgers
@@ -364,8 +371,6 @@ def _external_streak(L, pattern: str) -> StreakReport:
     decomp = decompose_branches(final, sys)
     by_label = {label: (coeff, state) for coeff, state, label in decomp.branches}
 
-    s = sys.spin_half
-    s_ops = (s.jx.entries, s.jy.entries, s.jz.entries)
     j2_series = [0.0]
     jz_series = [0.0]
     weights = []
@@ -376,7 +381,7 @@ def _external_streak(L, pattern: str) -> StreakReport:
         coeff, state = by_label[label]
         weights.append(coeff ** 2)
         rho = partial_trace(state, keep=[0])
-        m = np.array([np.trace(rho @ op).real for op in s_ops])
+        m = np.array([np.trace(rho @ op).real for op in _SPIN_HALF])
         mean_sum = mean_sum + m
         var_sum += 0.75 - float(m @ m)
         # product state over shots: <J^2> = sum_i <S_i^2> + |sum_i <S_i>|^2
@@ -456,9 +461,8 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     slot_idx = [0 * d_app + 0, 0 * d_app + 1, 1 * d_app + 0, 1 * d_app + 1]
     jz_slot = np.diag([0.5 + l_val, 0.5 + l_val - 1,
                        -0.5 + l_val, -0.5 + l_val - 1]).astype(np.complex128)
-    s = sys.spin_half
     id2 = np.eye(2)
-    s_slot = [np.kron(op.entries, id2) for op in (s.jx, s.jy, s.jz)]
+    s_slot = [np.kron(op, id2) for op in _SPIN_HALF]
 
     psi = prepare_internal_source(K, margin=n).amplitudes
     rho = np.outer(psi, psi.conj())

@@ -1,9 +1,9 @@
-"""Dense complex linear algebra over small tensor-product Hilbert spaces.
+"""States over tensor-product Hilbert spaces and their partial trace.
 
-States are unit vectors labelled by an ordered tuple of subsystem
-dimensions; operators are dense square matrices carrying verified
-structure flags.  Everything is immutable after construction and safe to
-share between workers.  hbar = 1 throughout the simulation layer.
+A state is a read-only unit vector labelled by an ordered tuple of
+subsystem dimensions.  No operator matrix is formed here: each layer
+applies its operators as bands, sector block stacks or functions on the
+amplitudes.  hbar = 1 throughout the simulation layer.
 """
 
 from __future__ import annotations
@@ -15,19 +15,7 @@ import numpy as np
 
 from .config import NUMERICS
 
-__all__ = [
-    "ConservationError",
-    "StateVector",
-    "Operator",
-    "identity",
-    "basis_state",
-    "random_state",
-    "kron",
-    "apply",
-    "expectation",
-    "bracket",
-    "partial_trace",
-]
+__all__ = ["ConservationError", "StateVector", "partial_trace"]
 
 
 class ConservationError(RuntimeError):
@@ -36,16 +24,6 @@ class ConservationError(RuntimeError):
     This signals a broken model or build, never a physical result; the
     CLI maps it to a distinct exit code.
     """
-
-
-def _frozen_complex(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, order="C")
-    if shape is not None:
-        arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite amplitude encountered")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -64,7 +42,10 @@ class StateVector:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid subsystem dimensions {dims}")
-        amps = _frozen_complex(self.amplitudes, shape=(-1,))
+        amps = np.array(self.amplitudes, dtype=np.complex128, order="C").reshape(-1)
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("non-finite amplitude encountered")
+        amps.setflags(write=False)
         if amps.size != math.prod(dims):
             raise ValueError(
                 f"amplitude length {amps.size} does not match dims {dims} "
@@ -97,102 +78,6 @@ class StateVector:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense square matrix with verified structure flags.
-
-    The hermitian/unitary flags are checked at construction against the
-    global tolerances, so a flagged operator is guaranteed to have the
-    claimed structure (within rounding), not merely asserted to.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
-
-    def __post_init__(self):
-        mat = _frozen_complex(self.entries)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator must be square, got shape {mat.shape}")
-        if self.hermitian:
-            dev = np.max(np.abs(mat - mat.conj().T))
-            if dev > NUMERICS.state_atol:
-                raise ValueError(f"hermitian flag violated: max|A - A^dag| = {dev:.3e}")
-        if self.unitary:
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-            if dev > NUMERICS.operator_atol:
-                raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {dev:.3e}")
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, hermitian=self.hermitian,
-                        unitary=self.unitary)
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim), hermitian=True, unitary=True)
-
-
-def basis_state(dims, occupation) -> StateVector:
-    """Computational basis state |occupation[0], occupation[1], ...>."""
-    dims = tuple(int(d) for d in dims)
-    occ = tuple(int(i) for i in occupation)
-    if len(occ) != len(dims) or any(not 0 <= i < d for i, d in zip(occ, dims)):
-        raise ValueError(f"occupation {occ} invalid for dims {dims}")
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
-    flat = 0
-    for i, d in zip(occ, dims):
-        flat = flat * d + i
-    amps[flat] = 1.0
-    return StateVector(dims, amps)
-
-
-def random_state(dims, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state (normalized complex Gaussian amplitudes)."""
-    n = math.prod(int(d) for d in dims)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return StateVector.normalized(dims, amps)
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product with the left factor as the slow index."""
-    total = a.dim * b.dim
-    if total > NUMERICS.max_total_dim:
-        raise ValueError(
-            f"kron refused: {a.dim} x {b.dim} = {total} exceeds the configured "
-            f"maximum total dimension {NUMERICS.max_total_dim}"
-        )
-    return Operator(np.kron(a.entries, b.entries),
-                    hermitian=a.hermitian and b.hermitian,
-                    unitary=a.unitary and b.unitary)
-
-
-def apply(a: Operator, psi: StateVector) -> StateVector:
-    if a.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: operator {a.dim}, state {psi.dim}")
-    return StateVector(psi.dims, a.entries @ psi.amplitudes)
-
-
-def expectation(psi: StateVector, a: Operator) -> complex:
-    """<psi|A|psi>.  Real up to rounding when A is flagged Hermitian."""
-    if a.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: operator {a.dim}, state {psi.dim}")
-    return complex(np.vdot(psi.amplitudes, a.entries @ psi.amplitudes))
-
-
-def bracket(phi: StateVector, a: Operator, psi: StateVector) -> complex:
-    """General matrix element <phi|A|psi>."""
-    if a.dim != phi.dim or a.dim != psi.dim:
-        raise ValueError(
-            f"dimension mismatch: operator {a.dim}, bra {phi.dim}, ket {psi.dim}"
-        )
-    return complex(np.vdot(phi.amplitudes, a.entries @ psi.amplitudes))
 
 
 def partial_trace(psi: StateVector, keep) -> np.ndarray:

@@ -4,21 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
+from dense_oracle import spin_matrices
 import spinledger as sl
 from spinledger.angular import _check_bands, _ladder_matvecs
 
 
 def test_spin_half_is_pauli_over_two():
-    s = sl.spin_operators(0.5)
-    assert np.allclose(s.jz.entries, np.diag([0.5, -0.5]), atol=1e-15)
-    assert np.allclose(s.jx.entries, np.array([[0, 0.5], [0.5, 0]]), atol=1e-15)
+    jx, _, jz, _, _ = spin_matrices(sl.spin_operators(0.5))
+    assert np.allclose(jz, np.diag([0.5, -0.5]), atol=1e-15)
+    assert np.allclose(jx, np.array([[0, 0.5], [0.5, 0]]), atol=1e-15)
 
 
 def test_spin_one_ladder_elements():
-    s = sl.spin_operators(1)
-    assert np.allclose(np.diag(s.jz.entries), [1, 0, -1], atol=1e-15)
+    _, _, jz, jplus, _ = spin_matrices(sl.spin_operators(1))
+    assert np.allclose(np.diag(jz), [1, 0, -1], atol=1e-15)
     # ladder oracle: <1,1|J+|1,0> = sqrt(j(j+1) - m(m+1)) = sqrt(2)
-    assert s.jplus.entries[0, 1] == pytest.approx(np.sqrt(2), abs=1e-15)
+    assert jplus[0, 1] == pytest.approx(np.sqrt(2), abs=1e-15)
 
 
 def test_invalid_spin_rejected():
@@ -28,23 +29,17 @@ def test_invalid_spin_rejected():
 
 def test_jplus_is_jx_plus_i_jy():
     for j in (0.5, 1, 2.5):
-        s = sl.spin_operators(j)
-        assert np.array_equal(s.jplus.entries, s.jx.entries + 1j * s.jy.entries)
+        jx, jy, _, jplus, _ = spin_matrices(sl.spin_operators(j))
+        assert np.array_equal(jplus, jx + 1j * jy)
 
 
 @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 7.5, 25, 100])
 def test_commutation_and_casimir(j):
-    s = sl.spin_operators(j)
-    comm = np.max(np.abs(
-        s.jx.entries @ s.jy.entries - s.jy.entries @ s.jx.entries
-        - 1j * s.jz.entries
-    ))
+    jx, jy, jz, _, _ = spin_matrices(sl.spin_operators(j))
+    comm = np.max(np.abs(jx @ jy - jy @ jx - 1j * jz))
     # rounding grows with j; everything through j=100 stays below 1e-10
     assert comm <= (1e-12 if j <= 50 else 1e-10)
-    casimir = np.max(np.abs(
-        s.jx.entries @ s.jx.entries + s.jy.entries @ s.jy.entries
-        + s.jz.entries @ s.jz.entries - j * (j + 1) * np.eye(s.dim)
-    ))
+    casimir = np.max(np.abs(jx @ jx + jy @ jy + jz @ jz - j * (j + 1) * np.eye(jz.shape[0])))
     assert casimir <= 1e-10
 
 
@@ -59,7 +54,7 @@ def test_coherent_no_rotation_is_highest_weight():
 
 def test_coherent_antipodal_point():
     psi = sl.coherent_spin_state(0.5, np.pi, 0.0)
-    dn = sl.basis_state((2,), (1,))
+    dn = sl.StateVector((2,), [0.0, 1.0])
     assert abs(abs(psi.overlap(dn)) - 1.0) <= 1e-12
 
 
@@ -67,8 +62,8 @@ def test_coherent_antipodal_point():
 @pytest.mark.parametrize("theta,phi", [(0.3, 0.0), (1.2, 2.0), (2.5, -0.7)])
 def test_coherent_expectation_direction(j, theta, phi):
     psi = sl.coherent_spin_state(j, theta, phi)
-    s = sl.spin_operators(j)
-    vec = np.array([sl.expectation(psi, op).real for op in (s.jx, s.jy, s.jz)])
+    v = psi.amplitudes
+    vec = np.array([np.vdot(v, op @ v).real for op in spin_matrices(sl.spin_operators(j))[:3]])
     target = j * np.array([
         np.sin(theta) * np.cos(phi),
         np.sin(theta) * np.sin(phi),
@@ -79,10 +74,9 @@ def test_coherent_expectation_direction(j, theta, phi):
 
 def _rotated_top(j, theta, phi):
     """Dense oracle: exp(-i theta (-sin phi Jx + cos phi Jy)) |j, j>."""
-    s = sl.spin_operators(j)
-    gen = sl.Operator(-np.sin(phi) * s.jx.entries + np.cos(phi) * s.jy.entries,
-                      hermitian=True)
-    return sl.apply(dense_oracle.expm_hermitian(gen, theta), sl.basis_state((s.dim,), (0,)))
+    jx, jy, _, _, _ = spin_matrices(sl.spin_operators(j))
+    gen = -np.sin(phi) * jx + np.cos(phi) * jy
+    return dense_oracle.expm_hermitian(gen, theta)[:, 0]
 
 
 @pytest.mark.parametrize("j", [0.5, 1, 2.5, 8, 40, 200])
@@ -91,7 +85,7 @@ def test_coherent_closed_form_matches_dense_rotation(j):
     for theta in (0.3, 1.2, np.pi / 2, np.radians(85), 2.5, np.pi, -0.7, 4.0):
         for phi in (0.0, 2.0, -0.7):
             got = sl.coherent_spin_state(j, theta, phi).amplitudes
-            want = _rotated_top(j, theta, phi).amplitudes
+            want = _rotated_top(j, theta, phi)
             assert np.max(np.abs(got - want)) <= 1e-13, (theta, phi)
 
 
@@ -120,10 +114,10 @@ def test_coherent_mean_and_spread_from_the_bands(j, theta, phi):
 @pytest.mark.parametrize("L", [1, 4, 8])
 def test_coherent_transverse_spread(L):
     # direct-expectation oracle: <Lx^2> = L/2 in the aligned coherent state
-    psi = sl.coherent_spin_state(L, 0.0, 0.0)
-    s = sl.spin_operators(L)
-    jx2 = sl.Operator(s.jx.entries @ s.jx.entries, hermitian=True)
-    assert sl.expectation(psi, jx2).real == pytest.approx(L / 2, abs=1e-10)
+    psi = sl.coherent_spin_state(L, 0.0, 0.0).amplitudes
+    jx = spin_matrices(sl.spin_operators(L))[0]
+    jx2 = dense_oracle.check_hermitian(jx @ jx)
+    assert np.vdot(psi, jx2 @ psi).real == pytest.approx(L / 2, abs=1e-10)
 
 
 # ---------------------------------------------------------------- bloch vector
@@ -138,6 +132,11 @@ def test_bloch_poles_and_equator():
 def test_bloch_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
         sl.bloch_vector(1.0, 1.0)
+
+
+def test_bloch_rejects_nan():
+    with pytest.raises(ValueError, match="not normalized"):
+        sl.bloch_vector(float("nan"), float("nan"))
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,7 +168,7 @@ def test_angular_spread_definitional_identity():
     psi = sl.coherent_spin_state(5, 0.4, 1.0)
     s = sl.spin_operators(5)
     spread = sl.angular_spread(psi, s)
-    jz = sl.expectation(psi, s.jz).real
+    jz = np.vdot(psi.amplitudes, spin_matrices(s)[2] @ psi.amplitudes).real
     assert spread.delta_theta == pytest.approx(spread.delta_l / jz, abs=1e-12)
 
 

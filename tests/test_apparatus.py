@@ -12,12 +12,12 @@ CONS_ATOL = 1e-10
 
 def j_squared_pa(L):
     """Total J^2 over particle (x) apparatus, built independently."""
-    s = sl.spin_operators(0.5)
-    a = sl.spin_operators(L)
-    d = 2 * a.dim
-    total = np.zeros((d, d), dtype=complex)
-    for sk, ak in ((s.jx, a.jx), (s.jy, a.jy), (s.jz, a.jz)):
-        jk = np.kron(sk.entries, np.eye(a.dim)) + np.kron(np.eye(2), ak.entries)
+    s = dense_oracle.spin_matrices(sl.spin_operators(0.5))
+    a = dense_oracle.spin_matrices(sl.spin_operators(L))
+    n = a[0].shape[0]
+    total = np.zeros((2 * n, 2 * n), dtype=complex)
+    for sk, ak in zip(s[:3], a[:3]):
+        jk = np.kron(sk, np.eye(n)) + np.kron(np.eye(2), ak)
         total += jk @ jk
     return total
 
@@ -37,25 +37,25 @@ def eig_projector_oracle(L):
 def test_projectors_match_eigendecomposition_oracle(L):
     plus, minus = dense_oracle.manifold_projectors(L)
     oplus, ominus = eig_projector_oracle(L)
-    assert np.max(np.abs(plus.entries - oplus)) <= 1e-12
-    assert np.max(np.abs(minus.entries - ominus)) <= 1e-12
+    assert np.max(np.abs(plus - oplus)) <= 1e-12
+    assert np.max(np.abs(minus - ominus)) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [0.5, 1, 3.5, 8])
 def test_projector_algebra(L):
     plus, minus = dense_oracle.manifold_projectors(L)
-    d = plus.dim
-    assert np.max(np.abs(plus.entries + minus.entries - np.eye(d))) <= 1e-12
-    assert np.max(np.abs(plus.entries @ plus.entries - plus.entries)) <= 1e-12
-    assert np.trace(plus.entries).real == pytest.approx(2 * L + 2, abs=1e-9)
-    assert np.trace(minus.entries).real == pytest.approx(2 * L, abs=1e-9)
+    d = plus.shape[0]
+    assert np.max(np.abs(plus + minus - np.eye(d))) <= 1e-12
+    assert np.max(np.abs(plus @ plus - plus)) <= 1e-12
+    assert np.trace(plus).real == pytest.approx(2 * L + 2, abs=1e-9)
+    assert np.trace(minus).real == pytest.approx(2 * L, abs=1e-9)
 
 
 def test_projector_ranks_two_spin_half():
     # two spin-1/2: triplet rank 3, singlet rank 1
     plus, minus = dense_oracle.manifold_projectors(0.5)
-    assert np.trace(plus.entries).real == pytest.approx(3, abs=1e-12)
-    assert np.trace(minus.entries).real == pytest.approx(1, abs=1e-12)
+    assert np.trace(plus).real == pytest.approx(3, abs=1e-12)
+    assert np.trace(minus).real == pytest.approx(1, abs=1e-12)
 
 
 @pytest.mark.parametrize("L", [1, 2, 6])
@@ -71,7 +71,7 @@ def test_stretched_state_lies_in_plus_manifold():
     plus, _ = dense_oracle.manifold_projectors(L)
     psi = np.zeros(2 * (2 * L + 1), dtype=complex)
     psi[0] = 1.0  # |up> (x) |L, L>
-    assert np.max(np.abs(plus.entries @ psi - psi)) <= 1e-12
+    assert np.max(np.abs(plus @ psi - psi)) <= 1e-12
 
 
 @pytest.mark.parametrize("L,expected", [(1, 1 / 3), (2, 1 / 5), (8, 1 / 17)])
@@ -81,7 +81,7 @@ def test_down_stretched_projection_weight(L, expected):
     d_app = round(2 * L + 1)
     psi = np.zeros(2 * d_app, dtype=complex)
     psi[d_app] = 1.0  # |down> (x) |L, L>
-    proj = plus.entries @ psi
+    proj = plus @ psi
     assert np.real(np.vdot(proj, proj)) == pytest.approx(expected, abs=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_measurement_unitary_conserves_all_components(L):
 def test_interaction_variant_reproduces_projector_unitary(L):
     sys_m = sl.build_measurement_unitary(L)
     alt = dense_oracle.measurement_unitary_from_interaction(L)
-    assert np.max(np.abs(dense_oracle.u_meas(sys_m).entries - alt.entries)) <= 1e-10
+    assert np.max(np.abs(dense_oracle.u_meas(sys_m) - alt)) <= 1e-10
 
 
 def test_invalid_apparatus_spin():
@@ -147,7 +147,8 @@ def test_premeasure_conserves_expectations_random_spinors():
             )
             final = sl.premeasure(v[0], v[1], sys_m)
             for jk in dense_oracle.j_total(sys_m):
-                drift = abs(sl.expectation(final, jk) - sl.expectation(initial, jk))
+                drift = abs(np.vdot(final.amplitudes, jk @ final.amplitudes)
+                            - np.vdot(initial.amplitudes, jk @ initial.amplitudes))
                 assert drift <= CONS_ATOL
 
 
@@ -156,7 +157,8 @@ def test_premeasure_transverse_expectation_preserved():
     sys_m = sl.build_measurement_unitary(4)
     r = 1 / np.sqrt(2)
     final = sl.premeasure(r, r, sys_m)
-    assert sl.expectation(final, dense_oracle.j_total(sys_m)[0]).real == pytest.approx(0.5, abs=1e-12)
+    v = final.amplitudes
+    assert np.vdot(v, dense_oracle.j_total(sys_m)[0] @ v).real == pytest.approx(0.5, abs=1e-12)
 
 
 def test_premeasure_rejects_unnormalized():
@@ -199,7 +201,7 @@ def test_record_sector_cross_terms_of_j_vanish():
     decomp = sl.decompose_branches(sl.premeasure(0.6, 0.8j, sys_m), sys_m)
     (c1, up, _), (c2, dn, _) = decomp.branches
     for jk in dense_oracle.j_pa(sys_m):
-        assert abs(sl.bracket(up, jk, dn)) <= 1e-12
+        assert abs(np.vdot(up.amplitudes, jk @ dn.amplitudes)) <= 1e-12
 
 
 # ---------------------------------------------------------------- error amplitudes
@@ -256,9 +258,10 @@ def test_matching_bracket_ladder_oracle():
     for L in (1, 4, 9):
         sys_m = sl.build_measurement_unitary(L)
         amps = sl.extract_error_amplitudes(sys_m)
-        got = sl.bracket(amps.u, dense_oracle.j_pa(sys_m)[0], amps.u_err)
+        jx, jy, _ = dense_oracle.j_pa(sys_m)
+        got = np.vdot(amps.u.amplitudes, jx @ amps.u_err.amplitudes)
         assert got == pytest.approx(np.sqrt(2 * L + 1) / 2, abs=1e-10)
-        got_y = sl.bracket(amps.u, dense_oracle.j_pa(sys_m)[1], amps.u_err)
+        got_y = np.vdot(amps.u.amplitudes, jy @ amps.u_err.amplitudes)
         assert got_y == pytest.approx(-1j * np.sqrt(2 * L + 1) / 2, abs=1e-10)
 
 
@@ -335,7 +338,7 @@ def _held_arrays(obj):
 @pytest.mark.parametrize("L", [0.5, 1, 2.5, 7])
 def test_premeasure_matches_dense_unitary(L, tilt):
     sys_m = sl.build_measurement_unitary(L, tilt=tilt)
-    u = dense_oracle.u_meas(sys_m).entries
+    u = dense_oracle.u_meas(sys_m)
     rng = np.random.default_rng(round(4 * L) + round(10 * tilt))
     spinors = [(1.0, 0.0), (0.0, 1.0)]
     for _ in range(5):
@@ -380,7 +383,8 @@ def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
         # term -i eps [Sz (x) 1, P]: the pair stays complementary projectors
         # (so U stays unitary) and commutes with Jz, but not with Jx.  The
         # rotation is diagonal on the (up, down) slots of every sector.
-        v = dense_oracle.expm_hermitian(sl.spin_operators(0.5).jz, 1e-6).entries
+        sz = dense_oracle.spin_matrices(sl.spin_operators(0.5))[2]
+        v = dense_oracle.expm_hermitian(sz, 1e-6)
         return tuple(v @ p @ v.conj().T for p in real(L))
 
     monkeypatch.setattr(apparatus, "_sector_projectors", rotated)

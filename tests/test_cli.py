@@ -46,6 +46,24 @@ def test_thermal_reference_row(capsys):
     assert "order-of-magnitude" in meta["note"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["thermal", "--I", "nan"],
+    ["thermal", "--T", "inf"],
+    ["thermal", "--I", "1e308", "--T", "1e308"],   # I k T overflows
+    ["thermal", "--I", "1e-300", "--T", "1e-300"],  # I k T underflows to 0
+    ["ideal", "--a-re", "1e200"],
+    ["satellite", "--n", "3", "--L", "2", "--a-re", "1e200", "--b-re", "1e200"],
+    ["ideal", "--b-im", "nan"],
+], ids=["thermal-I-nan", "thermal-T-inf", "thermal-IkT-overflow", "thermal-IkT-underflow",
+        "ideal-a-1e200", "satellite-a-b-1e200", "ideal-b-nan"])
+def test_non_finite_inputs_exit_one_with_one_line(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("spinledger: ")
+    if argv[0] != "thermal":
+        assert "--a-re/--a-im/--b-re/--b-im" in err
+
+
 def test_measure_l1(capsys):
     code, out, _ = run_cli(["measure", "--L", "1"], capsys)
     assert code == 0

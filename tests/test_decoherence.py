@@ -52,7 +52,7 @@ def dense_cross_term(state, a, sys, env):
     t = state.amplitudes.reshape(sys.pa_dim, 2, 2 ** env.n_qubits)
     up, dn = (t[:, r, :] / math.sqrt(np.real(np.vdot(t[:, r, :], t[:, r, :])))
               for r in range(2))
-    return complex(np.vdot(up, a.entries @ dn))
+    return complex(np.vdot(up, a @ dn))
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +65,8 @@ def premeasured():
 def particle_sigma_x(sys_m):
     # couples the two total-j manifolds, so its record-sector bracket is
     # nonzero before any amplification
-    return sl.Operator(
-        np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(sys_m.dims[1])),
-        hermitian=True,
-    )
+    return dense_oracle.check_hermitian(
+        np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(sys_m.dims[1])))
 
 
 def test_zero_qubits_is_identity(premeasured):
@@ -81,13 +79,13 @@ def test_orthogonal_copies_kill_cross_terms(premeasured):
     sys_m, final = premeasured
     env = sl.EnvironmentConfig(1, 0.0)
     amplified = sl.amplify_record(final, sys_m, env)
-    cross = sl.macroscopic_cross_term(amplified, particle_sigma_x(sys_m), sys_m, env)
+    cross = sl.macroscopic_cross_term(amplified, particle_sigma_x(sys_m).__matmul__, sys_m, env)
     assert abs(cross) <= 1e-14
 
 
 def test_geometric_suppression(premeasured):
     sys_m, final = premeasured
-    probe = particle_sigma_x(sys_m)
+    probe = particle_sigma_x(sys_m).__matmul__
     baseline = sl.macroscopic_cross_term(final, probe, sys_m,
                                          sl.EnvironmentConfig(0, 0.8))
     assert abs(baseline) > 0.1
@@ -100,7 +98,7 @@ def test_geometric_suppression(premeasured):
 
 def test_env_overlap_factor(premeasured):
     sys_m, final = premeasured
-    probe = particle_sigma_x(sys_m)
+    probe = particle_sigma_x(sys_m).__matmul__
     baseline = sl.macroscopic_cross_term(final, probe, sys_m,
                                          sl.EnvironmentConfig(0, 0.9))
     env = sl.EnvironmentConfig(10, 0.9)
@@ -115,9 +113,9 @@ def test_conservation_untouched_by_amplification(premeasured):
     amplified = dense_amplify_record(final, sys_m, env)
     n_env = 2 ** env.n_qubits
     for jk in dense_oracle.j_total(sys_m):
-        big = sl.Operator(np.kron(jk.entries, np.eye(n_env)), hermitian=True)
-        before = sl.expectation(final, jk).real
-        after = sl.expectation(amplified, big).real
+        big = dense_oracle.check_hermitian(np.kron(jk, np.eye(n_env)))
+        before = np.vdot(final.amplitudes, jk @ final.amplitudes).real
+        after = np.vdot(amplified.amplitudes, big @ amplified.amplitudes).real
         assert abs(after - before) <= 1e-12
 
 
@@ -138,7 +136,7 @@ def test_j_cross_terms_zero_even_without_environment(premeasured):
     sys_m, final = premeasured
     env = sl.EnvironmentConfig(0, 0.8)
     for jk in dense_oracle.j_pa(sys_m):
-        cross = sl.macroscopic_cross_term(final, jk, sys_m, env)
+        cross = sl.macroscopic_cross_term(final, jk.__matmul__, sys_m, env)
         assert abs(cross) <= 1e-12
 
 
@@ -149,7 +147,7 @@ def test_adversarial_coupler_sees_full_suppression(premeasured):
     decomp = sl.decompose_branches(final, sys_m)
     states = {lbl: s for _, s, lbl in decomp.branches}
     outer = np.outer(states["up"].amplitudes, states["dn"].amplitudes.conj())
-    probe = sl.Operator(outer + outer.conj().T, hermitian=True)
+    probe = dense_oracle.check_hermitian(outer + outer.conj().T).__matmul__
     baseline = sl.macroscopic_cross_term(final, probe, sys_m,
                                          sl.EnvironmentConfig(0, 0.5))
     assert abs(baseline) == pytest.approx(1.0, abs=1e-12)
@@ -193,7 +191,7 @@ def test_empty_branch_rejected():
     final = sl.premeasure(1.0, 0.0, sys_m)  # dn sector empty
     env = sl.EnvironmentConfig(0, 0.5)
     with pytest.raises(ValueError, match="empty"):
-        sl.macroscopic_cross_term(final, particle_sigma_x(sys_m), sys_m, env)
+        sl.macroscopic_cross_term(final, particle_sigma_x(sys_m).__matmul__, sys_m, env)
 
 
 # ---------------------------------------------------------------- factored path
@@ -203,10 +201,10 @@ def _probes(sys_m, final):
     decomp = sl.decompose_branches(final, sys_m)
     states = {lbl: st for _, st, lbl in decomp.branches}
     outer = np.outer(states["up"].amplitudes, states["dn"].amplitudes.conj())
-    coupler = sl.Operator(outer + outer.conj().T, hermitian=True)
-    return [("sigma_x", sigma_x, sigma_x), ("swap", _flip_particle, sigma_x),
-            ("coupler", coupler, coupler),
-            *((f"J{k}", jk, jk) for k, jk in zip("xyz", dense_oracle.j_pa(sys_m)))]
+    coupler = dense_oracle.check_hermitian(outer + outer.conj().T)
+    return [("sigma_x", sigma_x.__matmul__, sigma_x), ("swap", _flip_particle, sigma_x),
+            ("coupler", coupler.__matmul__, coupler),
+            *((f"J{k}", jk.__matmul__, jk) for k, jk in zip("xyz", dense_oracle.j_pa(sys_m)))]
 
 
 @pytest.mark.parametrize("o", [0.0, 0.5, 0.8, 0.99])
@@ -240,7 +238,7 @@ def test_cross_term_multiplies_each_qubit_overlap(premeasured):
     # distinct kets per qubit: the factor is the product of the n overlaps,
     # not a power of one of them
     sys_m, final = premeasured
-    probe = particle_sigma_x(sys_m)
+    probe = particle_sigma_x(sys_m).__matmul__
     baseline = sl.macroscopic_cross_term(final, probe, sys_m, sl.EnvironmentConfig(0, 0.5))
     angles = np.array([0.1, 0.7, 1.3])
     kets = np.zeros((2, 3, 2), dtype=np.complex128)

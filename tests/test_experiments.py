@@ -3,6 +3,8 @@ import pytest
 
 import emission_oracle
 import spinledger as sl
+import spinledger.experiments as ex
+from dense_oracle import spin_matrices
 
 CONS_ATOL = 1e-10
 
@@ -89,13 +91,25 @@ def test_satellite_rejects_bad_n():
 
 # ---------------------------------------------------------------- emission map
 
+def dense_jz_mean(state, K):
+    """<Jz> of a spin-K state, read with the dense Jz."""
+    kz = spin_matrices(sl.spin_operators(K))[2]
+    return np.vdot(state.amplitudes, kz @ state.amplitudes).real
+
+
+def test_streak_spin_half_matrices_are_the_ladder_formulas_bit_for_bit():
+    # signed zeros included: the literal -0.5j would carry a -0.0 real part
+    want = np.stack(spin_matrices(sl.spin_operators(0.5))[:3])
+    assert np.array_equal(ex._SPIN_HALF.view(np.uint64), want.view(np.uint64))
+
+
 def test_emission_is_isometric_and_conserves_jz():
     for K in (2, 4, 8):
         src = sl.coherent_spin_state(K, sl.DEFAULT_SOURCE_TILT, 0.0)
         out = sl.entangled_source_emit(src, K)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
-        kz_in = sl.expectation(src, sl.spin_operators(K).jz).real
-        kz_reg = sl.spin_operators(K - 0.5).jz.entries
+        kz_in = dense_jz_mean(src, K)
+        kz_reg = spin_matrices(sl.spin_operators(K - 0.5))[2]
         sz = np.diag([0.5, -0.5])
         jz_out = np.kron(kz_reg, np.eye(2)) + np.kron(np.eye(round(2 * K)), sz)
         after = np.real(out.amplitudes.conj() @ jz_out @ out.amplitudes)
@@ -110,7 +124,8 @@ def test_emission_bands_match_the_dense_isometry_bit_for_bit(K, source):
     if source == "coherent":
         src = sl.coherent_spin_state(K, sl.DEFAULT_SOURCE_TILT, 0.7)
     else:
-        src = sl.random_state((round(2 * K + 1),), np.random.default_rng(round(4 * K)))
+        rng, n = np.random.default_rng(round(4 * K)), round(2 * K + 1)
+        src = sl.StateVector.normalized((n,), rng.normal(size=n) + 1j * rng.normal(size=n))
         kz = np.abs(src.amplitudes) ** 2 @ sl.spin_operators(K).m
         if kz <= 0:   # flip the register so the source is oriented
             src = sl.StateVector(src.dims, src.amplitudes[::-1].copy())
@@ -168,14 +183,14 @@ def test_source_drops_half_per_up_emission():
     # level-independent); two up-emissions drop it by 1 and the combined
     # source+particles books do not move at all
     src = sl.prepare_internal_source(4, margin=2, tilt=np.pi / 3)
-    kz0 = sl.expectation(src, sl.spin_operators(4).jz).real
+    kz0 = dense_jz_mean(src, 4)
     state, K = src, 4.0
     for step in (1, 2):
         out = sl.entangled_source_emit(state, K)
         up_comp = out.amplitudes.reshape(round(2 * K), 2)[:, 0]
         K -= 0.5
         state = sl.StateVector.normalized((round(2 * K + 1),), up_comp)
-        kz = sl.expectation(state, sl.spin_operators(K).jz).real
+        kz = dense_jz_mean(state, K)
         assert kz - kz0 == pytest.approx(-0.5 * step, abs=CONS_ATOL)
         combined = kz + 0.5 * step  # each conditioned particle carries +1/2
         assert combined - kz0 == pytest.approx(0.0, abs=CONS_ATOL)
@@ -229,10 +244,9 @@ def test_external_streak_growth_and_oracle():
     for _ in range(6):
         psi = np.kron(psi, up_state.amplitudes)
     d_pa = up_state.dim
-    s_half = sl.spin_operators(0.5)
     t = psi.reshape([d_pa] * 6)
     j2 = 0.0
-    for op2 in (s_half.jx.entries, s_half.jy.entries, s_half.jz.entries):
+    for op2 in spin_matrices(sl.spin_operators(0.5))[:3]:
         op = np.kron(op2, np.eye(d_pa // 2))
         acc = np.zeros_like(t)
         for ax in range(6):

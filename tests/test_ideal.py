@@ -33,6 +33,12 @@ def test_forced_cross_terms_generic_and_complex_spinors():
         assert br.max_residual <= 1e-12
 
 
+def test_forced_cross_terms_refuse_nan():
+    # a nan norm fails the spinor gate instead of passing as "audited"
+    with pytest.raises(ValueError, match="not normalized"):
+        sl.ideal_forced_cross_terms(float("nan"), float("nan"))
+
+
 def test_forced_cross_terms_need_both_coefficients():
     with pytest.raises(ValueError, match="underdetermined"):
         sl.ideal_forced_cross_terms(1.0, 0.0)

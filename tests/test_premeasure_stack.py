@@ -77,9 +77,11 @@ def sector_stack(vectors):
 def test_sector_j_means_match_the_dense_j(monkeypatch, L, chunk):
     monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
     sys_m = sl.build_measurement_unitary(L)
-    j_dense = [jk.entries for jk in dense_oracle.j_pa(sys_m)]
+    j_dense = dense_oracle.j_pa(sys_m)
     rng = np.random.default_rng(round(4 * L))
-    vectors = [sl.random_state((2, sys_m.dims[1]), rng).amplitudes for _ in range(3)]
+    n = 2 * sys_m.dims[1]
+    vectors = [v / np.linalg.norm(v)
+               for v in (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3))]
     dense = np.array([[np.vdot(v, jk @ v).real for jk in j_dense] for v in vectors])
     tol = 1e-12 * max(1.0, L)
     kets = sector_stack(vectors)
@@ -157,7 +159,8 @@ def local_rotation(sector):
     neighbours, so only the chunks holding those sector pairs can see it.
     """
     real = apparatus._sector_projectors
-    v = dense_oracle.expm_hermitian(sl.spin_operators(0.5).jz, 1e-6).entries
+    sz = dense_oracle.spin_matrices(sl.spin_operators(0.5))[2]
+    v = dense_oracle.expm_hermitian(sz, 1e-6)
 
     def rotated(L):
         blocks = np.array(real(L), dtype=np.complex128)

@@ -4,11 +4,13 @@ A build stores P+ and P- as (2L+2, 2, 2) sector blocks and the apparatus
 spin as its two ladder bands; premeasure, the audits, the brackets and
 the spread run on those in O(L).  The oracle is dense: `dense_oracle`
 builds U, J and P+- from S.L and the dense spin matrices, never from the
-blocks, and `spin_app.jx` is built on access.
+blocks.
 """
 
 import csv
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ def device(request):
 
 
 def test_premeasure_matches_dense_unitary(device):
-    u = dense_oracle.u_meas(device).entries
+    u = dense_oracle.u_meas(device)
     for a, b in _spinors(round(4 * device.L)):
         dense = u @ np.kron(np.kron([a, b], device.apparatus_state.amplitudes), [1, 0])
         assert np.max(np.abs(sl.premeasure(a, b, device).amplitudes - dense)) <= 1e-12
@@ -48,7 +50,7 @@ def test_structured_j_matches_dense_j_pa(device):
     rng = np.random.default_rng(round(4 * device.L))
     v = rng.normal(size=device.pa_dim) + 1j * rng.normal(size=device.pa_dim)
     for k, jk in enumerate(dense_oracle.j_pa(device)):
-        assert np.max(np.abs(apparatus._j_matvecs(device, v)[k] - jk.entries @ v)) <= 1e-12
+        assert np.max(np.abs(apparatus._j_matvecs(device, v)[k] - jk @ v)) <= 1e-12
 
 
 def test_brackets_and_means_match_dense(device):
@@ -60,21 +62,20 @@ def test_brackets_and_means_match_dense(device):
             continue
         for k, jk in enumerate(j_pa):
             got = apparatus._j_brackets(device, bra.amplitudes, ket.amplitudes)[k]
-            assert abs(got - sl.bracket(bra, jk, ket)) <= 1e-12
-        dense_means = [sl.expectation(bra, jk).real for jk in j_pa]
+            assert abs(got - np.vdot(bra.amplitudes, jk @ ket.amplitudes)) <= 1e-12
+        dense_means = [np.vdot(bra.amplitudes, jk @ bra.amplitudes).real for jk in j_pa]
         assert np.max(np.abs(apparatus._j_means(device, bra.amplitudes) - dense_means)) <= 1e-12
 
 
 def test_angular_spread_matches_dense_jx_squared(device):
     psi = device.apparatus_state
-    jx = device.spin_app.jx.entries
-    jz = device.spin_app.jz
-    var = sl.expectation(psi, sl.Operator(jx @ jx, hermitian=True)).real \
-        - sl.expectation(psi, device.spin_app.jx).real ** 2
+    v = psi.amplitudes
+    jx, _, jz, _, _ = dense_oracle.spin_matrices(device.spin_app)
+    var = np.vdot(v, dense_oracle.check_hermitian(jx @ jx) @ v).real - np.vdot(v, jx @ v).real ** 2
     delta_l = math.sqrt(max(var, 0.0))
     spread = sl.angular_spread(psi, device.spin_app)
     assert spread.delta_l == pytest.approx(delta_l, abs=1e-12 * max(1.0, delta_l))
-    theta = delta_l / sl.expectation(psi, jz).real
+    theta = delta_l / np.vdot(v, jz @ v).real
     assert spread.delta_theta == pytest.approx(theta, abs=1e-12 * max(1.0, theta))
     assert sl.angular_spread(psi, sl.spin_operators(device.L)) == spread
 
@@ -90,15 +91,8 @@ def test_sector_blocks_match_the_s_dot_l_projectors(L):
 
 
 def test_no_build_uses_a_dense_audit_or_a_dense_spin_l(monkeypatch):
-    dense_spins = []
-    for name in ("jx", "jy", "jz", "jplus", "jminus"):
-        real = getattr(angular.SpinOperators, name).fget
-
-        def spy(ops, real=real):
-            dense_spins.append(ops.j)
-            return real(ops)
-
-        monkeypatch.setattr(angular.SpinOperators, name, property(spy))
+    # a spin has no dense form to build (test_src_keeps_one_device_representation)
+    assert not any(hasattr(angular.SpinOperators, name) for name in DENSE_SPIN_ATTRIBUTES)
 
     def no_commutator(*args):
         raise AssertionError("a build called commutator_norm")
@@ -108,9 +102,6 @@ def test_no_build_uses_a_dense_audit_or_a_dense_spin_l(monkeypatch):
     for tilt in (0.0, 0.4):
         sys_m = sl.build_measurement_unitary(40, tilt=tilt)
         sl.extract_error_amplitudes(sys_m)
-    assert dense_spins == []
-    # the spy sees the dense operators when they are asked for
-    assert sys_m.spin_app.jx.dim == 81 and dense_spins == [40.0]
 
 
 @pytest.mark.parametrize("call", [
@@ -129,12 +120,15 @@ def test_build_and_source_diagonalize_nothing(monkeypatch, call):
 
 
 REMOVED_NAMES = ("manifold_projectors", "measurement_unitary_from_interaction", "expm_hermitian",
-                 "commutator_norm", "_dense_blocks", "_s_dot_l")
+                 "commutator_norm", "_dense_blocks", "_s_dot_l",
+                 "Operator", "identity", "basis_state", "random_state", "kron", "apply",
+                 "expectation", "bracket")
 DENSE_ATTRIBUTES = ("proj_plus", "proj_minus", "j_pa", "u_meas", "j_total")
+DENSE_SPIN_ATTRIBUTES = ("jx", "jy", "jz", "jplus", "jminus")
 
 
 def test_src_keeps_one_device_representation():
-    # the dense device lives in the test oracle, built from S.L
+    # the dense device and the dense operators live in the test oracle
     for module in (sl, apparatus, kernel):
         for name in REMOVED_NAMES:
             assert not hasattr(module, name), (module.__name__, name)
@@ -143,6 +137,11 @@ def test_src_keeps_one_device_representation():
         sys_m = sl.build_measurement_unitary(3, tilt=tilt)
         for name in DENSE_ATTRIBUTES:
             assert not hasattr(sys_m, name), (tilt, name)
+        for name in DENSE_SPIN_ATTRIBUTES:
+            assert not hasattr(sys_m.spin_app, name), (tilt, name)
+            assert not hasattr(sys_m.spin_half, name), (tilt, name)
+    for path in Path(sl.__file__).parent.glob("*.py"):
+        assert not re.search(r"\bOperator\b", path.read_text()), path.name
 
 
 def _rows(path):

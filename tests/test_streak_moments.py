@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import emission_oracle
+from dense_oracle import spin_matrices
 import spinledger as sl
 import spinledger.experiments as ex
 from spinledger.cli import main as cli_main
@@ -22,10 +23,10 @@ def _apply_axis(t, op, axis):
     return np.moveaxis(np.tensordot(op, t, axes=([1], [axis])), 0, axis)
 
 
-def _total_j2(t, k_ops, s_slot):
+def _total_j2(t, k_mats, s_slot):
     total = 0.0
-    for k_op, slot_op in zip((k_ops.jx, k_ops.jy, k_ops.jz), s_slot):
-        acc = _apply_axis(t, k_op.entries, 0)
+    for k_op, slot_op in zip(k_mats, s_slot):
+        acc = _apply_axis(t, k_op, 0)
         for axis in range(1, t.ndim):
             acc = acc + _apply_axis(t, slot_op, axis)
         total += float(np.real(np.vdot(acc, acc)))
@@ -47,8 +48,7 @@ def dense_streak(n, L, K, pattern):
                          sl.premeasure(0.0, 1.0, sys).amplitudes], axis=1)
     slot_idx = [0, 1, d_app, d_app + 1]
     jz_slot = np.diag([0.5 + sys.L, sys.L - 0.5, sys.L - 0.5, sys.L - 1.5]).astype(complex)
-    s = sys.spin_half
-    s_slot = [np.kron(op.entries, np.eye(2)) for op in (s.jx, s.jy, s.jz)]
+    s_slot = [np.kron(op, np.eye(2)) for op in spin_matrices(sys.spin_half)[:3]]
 
     t = sl.prepare_internal_source(K, margin=n).amplitudes.copy()
     shape = [t.size]
@@ -56,9 +56,9 @@ def dense_streak(n, L, K, pattern):
 
     def moments():
         tt = t.reshape(shape)
-        k_ops = sl.spin_operators(k_cur)
-        kz = k_ops.jz.entries
-        return (_total_j2(tt, k_ops, s_slot), _total_jz(tt, kz, s_slot[2]),
+        k_mats = spin_matrices(sl.spin_operators(k_cur))[:3]
+        kz = k_mats[2]
+        return (_total_j2(tt, k_mats, s_slot), _total_jz(tt, kz, s_slot[2]),
                 _total_jz(tt, kz, jz_slot) - (tt.ndim - 1) * sys.L)
 
     series = [moments()]
