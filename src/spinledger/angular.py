@@ -43,11 +43,15 @@ def _check_spin(j, minimum: float = 0.0, name: str = "spin") -> float:
 def _check_spinor(a: complex, b: complex) -> tuple[complex, complex]:
     """(a, b) as complex numbers, if |a|^2 + |b|^2 = 1 to the state tolerance.
 
-    The gate is written so that a nan norm fails it too.
+    The gate is written so that a nan norm fails it too, and an
+    amplitude whose square overflows fails it as ValueError.
     """
     a = complex(a)
     b = complex(b)
-    nrm2 = abs(a) ** 2 + abs(b) ** 2
+    try:
+        nrm2 = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:   # a finite but huge amplitude
+        nrm2 = math.inf
     if not abs(nrm2 - 1.0) <= NUMERICS.state_atol:
         raise ValueError(f"spinor not normalized: |a|^2 + |b|^2 = {nrm2!r}")
     return a, b
@@ -75,22 +79,25 @@ def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.n
     """(Jx v, Jy v, Jz v) along the last axis of v, from the bands in O(v.size).
 
     The zero-padded J+ v and the J- v products are formed once and shared:
-    Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i.  Pass a transposed view to act
+    Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i.  All three are written into one
+    buffer, the J- v product held in the Jz slot until Jz overwrites it,
+    so a call allocates nothing else.  Pass a transposed view to act
     along another axis of a matrix.
     """
-    raised = np.zeros(v.shape, dtype=np.complex128)
-    raised[..., :-1] = ops.raising * v[..., 1:]
-    lowered = ops.raising * v[..., :-1]
-    jx = raised.copy()
+    jx, jy, jz = out = np.empty((3, *v.shape), dtype=np.complex128)
+    np.multiply(ops.raising, v[..., 1:], out=jy[..., :-1])   # J+ v, zero-padded
+    jy[..., -1] = 0.0
+    np.copyto(jx, jy)
+    lowered = np.multiply(ops.raising, v[..., :-1], out=jz[..., 1:])
     jx[..., 1:] += lowered
     jx /= 2
-    jy = raised
     jy[..., 1:] -= lowered
     jy /= 2j
-    return jx, jy, ops.m * v
+    np.multiply(ops.m, v, out=jz)
+    return jx, jy, jz
 
 
-def _check_bands(j: float, m: np.ndarray, raising: np.ndarray) -> None:
+def _check_bands(j, m: np.ndarray, raising: np.ndarray) -> None:
     """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding on the bands.
 
     Both residuals are diagonal: with r_i = raising[i] (0 past either
@@ -98,18 +105,20 @@ def _check_bands(j: float, m: np.ndarray, raising: np.ndarray) -> None:
     J^2 - j(j+1) = (r_i^2 + r_(i-1)^2)/2 + m_i^2 - j(j+1); every other
     diagonal cancels exactly.  Their float error grows as j (commutator)
     and j(j+1) (Casimir), so each is gated at the operator tolerance
-    times that scale.
+    times that scale, level by level; j may give each level's spin.
     """
     sq = np.zeros(m.size + 1)
     sq[1:-1] = raising ** 2
     above, below = sq[1:], sq[:-1]
-    comm = float(np.max(np.abs((above - below) / 2 - m)))
-    casimir = float(np.max(np.abs((above + below) / 2 + m ** 2 - j * (j + 1))))
-    if (comm > NUMERICS.operator_atol * max(1.0, j)
-            or casimir > NUMERICS.operator_atol * max(1.0, j * (j + 1))):
+    comm = np.abs((above - below) / 2 - m)
+    casimir = np.abs((above + below) / 2 + m ** 2 - j * (j + 1))
+    ok = ((comm <= NUMERICS.operator_atol * np.maximum(1.0, j))
+          & (casimir <= NUMERICS.operator_atol * np.maximum(1.0, j * (j + 1))))
+    if not ok.all():
+        at = np.argmin(ok)
         raise ValueError(
-            f"spin algebra failed self-check at j={j}: comm={comm:.3e}, "
-            f"casimir={casimir:.3e}"
+            f"spin algebra failed self-check at j={np.broadcast_to(j, m.shape)[at]}: "
+            f"comm={comm[at]:.3e}, casimir={casimir[at]:.3e}"
         )
 
 
@@ -128,6 +137,26 @@ def spin_operators(j) -> SpinOperators:
     m.setflags(write=False)
     raising.setflags(write=False)
     return SpinOperators(j=j, m=m, raising=raising)
+
+
+def _spin_sum(spins) -> tuple[SpinOperators, list[SpinOperators]]:
+    """The direct sum of checked spins' algebras, and each spin's `spin_operators` as its views.
+
+    The spins' bands lie end to end, built by the same formulas and
+    self-checked together: J+ from one spin's top level into the next spin
+    is sqrt(j(j+1) - m(m+1)) at m = j, exactly 0.  The sum's j is nan.
+    """
+    dims = np.array([round(2 * j + 1) for j in spins])
+    starts = np.cumsum(dims) - dims
+    j = np.repeat(np.array(spins, dtype=np.float64), dims)
+    m = j - (np.arange(dims.sum(), dtype=np.float64) - np.repeat(starts, dims))
+    raising = np.sqrt(j[1:] * (j[1:] + 1) - m[1:] * (m[1:] + 1))
+    _check_bands(j, m, raising)
+    m.setflags(write=False)
+    raising.setflags(write=False)
+    return SpinOperators(math.nan, m, raising), [
+        SpinOperators(j=s, m=m[a:a + d], raising=raising[a:a + d - 1])
+        for s, a, d in zip(spins, starts, dims)]
 
 
 def coherent_spin_state(j, theta: float, phi: float) -> StateVector:
@@ -215,12 +244,16 @@ def angular_spread(apparatus_state: StateVector, ops: SpinOperators) -> AngularS
             f"{ops.j} operators (dim {ops.dim})"
         )
     psi = apparatus_state.amplitudes
-    jz_mean = float(np.abs(psi) ** 2 @ ops.m)
+    return _spread(psi, ops.m, _ladder_matvecs(ops, psi)[0])
+
+
+def _spread(psi: np.ndarray, m: np.ndarray, jx_psi: np.ndarray) -> AngularSpread:
+    """`angular_spread` of amplitudes psi, from the Jz diagonal m and Jx psi."""
+    jz_mean = float(np.abs(psi) ** 2 @ m)
     if jz_mean <= 0.0:
         raise ValueError(
             f"<Jz> = {jz_mean:.6g} <= 0: orientation undefined for this estimator"
         )
-    jx_psi = _ladder_matvecs(ops, psi)[0]
     var = np.vdot(jx_psi, jx_psi).real - np.vdot(psi, jx_psi).real ** 2
     delta_l = math.sqrt(max(var, 0.0))
     return AngularSpread(delta_l=delta_l, delta_theta=delta_l / jz_mean)

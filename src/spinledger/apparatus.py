@@ -31,7 +31,8 @@ from .angular import (
     _check_spinor,
     _coherent_state,
     _ladder_matvecs,
-    angular_spread,
+    _spin_sum,
+    _spread,
     spin_operators,
 )
 from .config import NUMERICS
@@ -74,8 +75,9 @@ _SPIN_HALF = spin_operators(0.5)
 # operator that keeps total Jz is a (d+1, 2, 2) stack of blocks.
 # --------------------------------------------------------------------------
 
-# sectors per pass of the build's audits and of `_sector_j_means`, which
-# bounds their temporaries at any L
+# sectors per pass: consecutive devices are built, audited and premeasured
+# together while their sectors fit in one chunk, and a larger device goes
+# chunk by chunk, so a pass's temporaries stay bounded at any L
 _SECTOR_CHUNK = 4096
 
 
@@ -118,49 +120,39 @@ def _sector_projectors(L: float) -> np.ndarray:
 
 def _sector_identity(d: int) -> np.ndarray:
     """The identity of particle (x) apparatus as sector blocks (zero on phantoms)."""
-    return _to_sectors(np.ones(2 * d)).real[:, :, None] * np.eye(2)
+    ident = np.zeros((d + 1, 2, 2))
+    ident[:-1, 0, 0] = ident[1:, 1, 1] = 1.0
+    return ident
 
 
-def _raising_blocks(half: SpinOperators, app: SpinOperators) -> np.ndarray:
-    """J+ = S+ (x) 1 + 1 (x) L+ as (2L+1, 2, 2) blocks; block k-1 maps sector k to k-1."""
-    raising = np.zeros((app.dim, 2, 2))
-    raising[:-1, 0, 0] = app.raising      # |up, m> -> |up, m+1>
-    raising[:, 0, 1] = half.raising[0]    # |down, m> -> |up, m>
-    raising[1:, 1, 1] = app.raising       # |down, m> -> |down, m+1>
-    return raising
+def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2x2 block products written out on entry-major stacks, a[i, j] the (i, j) entries."""
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
 
 
-def _commutator_devs(p: np.ndarray, raising: np.ndarray, jz: np.ndarray) -> tuple[float, ...]:
-    """Max-entry norms of [P, Jx], [P, Jy] and [P, Jz] over sector block stacks P.
+def _stack_devs(e: np.ndarray, ident: np.ndarray, up: np.ndarray, jz: np.ndarray) -> np.ndarray:
+    """Per-sector [unitarity, idempotence, |[P, Jx or Jy]|, |[P, Jz]|], shape (4, n).
 
-    p is (..., 2L+2, 2, 2), one block stack per leading index, and the norms
-    are the largest over all of them.  [P, J+] only links sector k to k-1
-    and [P, J-] only k-1 to k, so the two never share an entry, and Jx, Jy
-    = (J+ +- J-)/(2 or 2i) give both the norm max(|[P, J+]|, |[P, J-]|) / 2.
-    Jz is diagonal on each sector.
+    Entry-major over n sectors: e is (2, 2, 2, n), P+ and P- on its third
+    axis; up holds the n - 1 J+ blocks between the sectors.  Each entry is
+    a max over both projectors and all entries of the general 2x2 products.
+    U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X.  [P, J+] and
+    [P, J-] never share an entry, so Jx and Jy both have the norm
+    max(|[P, J+]|, |[P, J-]|) / 2, entered at k for the link from k to k+1.
     """
-    lowering = raising.conj().transpose(0, 2, 1)
-    head, tail = p[..., :-1, :, :], p[..., 1:, :, :]
-    transverse = max(np.max(np.abs(head @ raising - raising @ tail)),
-                     np.max(np.abs(tail @ lowering - lowering @ head))) / 2
-    longitudinal = np.max(np.abs(p * (jz[:, None, :] - jz[:, :, None])))
-    return transverse, transverse, longitudinal
-
-
-def _stack_devs(p: np.ndarray, ident: np.ndarray, raising: np.ndarray,
-                jz: np.ndarray) -> np.ndarray:
-    """[unitarity, idempotence, |[P, Jx]|, |[P, Jy]|, |[P, Jz]|] of a P+, P- stack.
-
-    p is (2, n, 2, 2), P+ then P- over n consecutive sectors; ident and jz
-    are the sector identity and slot Jz over the same sectors, raising the
-    n - 1 J+ blocks between them.  Each entry is a max over both projectors.
-    U^dag U - 1 = (P+P+ + P-P- - 1) (x) 1 + (P+P- + P-P+) (x) X, per sector.
-    """
-    squares = p @ p
-    unitarity = max(np.max(np.abs(squares[0] + squares[1] - ident)),
-                    np.max(np.abs(np.add(*(p @ p[::-1])))))
-    idempotence = np.max(np.abs(squares - p))
-    return np.array([unitarity, idempotence, *_commutator_devs(p, raising, jz)])
+    squares = _block_product(e, e)
+    cross = _block_product(e, e[:, :, ::-1]).sum(axis=2)   # P+P- + P-P+
+    devs = np.zeros((4, e.shape[-1]))
+    devs[0] = np.maximum(np.abs(squares.sum(axis=2) - ident), np.abs(cross)).max(axis=(0, 1))
+    devs[1] = np.abs(squares - e).max(axis=(0, 1, 2))
+    up = up[:, :, None]
+    down = up.swapaxes(0, 1)   # J-, the bands being real
+    head, tail = e[..., :-1], e[..., 1:]
+    devs[2, :-1] = np.maximum(
+        np.abs(_block_product(head, up) - _block_product(up, tail)),
+        np.abs(_block_product(tail, down) - _block_product(down, head))).max(axis=(0, 1, 2)) / 2
+    devs[3] = np.abs(e * (jz - jz[:, None])[:, :, None]).max(axis=(0, 1, 2))
+    return devs
 
 
 @dataclass(frozen=True)
@@ -184,12 +176,114 @@ class CompositeSystem:
     spin_app: SpinOperators
     plus_blocks: np.ndarray
     minus_blocks: np.ndarray
-    raising_blocks: np.ndarray   # (2L+1, 2, 2), from `_raising_blocks`
+    raising_blocks: np.ndarray   # (2L+1, 2, 2): J+, block k maps sector k+1 to sector k
     slot_jz: np.ndarray          # (2L+2, 2), the total Jz of each sector slot
 
     @property
     def pa_dim(self) -> int:
         return self.dims[0] * self.dims[1]
+
+
+class _SectorStack(NamedTuple):
+    """Devices laid end to end, entry-major: the sectors run along each last axis.
+
+    Device i holds sectors offsets[i] .. offsets[i+1] - 1.  The J+ block
+    that would join it to the next device is zero, so the seam commutes
+    with every block and carries no amplitude across.
+    """
+
+    devices: tuple
+    apps: SpinOperators   # the devices' apparatus spins as one direct sum (`_spin_sum`)
+    blocks: np.ndarray    # (2, 2, 2, N): entry (a, b) of P+ and of P-
+    up: np.ndarray        # (2, 2, N - 1): entry (a, b) of each J+ block
+    jz: np.ndarray        # (2, N): the total Jz of each slot, 0 on the phantoms
+    offsets: np.ndarray   # (n + 1,)
+
+
+def _stack_of(sys: CompositeSystem) -> _SectorStack:
+    """A built device as a stack of one."""
+    blocks = np.stack([p.transpose(1, 2, 0) for p in (sys.plus_blocks, sys.minus_blocks)], axis=2)
+    return _SectorStack((sys,), sys.spin_app, blocks, sys.raising_blocks.transpose(1, 2, 0),
+                        sys.slot_jz.T, np.array([0, sys.dims[1] + 1]))
+
+
+def _check_devices(l_values) -> list[float]:
+    """Each L checked; a device whose composite 4(2L+1) exceeds `NUMERICS.max_total_dim` is refused."""
+    spins = [_check_spin(L, 0.5, "apparatus spin") for L in l_values]
+    for d in (round(2 * L + 1) for L in spins):
+        if 4 * d > NUMERICS.max_total_dim:
+            raise ValueError(
+                f"build_measurement_unitary refused: 4 x {d} = {4 * d} exceeds the "
+                f"configured maximum total dimension {NUMERICS.max_total_dim}"
+            )
+    return spins
+
+
+def _build_stack(l_values, tilt: float = 0.0) -> _SectorStack:
+    """Build and audit a list of devices as one sector stack.
+
+    The audits go `_SECTOR_CHUNK` sectors at a time, each chunk with the
+    next sector, which J+ links to its last one.  Every device is gated on
+    its own maxima, so an error names its L.
+    """
+    spins = _check_devices(l_values)
+    app_sum, apps = _spin_sum(spins)
+    blocks = np.concatenate([np.asarray(_sector_projectors(L)) for L in spins], axis=1)
+    blocks = blocks.transpose(2, 3, 0, 1).copy()
+    ident = np.concatenate([_sector_identity(app.dim) for app in apps]).transpose(1, 2, 0).copy()
+    offsets = np.cumsum([0] + [app.dim + 1 for app in apps])
+    n_sec = offsets[-1]
+    up = np.zeros((2, 2, n_sec))   # J+ = S+ (x) 1 + 1 (x) L+, and a zero seam after each device
+    jz = np.zeros((2, n_sec))
+    for o, app in zip(offsets, apps):
+        up[0, 0, o:o + app.dim - 1] = app.raising       # |up, m> -> |up, m+1>
+        up[0, 1, o:o + app.dim] = _SPIN_HALF.raising[0]  # |down, m> -> |up, m>
+        up[1, 1, o + 1:o + app.dim] = app.raising       # |down, m> -> |down, m+1>
+        jz[0, o:o + app.dim] = _SPIN_HALF.m[0] + app.m
+        jz[1, o + 1:o + app.dim + 1] = _SPIN_HALF.m[1] + app.m
+    up = up[..., :-1]
+
+    devs = np.zeros((4, n_sec))
+    for start in range(0, n_sec, _SECTOR_CHUNK):
+        w = slice(start, start + _SECTOR_CHUNK + 1)
+        np.maximum(devs[:, w], _stack_devs(blocks[..., w], ident[..., w],
+                                           up[..., start:start + _SECTOR_CHUNK], jz[:, w]),
+                   out=devs[:, w])
+    devs[2, offsets[1:-1] - 1] = 0.0   # a seam link belongs to neither device
+    devs = np.maximum.reduceat(devs, offsets[:-1], axis=1).T.tolist()
+    traces = np.add.reduceat((blocks[0, 0] + blocks[1, 1]).real, offsets[:-1], axis=1).T.tolist()
+    for L, (unitarity, idempotence, transverse, longitudinal), pair in zip(spins, devs, traces):
+        at = f" (L = {L:g})"
+        # every gate fails on nan too
+        if not unitarity <= NUMERICS.operator_atol:
+            raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}{at}")
+        if not idempotence <= NUMERICS.state_atol:
+            raise AssertionError(f"projector not idempotent: {idempotence:.3e}{at}")
+        # the ranks tell j = L + 1/2 from j = L - 1/2: P+ and P- swapped
+        # conserve every J but break the matching equations
+        for trace, rank in zip(pair, (2 * L + 2, 2 * L)):
+            if not abs(trace - rank) <= NUMERICS.operator_atol:
+                raise ConservationError(f"projector rank {trace!r} != {rank}{at}")
+        # [U, J (x) 1] = [P+, J] (x) 1 + [P-, J] (x) X: the two blocks never
+        # share an entry, so the max-entry norm is the larger block's.  An
+        # idempotent P+ of rank 2L+2 that commutes with every J_k can only be
+        # the j = L+1/2 projector, so these audits pin the device completely.
+        for axis, dev in zip("xyz", (transverse, transverse, longitudinal)):
+            if not dev <= NUMERICS.operator_atol:
+                raise ConservationError(
+                    f"premeasurement unitary does not conserve J{axis}: "
+                    f"|[U, J]| = {dev:.3e}{at}"
+                )
+    blocks.setflags(write=False)
+    devices = tuple(CompositeSystem(
+        L=L, tilt=float(tilt), dims=(2, app.dim, 2), apparatus_state=_coherent_state(L, tilt, 0.0),
+        spin_half=_SPIN_HALF, spin_app=app,
+        plus_blocks=blocks[:, :, 0, o:o + app.dim + 1].transpose(2, 0, 1),
+        minus_blocks=blocks[:, :, 1, o:o + app.dim + 1].transpose(2, 0, 1),
+        raising_blocks=up[..., o:o + app.dim].transpose(2, 0, 1),
+        slot_jz=jz[:, o:o + app.dim + 1].T,
+    ) for L, app, o in zip(spins, apps, offsets))
+    return _SectorStack(devices, app_sum, blocks, up, jz, offsets)
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -200,71 +294,23 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     +z particle exactly zero.  A positive tilt rotates the device by that
     angle toward +x, making all four error amplitudes nonzero.  A device
     whose full composite, 4(2L+1), exceeds `NUMERICS.max_total_dim` is
-    refused before anything is allocated.
+    refused before anything is allocated.  The one-device `_build_stack`.
     """
-    L = _check_spin(L, 0.5, "apparatus spin")
-    d = round(2 * L + 1)
-    if 4 * d > NUMERICS.max_total_dim:
-        raise ValueError(
-            f"build_measurement_unitary refused: 4 x {d} = {4 * d} exceeds the "
-            f"configured maximum total dimension {NUMERICS.max_total_dim}"
-        )
-    half, app = _SPIN_HALF, spin_operators(L)
-    blocks = np.asarray(_sector_projectors(L))
-    plus, minus = blocks
-    raising = _raising_blocks(half, app)
-    jz = _to_sectors(np.add.outer(half.m, app.m)).real.copy()   # total Jz of each slot
-    ident = _sector_identity(d)
+    return _build_stack([L], tilt).devices[0]
 
-    # P+ and P- are audited as one stack.  Every deviation is a max over
-    # sectors, so the stack goes `_SECTOR_CHUNK` sectors at a time, each
-    # chunk with the next sector, which J+ links to its last one.
-    devs = np.zeros(5)
-    for start in range(0, d, _SECTOR_CHUNK):
-        window = slice(start, start + _SECTOR_CHUNK + 1)
-        np.maximum(devs, _stack_devs(blocks[:, window], ident[window],
-                                     raising[start:start + _SECTOR_CHUNK], jz[window]), out=devs)
-    unitarity, idempotence, *commutators = devs.tolist()
-    if unitarity > NUMERICS.operator_atol:
-        raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}")
-    if idempotence > NUMERICS.state_atol:
-        raise AssertionError(f"projector not idempotent: {idempotence:.3e}")
-    traces = np.trace(blocks, axis1=2, axis2=3).real.sum(axis=1)
-    for trace, rank in zip(traces.tolist(), (2 * L + 2, 2 * L)):
-        if abs(trace - rank) > NUMERICS.operator_atol:
-            raise AssertionError(f"projector rank {trace!r} != {rank}")
 
-    # [U, J (x) 1] = [P+, J] (x) 1 + [P-, J] (x) X: the two blocks never
-    # share an entry, so the max-entry norm is the larger block's.  An
-    # idempotent P+ of rank 2L+2 that commutes with every J_k can only be
-    # the j = L+1/2 projector, so these audits pin the device completely.
-    for axis, dev in zip("xyz", commutators):
-        if dev > NUMERICS.operator_atol:
-            raise ConservationError(
-                f"premeasurement unitary does not conserve J{axis}: "
-                f"|[U, J]| = {dev:.3e}"
-            )
-
-    return CompositeSystem(
-        L=L,
-        tilt=float(tilt),
-        dims=(2, d, 2),
-        apparatus_state=_coherent_state(L, tilt, 0.0),
-        spin_half=half,
-        spin_app=app,
-        plus_blocks=plus,
-        minus_blocks=minus,
-        raising_blocks=raising,
-        slot_jz=jz,
-    )
+def _pa_matvecs(app: SpinOperators, t: np.ndarray) -> list[np.ndarray]:
+    """[Jx t, Jy t, Jz t], J_k = S_k (x) 1 + 1 (x) L_k, on (..., 2, d) particle-slot-major t."""
+    half = _ladder_matvecs(_SPIN_HALF, t.swapaxes(-1, -2))
+    out = _ladder_matvecs(app, t)
+    for h, a in zip(half, out):
+        a += h.swapaxes(-1, -2)
+    return list(out)
 
 
 def _j_matvecs(sys: CompositeSystem, v: np.ndarray) -> list[np.ndarray]:
-    """[Jx v, Jy v, Jz v] with J_k = S_k (x) 1 + 1 (x) L_k over particle (x) apparatus, in O(L)."""
-    t = v.reshape(2, -1)
-    half = _ladder_matvecs(sys.spin_half, t.T)
-    app = _ladder_matvecs(sys.spin_app, t)
-    return [(h.T + a).reshape(v.shape) for h, a in zip(half, app)]
+    """[Jx v, Jy v, Jz v] over particle (x) apparatus amplitudes v (kron layout), in O(L)."""
+    return [jv.reshape(v.shape) for jv in _pa_matvecs(sys.spin_app, v.reshape(2, -1))]
 
 
 def _j_brackets(sys: CompositeSystem, bra: np.ndarray, ket: np.ndarray) -> tuple[complex, ...]:
@@ -288,58 +334,86 @@ _DRIFT_WEIGHTS = np.array([1.0, 1.0, -1.0])
 
 
 def _sector_j_means(kets: np.ndarray, weights: np.ndarray, raising: np.ndarray,
-                    jz: np.ndarray) -> np.ndarray:
+                    jz: np.ndarray, starts=None) -> np.ndarray:
     """sum_s weights[s] (<Jx>, <Jy>, <Jz>) of each stack of sector kets, shape (..., 3).
 
-    kets is (..., s, 2, 2L+2), slot-major: kets[..., s, a, k] is slot a of
+    kets is (..., s, 2, N), slot-major: kets[..., s, a, k] is slot a of
     sector k (`_to_sectors`).  <J+> = sum_k x_k^dag R_k x_(k+1) reads the
-    J+ blocks R of `_raising_blocks` and <Jz> the slot Jz, the blocks the
+    (N - 1, 2, 2) J+ blocks R and <Jz> the (N, 2) slot Jz, the blocks the
     build's [P, J] audit uses; <Jx> and <Jy> are the real and imaginary
     parts of <J+>.  The weighted sum over s is taken within each sector
     before the sectors are summed, so a drift, a small difference of O(L)
-    means, is not rounded at the size of the means.  The sectors go
-    `_SECTOR_CHUNK` at a time.
+    means, is not rounded at the size of the means.  With `starts` the
+    sectors are summed from each start to the next, one device each, to
+    shape (..., len(starts), 3).  The sectors go `_SECTOR_CHUNK` at a time.
     """
-    total = np.zeros(kets.shape[:-3] + (3,))
     n_sec = kets.shape[-1]
+    up, jz = raising.transpose(1, 2, 0), jz.T
+    per_sector = np.zeros(kets.shape[:-3] + (n_sec, 3))
     for start in range(0, n_sec, _SECTOR_CHUNK):
         stop = min(start + _SECTOR_CHUNK, n_sec)
         x = kets[..., start:stop + 1]   # with sector `stop`, which J+ takes into the chunk
-        bras = x.conj()
-        bras *= weights[:, None, None]
-        jplus = np.einsum("...sak,kab,...sbk->...k",
-                          bras[..., :-1], raising[start:stop], x[..., 1:]).sum(axis=-1)
-        jz_mean = np.einsum("...sak,ka,...sak->...k", bras[..., :stop - start], jz[start:stop],
-                            x[..., :stop - start]).sum(axis=-1).real
-        total += np.stack([jplus.real, jplus.imag, jz_mean], axis=-1)
-    return total
+        here, nxt = x[..., :stop - start], x[..., 1:]
+        links = nxt.shape[-1]
+        r = up[..., start:start + links]
+        jplus = 0.0
+        for a in range(2):   # slot by slot, which keeps the temporaries small
+            rx = r[a, 0] * nxt[..., 0, :]
+            rx += r[a, 1] * nxt[..., 1, :]
+            rx *= here[..., a, :links].conj()
+            jplus = jplus + rx
+        per_sector[..., start:start + links, 0] = weights @ jplus.real
+        per_sector[..., start:start + links, 1] = weights @ jplus.imag
+        per_sector[..., start:stop, 2] = weights @ (
+            (here.real ** 2 + here.imag ** 2) * jz[:, start:stop]).sum(axis=-2)
+    if starts is None:
+        return per_sector.sum(axis=-2)
+    return np.add.reduceat(per_sector, starts, axis=-2)
+
+
+def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
+    """Each (a, b) of spinors premeasured on every device of a stack, in one sector pass.
+
+    A record slot is P[a, 0] psi_0 + P[a, 1] psi_1 + 0.0; the +0.0 turns a
+    -0 sum into +0, the signed zeros of a sum started from +0, which the
+    pinned outputs were written with.  The drift is gated device by device
+    and input by input, so no two drifts can cancel.  Returns (n, 2D, 2):
+    per input, the devices' premeasured states end to end, each in the
+    kron layout (particle, apparatus, record).
+    """
+    pairs = np.array([_check_spinor(a, b) for a, b in spinors], dtype=np.complex128)
+    offsets = stack.offsets
+    kets = np.zeros((len(pairs), 3, 2, offsets[-1]), dtype=np.complex128)
+    psi = kets[:, 2]
+    for o, dev in zip(offsets, stack.devices):
+        app = dev.apparatus_state.amplitudes
+        psi[:, 0, o:o + app.size] = pairs[:, :1] * app          # |up, m>: slot 0 of sector L - m
+        psi[:, 1, o + 1:o + app.size + 1] = pairs[:, 1:] * app  # |down, m>: slot 1 of sector L - m + 1
+    for start in range(0, offsets[-1], _SECTOR_CHUNK):
+        w = slice(start, start + _SECTOR_CHUNK)
+        x = psi[:, None, :, w]
+        for r in range(2):
+            out = kets[:, r, :, w]
+            np.multiply(stack.blocks[:, 0, r, w], x[..., 0, :], out=out)
+            out += stack.blocks[:, 1, r, w] * x[..., 1, :]
+            out += 0.0
+    drift = np.abs(_sector_j_means(kets, _DRIFT_WEIGHTS, stack.up.transpose(2, 0, 1), stack.jz.T,
+                                   offsets[:-1]))
+    if not (drift <= NUMERICS.conservation_atol).all():   # nan fails too
+        i, n, k = np.argwhere(~(drift.transpose(1, 0, 2) <= NUMERICS.conservation_atol))[0]
+        raise ConservationError(f"<J{'xyz'[k]}> drifted by {drift[n, i, k]:.3e} during "
+                                f"premeasurement (L = {stack.devices[i].L:g})")
+    kron = np.empty((len(kets), 2 * (offsets[-1] - len(offsets) + 1), 2), dtype=np.complex128)
+    for i, (o, dev) in enumerate(zip(offsets, stack.devices)):
+        d, a = dev.dims[1], 2 * (o - i)   # slot 0 of sectors o .. o+d-1, slot 1 of o+1 .. o+d
+        kron[:, a:a + d] = kets[:, :2, 0, o:o + d].transpose(0, 2, 1)
+        kron[:, a + d:a + 2 * d] = kets[:, :2, 1, o + 1:o + d + 1].transpose(0, 2, 1)
+    return kron
 
 
 def _premeasure_all(spinors, sys: CompositeSystem) -> list[StateVector]:
-    """`premeasure` of each (a, b) in spinors on one device, in one sector pass.
-
-    One (n, 3, 2, 2L+2) stack holds, for each input psi, the record-0 ket
-    P+ psi, the record-1 ket P- psi and psi itself as slot-major sector
-    amplitudes; the records are one einsum per projector.  The drift
-    audit reads the whole stack in two einsum passes (`_sector_j_means`)
-    and checks it input by input, so two inputs' drifts cannot cancel.
-    """
-    app = sys.apparatus_state.amplitudes
-    pairs = np.array([_check_spinor(a, b) for a, b in spinors], dtype=np.complex128)
-    kets = np.zeros((len(pairs), 3, 2, app.size + 1), dtype=np.complex128)
-    psi = kets[:, 2]
-    psi[:, 0, :-1] = pairs[:, :1] * app    # |up, m> is slot 0 of sector L - m
-    psi[:, 1, 1:] = pairs[:, 1:] * app     # |down, m> is slot 1 of sector L - m + 1
-    for r, p in enumerate((sys.plus_blocks, sys.minus_blocks)):
-        np.einsum("kab,nbk->nak", p, psi, out=kets[:, r])
-    drift = np.abs(_sector_j_means(kets, _DRIFT_WEIGHTS, sys.raising_blocks, sys.slot_jz))
-    for axis, dev in zip("xyz" * len(pairs), drift.ravel().tolist()):
-        if dev > NUMERICS.conservation_atol:
-            raise ConservationError(
-                f"<J{axis}> drifted by {dev:.3e} during premeasurement"
-            )
-    # the kron layout (particle, apparatus, record), copied once into the state
-    return [StateVector(sys.dims, [rec[:, 0, :-1].T, rec[:, 1, 1:].T]) for rec in kets[:, :2]]
+    """`premeasure` of each (a, b) in spinors on one device: the one-device `_premeasure_stack`."""
+    return [StateVector(sys.dims, final) for final in _premeasure_stack(spinors, _stack_of(sys))]
 
 
 def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
@@ -369,38 +443,57 @@ class BranchDecomposition:
     omitted: tuple
 
 
+def _split_records(kron: np.ndarray, cols: np.ndarray, spins) -> tuple[list, np.ndarray, np.ndarray]:
+    """Premeasured states laid end to end (`_premeasure_stack`), split by record sector.
+
+    Device i has rows 2 cols[i] .. 2 cols[i+1] - 1 of kron.  A weight is the
+    `vdot` of the sector's stride-2 view, as the bits of the sum depend on
+    the stride.  Returns the coefficients [device][input][record] (0.0 below
+    the weight floor), their presence and the (n, 2, 2D) branch states,
+    sector over coefficient (an empty one left as it was), audited device
+    by device.  For the eigenstate pair, an input's weight sum is C^2+D^2
+    or E^2+F^2.
+    """
+    starts, sizes = 2 * cols[:-1], 2 * np.diff(cols)
+    weights = np.array([[[np.vdot(k[a:a + size, r], k[a:a + size, r]).real
+                          for a, size in zip(starts, sizes)] for r in range(2)] for k in kron])
+    present = ~(weights < NUMERICS.branch_weight_floor)
+    coeffs = np.where(present, np.sqrt(weights), 0.0)
+    comps = kron.transpose(0, 2, 1)
+    states = np.divide(comps, np.repeat(np.where(present, coeffs, 1.0), sizes, axis=-1),
+                       out=np.empty(comps.shape, dtype=np.complex128))
+    recon = np.array([np.maximum.reduceat(np.abs(c * s - k), starts, axis=-1).max(axis=0)
+                      for c, s, k in zip(np.repeat(coeffs, sizes, axis=-1), states, comps)]).T.tolist()
+    norms = np.add.reduceat(states.real ** 2 + states.imag ** 2, starts, axis=-1)
+    norms = norms.transpose(2, 0, 1).tolist()
+    overlaps = np.abs(np.add.reduceat(states[:, 0].conj() * states[:, 1], starts, axis=-1)).T.tolist()
+    totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
+    coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
+    for L, *device in zip(spins, present, norms, totals, overlaps, recon):
+        at = f" (L = {L:g})"
+        for have, norm, total, overlap, rebuilt in zip(*device):   # input by input
+            for x in (x for x, h in zip(norm, have) if h):
+                if not abs(x - 1.0) <= NUMERICS.state_atol:
+                    raise ValueError(f"state not normalized: |psi|^2 = {x!r}{at}")
+            if not abs(total - 1.0) <= NUMERICS.operator_atol:
+                raise AssertionError(f"branch weights sum to {total!r}{at}")
+            if all(have) and not overlap <= NUMERICS.state_atol:
+                raise AssertionError(f"record sectors not orthogonal: {overlap:.3e}{at}")
+            if not rebuilt <= NUMERICS.conservation_atol:
+                raise AssertionError(f"branch reconstruction failed{at}")
+    return coeffs, present, states
+
+
 def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomposition:
     if final.dims != sys.dims:
         raise ValueError(f"state dims {final.dims} do not match system {sys.dims}")
-    t = final.amplitudes.reshape(sys.pa_dim, 2)
-    branches = []
-    omitted = []
-    total = 0.0
-    recon_dev = 0.0   # max |coeff * state - sector| over both sectors
-    for r, label in enumerate(_LABELS):
-        comp = t[:, r]
-        weight = float(np.real(np.vdot(comp, comp)))
-        if weight < NUMERICS.branch_weight_floor:
-            omitted.append(label)
-            recon_dev = max(recon_dev, np.max(np.abs(comp)))
-            continue
-        coeff = math.sqrt(weight)
-        state = StateVector((2, sys.dims[1]), comp / coeff)
-        branches.append((coeff, state, label))
-        recon_dev = max(recon_dev, np.max(np.abs(coeff * state.amplitudes - comp)))
-        total += weight
-    if abs(total - 1.0) > NUMERICS.operator_atol:
-        raise AssertionError(f"branch weights sum to {total!r}")
-    if len(branches) == 2:
-        ov = abs(branches[0][1].overlap(branches[1][1]))
-        if ov > NUMERICS.state_atol:
-            raise AssertionError(f"record sectors not orthogonal: {ov:.3e}")
-    if recon_dev > NUMERICS.conservation_atol:
-        raise AssertionError("branch reconstruction failed")
+    [[coeffs]], [[present]], states = _split_records(
+        final.amplitudes.reshape(1, -1, 2), np.array([0, sys.dims[1]]), [sys.L])
     return BranchDecomposition(
-        branches=tuple(branches),
+        branches=tuple((c, StateVector((2, sys.dims[1]), s), label)
+                       for c, h, s, label in zip(coeffs, present, states[0], _LABELS) if h),
         source_state=final,
-        omitted=tuple(omitted),
+        omitted=tuple(label for h, label in zip(present, _LABELS) if not h),
     )
 
 
@@ -424,23 +517,21 @@ class ErrorAmplitudes:
     d_err: Optional[StateVector]
 
 
-def _sectors(final: StateVector, sys: CompositeSystem) -> dict:
-    """Label -> (coefficient, branch state), with (0.0, None) for an empty sector."""
-    decomp = decompose_branches(final, sys)
-    sectors = dict.fromkeys(decomp.omitted, (0.0, None))
-    sectors.update((label, (coeff, state)) for coeff, state, label in decomp.branches)
-    return sectors
+# +z, then -z: the inputs whose records give C, D, E and F
+_EIGENSTATES = ((1.0, 0.0), (0.0, 1.0))
 
 
 def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
-    """Run both eigenstate inputs, premeasured together, and read off C, D, E, F and the kets."""
-    p, q = (_sectors(final, sys) for final in _premeasure_all([(1.0, 0.0), (0.0, 1.0)], sys))
-    (c, u), (d_amp, d_err) = p["up"], p["dn"]
-    (f, u_err), (e, d) = q["up"], q["dn"]
-    for total, name in ((c * c + d_amp * d_amp, "C^2+D^2"),
-                        (e * e + f * f, "E^2+F^2")):
-        if abs(total - 1.0) > NUMERICS.operator_atol:
-            raise AssertionError(f"{name} = {total!r} != 1")
+    """Run both eigenstate inputs, premeasured together, and read off C, D, E, F and the kets.
+
+    The one-device case of a `measure` sweep's readout (`_read_stack`).
+    """
+    finals = _premeasure_all(_EIGENSTATES, sys)
+    kron = np.array([final.amplitudes for final in finals]).reshape(2, -1, 2)
+    [coeffs], [present], states = _split_records(kron, np.array([0, sys.dims[1]]), [sys.L])
+    (u, d_err), (u_err, d) = [[StateVector((2, sys.dims[1]), s) if h else None
+                               for h, s in zip(have, pair)] for have, pair in zip(present, states)]
+    (c, d_amp), (f, e) = coeffs
     return ErrorAmplitudes(C=c, D=d_amp, E=e, F=f, u=u, u_err=u_err, d=d, d_err=d_err)
 
 
@@ -465,7 +556,7 @@ def _matching_brackets(sys: CompositeSystem, amps: ErrorAmplitudes) -> list:
             for weight, bra, ket in pairs if bra is not None and ket is not None]
 
 
-def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes,
+def _matching_residuals(sys: CompositeSystem, amps: Optional[ErrorAmplitudes],
                         terms: list | None = None) -> np.ndarray:
     """Residuals of the matching equations from their `_matching_brackets` terms."""
     if terms is None:
@@ -478,11 +569,74 @@ def _matching_residuals(sys: CompositeSystem, amps: ErrorAmplitudes,
             lhs += weight * brackets[k]
         residuals[k] = lhs - targets[k]
     worst = float(np.max(np.abs(residuals)))
-    if worst > NUMERICS.conservation_atol:
+    if not worst <= NUMERICS.conservation_atol:
         raise ConservationError(
-            f"matching equations violated: max residual {worst:.3e}"
+            f"matching equations violated: max residual {worst:.3e} (L = {sys.L:g})"
         )
     return residuals
+
+
+# C F <u|J|u_err> and E D <d|J|d_err>: each (bra, ket) as (input, record) of
+# the eigenstate records
+_MATCHING_TERMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
+
+
+def _read_stack(stack: _SectorStack) -> list[list]:
+    """The `measure` rows of a stack: its eigenstates premeasured and read.
+
+    The J matvecs of the matching kets and apparatus states run once over
+    the whole stack, the apparatus bands laid end to end with J+ zero
+    between devices; every bracket and moment is the device's own `vdot`
+    over its own columns, on the data `_j_brackets` and `angular_spread` read.
+    """
+    devices = stack.devices
+    dims = np.diff(stack.offsets) - 1
+    cols = np.concatenate([[0], np.cumsum(dims)])
+    coeffs, present, states = _split_records(_premeasure_stack(_EIGENSTATES, stack), cols,
+                                             [dev.L for dev in devices])
+
+    live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
+            if any(have[bra] and have[ket] for have in present)]
+    # the matching kets slot-major: level m of device i at column cols[i] + m
+    owner = np.repeat(np.arange(dims.size), dims)
+    at = cols[owner] + np.arange(cols[-1]) + dims[owner] * np.array([[0], [1]])
+    ket_j = np.take(np.array([states[_MATCHING_TERMS[t][1]] for t in live]), at, axis=-1)
+    jv = _pa_matvecs(stack.apps, ket_j)
+    psi = np.concatenate([dev.apparatus_state.amplitudes for dev in devices])
+    jx_psi = _ladder_matvecs(stack.apps, psi)[0]
+
+    rows = []
+    for dev, have, coeff, a, b in zip(devices, present, coeffs, cols, cols[1:]):
+        (c, d_amp), (f, e) = coeff
+        weights = (c * f, e * d_amp)
+        matching = [(weights[t], tuple(complex(np.vdot(states[bra][2 * a:2 * b], j[k, :, a:b]))
+                                       for j in jv))
+                    for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
+                    if have[bra] and have[ket]]
+        residuals = _matching_residuals(dev, None, matching)
+        spread = _spread(psi[a:b], dev.spin_app.m, jx_psi[a:b])
+        rows.append([dev.L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
+                     abs(matching[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])
+    return rows
+
+
+def _sweep(l_values) -> list[list]:
+    """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
+
+    Consecutive devices whose sectors fit in `_SECTOR_CHUNK` are built,
+    audited, premeasured on both eigenstates and read in one sector pass;
+    a larger device has a pass of its own.
+    """
+    groups = [[]]
+    size = 0
+    for L in _check_devices(l_values):
+        n_sec = round(2 * L + 2)
+        if groups[-1] and size + n_sec > _SECTOR_CHUNK:
+            groups.append([])
+            size = 0
+        groups[-1].append(L)
+        size += n_sec
+    return [row for group in groups for row in _read_stack(_build_stack(group))]
 
 
 class BracketScalingRow(NamedTuple):
@@ -497,23 +651,11 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
 
     All three columns grow like sqrt(L): the bracket is sqrt(2L+1)/2 in
     closed form, the aligned apparatus has delta_l = sqrt(L/2), and
-    1/delta_theta = sqrt(2L).
+    1/delta_theta = sqrt(2L).  The list case of a `measure` sweep.
     """
     if not L_list:
         raise ValueError("need at least one apparatus spin")
-    rows = []
-    for L in L_list:
-        sys = build_measurement_unitary(L)
-        amps = extract_error_amplitudes(sys)
-        mag = abs(_j_brackets(sys, amps.u.amplitudes, amps.u_err.amplitudes)[0])
-        spread = angular_spread(sys.apparatus_state, sys.spin_app)
-        rows.append(BracketScalingRow(
-            L=sys.L,
-            bracket_magnitude=mag,
-            delta_l=spread.delta_l,
-            inv_delta_theta=1.0 / spread.delta_theta,
-        ))
-    return rows
+    return [BracketScalingRow(row[0], *row[6:]) for row in _sweep(L_list)]
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .angular import _check_spin, angular_spread, bloch_vector
+from .angular import _check_spin, bloch_vector
 from .apparatus import (
     _j_means,
-    _matching_brackets,
-    _matching_residuals,
+    _sweep,
     build_measurement_unitary,
     decompose_branches,
-    extract_error_amplitudes,
     premeasure,
     thermal_orientation_uncertainty,
 )
@@ -238,21 +236,16 @@ def _cmd_ideal(args) -> None:
     _write_table(args, meta, ["component", "cross_re", "cross_im", "max_residual"], rows)
 
 
-def _measure_row(L: float, numerics: NumericsConfig = NUMERICS) -> list:
+def _measure_rows(l_values, numerics: NumericsConfig = NUMERICS) -> list:
+    """The `measure` rows of l_values, in order, from one sweep (`apparatus._sweep`)."""
     # a spawned worker starts from the default tolerances: adopt the parent's
     vars(NUMERICS).update(vars(numerics))
-    sys_model = build_measurement_unitary(L)
-    amps = extract_error_amplitudes(sys_model)
-    terms = _matching_brackets(sys_model, amps)
-    residuals = _matching_residuals(sys_model, amps, terms)
-    spread = angular_spread(sys_model.apparatus_state, sys_model.spin_app)
-    # the first term's brackets are <u|J|u_err>
-    mag = abs(terms[0][1][0])
-    return [
-        L, amps.C, amps.D, amps.E, amps.F,
-        float(np.max(np.abs(residuals))),
-        mag, spread.delta_l, 1.0 / spread.delta_theta,
-    ]
+    return _sweep(l_values)
+
+
+def _measure_row(L: float) -> list:
+    """The `measure` row of one L: the one-device case of `_measure_rows`."""
+    return _measure_rows([L])[0]
 
 
 def _cmd_measure(args) -> None:
@@ -264,10 +257,14 @@ def _cmd_measure(args) -> None:
         # imported here: a serial run, every other command, never pays for it
         from concurrent.futures import ProcessPoolExecutor
 
+        # each worker sweeps one contiguous run of the list
+        bounds = [len(l_values) * k // workers for k in range(workers + 1)]
+        parts = [l_values[a:b] for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(functools.partial(_measure_row, numerics=NUMERICS), l_values))
+            rows = [row for part in pool.map(functools.partial(_measure_rows, numerics=NUMERICS),
+                                             parts) for row in part]
     else:
-        rows = [_measure_row(L) for L in l_values]
+        rows = _measure_rows(l_values)
     meta = _metadata(args)
     _write_table(args, meta, [
         "L", "C", "D", "E", "F", "matching_residual_max",

@@ -98,7 +98,7 @@ def weighted_branch_average(branches) -> np.ndarray:
     values = np.array([np.asarray(v, dtype=float) for _, v in branches])
     weights = np.abs(coeffs) ** 2
     total = float(weights.sum())
-    if abs(total - 1.0) > NUMERICS.operator_atol:
+    if not abs(total - 1.0) <= NUMERICS.operator_atol:   # a nan total fails too
         raise ValueError(f"branch weights not normalized: sum |c|^2 = {total!r}")
     return weights @ values
 
@@ -152,7 +152,7 @@ def classify_violation(initial, branches, cross_contribution,
     avg = weighted_branch_average(branches)
 
     audit = np.max(np.abs(initial - (avg + 2 * np.real(cross))))
-    if audit > NUMERICS.audit_atol:
+    if not audit <= NUMERICS.audit_atol:   # a nan branch value fails too
         raise ConservationError(
             f"inconsistent bookkeeping: weighted average + 2 Re(cross) misses "
             f"the initial value by {audit:.3e} (audit tolerance "

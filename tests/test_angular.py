@@ -139,6 +139,13 @@ def test_bloch_rejects_nan():
         sl.bloch_vector(float("nan"), float("nan"))
 
 
+@pytest.mark.parametrize("a, b", [(1e200, 0), (0, 1e200j), (complex(1e308, 1e308), 0)])
+def test_bloch_rejects_a_finite_amplitude_whose_square_overflows(a, b):
+    # |a|^2 leaves the float range: a ValueError like any unnormalized pair
+    with pytest.raises(ValueError, match="not normalized"):
+        sl.bloch_vector(a, b)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(min_value=0.01, max_value=0.99),

@@ -133,6 +133,22 @@ def test_classifier_rejects_inconsistent_books():
         )
 
 
+def test_weighted_average_rejects_a_nan_coefficient():
+    with pytest.raises(ValueError, match="not normalized"):
+        sl.weighted_branch_average([(float("nan"), np.zeros(3)), (0.5, np.zeros(3))])
+
+
+def test_classifier_rejects_a_nan_branch_value():
+    # a nan value makes the audit nan, which must fail the gate, not pass it
+    r = 1 / np.sqrt(2)
+    with pytest.raises(sl.ConservationError, match="inconsistent bookkeeping"):
+        sl.classify_violation(
+            initial=[0, 0, 0],
+            branches=[(r, [float("nan"), 0, 0]), (r, [0, 0, 0])],
+            cross_contribution=np.zeros(3, dtype=complex),
+        )
+
+
 def test_classifier_rejects_bad_tolerance():
     with pytest.raises(ValueError, match="tolerance"):
         sl.classify_violation([0, 0, 0], [(1.0, [0, 0, 0])],
