@@ -97,7 +97,7 @@ def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.n
     return jx, jy, jz
 
 
-def _check_bands(j, m: np.ndarray, raising: np.ndarray) -> None:
+def _check_bands(j: float, m: np.ndarray, raising: np.ndarray) -> None:
     """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding on the bands.
 
     Both residuals are diagonal: with r_i = raising[i] (0 past either
@@ -105,20 +105,18 @@ def _check_bands(j, m: np.ndarray, raising: np.ndarray) -> None:
     J^2 - j(j+1) = (r_i^2 + r_(i-1)^2)/2 + m_i^2 - j(j+1); every other
     diagonal cancels exactly.  Their float error grows as j (commutator)
     and j(j+1) (Casimir), so each is gated at the operator tolerance
-    times that scale, level by level; j may give each level's spin.
+    times that scale.
     """
     sq = np.zeros(m.size + 1)
     sq[1:-1] = raising ** 2
     above, below = sq[1:], sq[:-1]
-    comm = np.abs((above - below) / 2 - m)
-    casimir = np.abs((above + below) / 2 + m ** 2 - j * (j + 1))
-    ok = ((comm <= NUMERICS.operator_atol * np.maximum(1.0, j))
-          & (casimir <= NUMERICS.operator_atol * np.maximum(1.0, j * (j + 1))))
-    if not ok.all():
-        at = np.argmin(ok)
+    comm = float(np.max(np.abs((above - below) / 2 - m)))
+    casimir = float(np.max(np.abs((above + below) / 2 + m ** 2 - j * (j + 1))))
+    if (comm > NUMERICS.operator_atol * max(1.0, j)
+            or casimir > NUMERICS.operator_atol * max(1.0, j * (j + 1))):
         raise ValueError(
-            f"spin algebra failed self-check at j={np.broadcast_to(j, m.shape)[at]}: "
-            f"comm={comm[at]:.3e}, casimir={casimir[at]:.3e}"
+            f"spin algebra failed self-check at j={j}: comm={comm:.3e}, "
+            f"casimir={casimir:.3e}"
         )
 
 
@@ -137,26 +135,6 @@ def spin_operators(j) -> SpinOperators:
     m.setflags(write=False)
     raising.setflags(write=False)
     return SpinOperators(j=j, m=m, raising=raising)
-
-
-def _spin_sum(spins) -> tuple[SpinOperators, list[SpinOperators]]:
-    """The direct sum of checked spins' algebras, and each spin's `spin_operators` as its views.
-
-    The spins' bands lie end to end, built by the same formulas and
-    self-checked together: J+ from one spin's top level into the next spin
-    is sqrt(j(j+1) - m(m+1)) at m = j, exactly 0.  The sum's j is nan.
-    """
-    dims = np.array([round(2 * j + 1) for j in spins])
-    starts = np.cumsum(dims) - dims
-    j = np.repeat(np.array(spins, dtype=np.float64), dims)
-    m = j - (np.arange(dims.sum(), dtype=np.float64) - np.repeat(starts, dims))
-    raising = np.sqrt(j[1:] * (j[1:] + 1) - m[1:] * (m[1:] + 1))
-    _check_bands(j, m, raising)
-    m.setflags(write=False)
-    raising.setflags(write=False)
-    return SpinOperators(math.nan, m, raising), [
-        SpinOperators(j=s, m=m[a:a + d], raising=raising[a:a + d - 1])
-        for s, a, d in zip(spins, starts, dims)]
 
 
 def coherent_spin_state(j, theta: float, phi: float) -> StateVector:

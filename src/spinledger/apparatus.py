@@ -31,7 +31,6 @@ from .angular import (
     _check_spinor,
     _coherent_state,
     _ladder_matvecs,
-    _spin_sum,
     _spread,
     spin_operators,
 )
@@ -79,16 +78,6 @@ _SPIN_HALF = spin_operators(0.5)
 # together while their sectors fit in one chunk, and a larger device goes
 # chunk by chunk, so a pass's temporaries stay bounded at any L
 _SECTOR_CHUNK = 4096
-
-
-def _to_sectors(v: np.ndarray) -> np.ndarray:
-    """Particle (x) apparatus amplitudes (kron layout) as (d+1, 2) sector slots."""
-    t = v.reshape(2, -1)
-    d = t.shape[1]
-    sec = np.zeros((d + 1, 2), dtype=np.complex128)
-    sec[:d, 0] = t[0]
-    sec[1:, 1] = t[1]
-    return sec
 
 
 def _sector_projectors(L: float) -> np.ndarray:
@@ -193,7 +182,7 @@ class _SectorStack(NamedTuple):
     """
 
     devices: tuple
-    apps: SpinOperators   # the devices' apparatus spins as one direct sum (`_spin_sum`)
+    apps: SpinOperators   # the devices' apparatus bands end to end, J+ zero between them
     blocks: np.ndarray    # (2, 2, 2, N): entry (a, b) of P+ and of P-
     up: np.ndarray        # (2, 2, N - 1): entry (a, b) of each J+ block
     jz: np.ndarray        # (2, N): the total Jz of each slot, 0 on the phantoms
@@ -219,15 +208,17 @@ def _check_devices(l_values) -> list[float]:
     return spins
 
 
-def _build_stack(l_values, tilt: float = 0.0) -> _SectorStack:
-    """Build and audit a list of devices as one sector stack.
+def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
+    """Build and audit a list of devices, their spins checked (`_check_devices`), as one sector stack.
 
     The audits go `_SECTOR_CHUNK` sectors at a time, each chunk with the
     next sector, which J+ links to its last one.  Every device is gated on
     its own maxima, so an error names its L.
     """
-    spins = _check_devices(l_values)
-    app_sum, apps = _spin_sum(spins)
+    apps = [spin_operators(L) for L in spins]
+    # the bands end to end: J+ from one device's top level into the next is 0
+    app_sum = SpinOperators(math.nan, np.concatenate([app.m for app in apps]),
+                            np.concatenate([b for app in apps for b in ([0.0], app.raising)][1:]))
     blocks = np.concatenate([np.asarray(_sector_projectors(L)) for L in spins], axis=1)
     blocks = blocks.transpose(2, 3, 0, 1).copy()
     ident = np.concatenate([_sector_identity(app.dim) for app in apps]).transpose(1, 2, 0).copy()
@@ -296,7 +287,7 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     whose full composite, 4(2L+1), exceeds `NUMERICS.max_total_dim` is
     refused before anything is allocated.  The one-device `_build_stack`.
     """
-    return _build_stack([L], tilt).devices[0]
+    return _build_stack(_check_devices([L]), tilt).devices[0]
 
 
 def _pa_matvecs(app: SpinOperators, t: np.ndarray) -> list[np.ndarray]:
@@ -338,18 +329,21 @@ def _sector_j_means(kets: np.ndarray, weights: np.ndarray, raising: np.ndarray,
     """sum_s weights[s] (<Jx>, <Jy>, <Jz>) of each stack of sector kets, shape (..., 3).
 
     kets is (..., s, 2, N), slot-major: kets[..., s, a, k] is slot a of
-    sector k (`_to_sectors`).  <J+> = sum_k x_k^dag R_k x_(k+1) reads the
-    (N - 1, 2, 2) J+ blocks R and <Jz> the (N, 2) slot Jz, the blocks the
-    build's [P, J] audit uses; <Jx> and <Jy> are the real and imaginary
-    parts of <J+>.  The weighted sum over s is taken within each sector
-    before the sectors are summed, so a drift, a small difference of O(L)
-    means, is not rounded at the size of the means.  With `starts` the
-    sectors are summed from each start to the next, one device each, to
-    shape (..., len(starts), 3).  The sectors go `_SECTOR_CHUNK` at a time.
+    sector k.  <J+> = sum_k x_k^dag R_k x_(k+1) reads the (N - 1, 2, 2) J+
+    blocks R and <Jz> the (N, 2) slot Jz, the blocks the build's [P, J]
+    audit uses; <Jx> and <Jy> are the real and imaginary parts of <J+>.
+    The weighted sum over s is taken within each sector before the sectors
+    are summed, so a drift, a small difference of O(L) means, is not
+    rounded at the size of the means.  With `starts` the sectors are summed
+    from each start to the next, one device each, to shape
+    (..., len(starts), 3).  The sectors go `_SECTOR_CHUNK` at a time, each
+    chunk summed into its devices' totals.
     """
     n_sec = kets.shape[-1]
     up, jz = raising.transpose(1, 2, 0), jz.T
-    per_sector = np.zeros(kets.shape[:-3] + (n_sec, 3))
+    one = starts is None
+    starts = np.zeros(1, dtype=int) if one else np.asarray(starts)
+    total = np.zeros(kets.shape[:-3] + (starts.size, 3))
     for start in range(0, n_sec, _SECTOR_CHUNK):
         stop = min(start + _SECTOR_CHUNK, n_sec)
         x = kets[..., start:stop + 1]   # with sector `stop`, which J+ takes into the chunk
@@ -362,13 +356,17 @@ def _sector_j_means(kets: np.ndarray, weights: np.ndarray, raising: np.ndarray,
             rx += r[a, 1] * nxt[..., 1, :]
             rx *= here[..., a, :links].conj()
             jplus = jplus + rx
-        per_sector[..., start:start + links, 0] = weights @ jplus.real
-        per_sector[..., start:start + links, 1] = weights @ jplus.imag
-        per_sector[..., start:stop, 2] = weights @ (
+        per_sector = np.zeros(kets.shape[:-3] + (stop - start, 3))
+        per_sector[..., :links, 0] = weights @ jplus.real
+        per_sector[..., :links, 1] = weights @ jplus.imag
+        per_sector[..., 2] = weights @ (
             (here.real ** 2 + here.imag ** 2) * jz[:, start:stop]).sum(axis=-2)
-    if starts is None:
-        return per_sector.sum(axis=-2)
-    return np.add.reduceat(per_sector, starts, axis=-2)
+        # the devices the chunk holds sectors of, the first from the chunk's start
+        first = np.searchsorted(starts, start, side="right") - 1
+        last = np.searchsorted(starts, stop)
+        total[..., first:last, :] += np.add.reduceat(
+            per_sector, np.maximum(starts[first:last] - start, 0), axis=-2)
+    return total[..., 0, :] if one else total
 
 
 def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
@@ -459,14 +457,19 @@ def _split_records(kron: np.ndarray, cols: np.ndarray, spins) -> tuple[list, np.
                           for a, size in zip(starts, sizes)] for r in range(2)] for k in kron])
     present = ~(weights < NUMERICS.branch_weight_floor)
     coeffs = np.where(present, np.sqrt(weights), 0.0)
-    comps = kron.transpose(0, 2, 1)
-    states = np.divide(comps, np.repeat(np.where(present, coeffs, 1.0), sizes, axis=-1),
-                       out=np.empty(comps.shape, dtype=np.complex128))
-    recon = np.array([np.maximum.reduceat(np.abs(c * s - k), starts, axis=-1).max(axis=0)
-                      for c, s, k in zip(np.repeat(coeffs, sizes, axis=-1), states, comps)]).T.tolist()
-    norms = np.add.reduceat(states.real ** 2 + states.imag ** 2, starts, axis=-1)
-    norms = norms.transpose(2, 0, 1).tolist()
-    overlaps = np.abs(np.add.reduceat(states[:, 0].conj() * states[:, 1], starts, axis=-1)).T.tolist()
+    divisors = np.where(present, coeffs, 1.0)
+    states = np.empty((len(kron), 2, kron.shape[1]), dtype=np.complex128)
+    norms, recon = np.empty(weights.shape), np.empty(weights.shape)
+    for i, r in np.ndindex(weights.shape[:2]):   # record by record, to bound the temporaries
+        comp, state = kron[i, :, r], states[i, r]
+        np.divide(comp, np.repeat(divisors[i, r], sizes), out=state)
+        norms[i, r] = np.add.reduceat(state.real ** 2 + state.imag ** 2, starts)
+        rebuilt = np.repeat(coeffs[i, r], sizes) * state
+        rebuilt -= comp
+        recon[i, r] = np.maximum.reduceat(np.abs(rebuilt), starts)
+    overlaps = np.array([np.abs(np.add.reduceat(s[0].conj() * s[1], starts)) for s in states])
+    norms, overlaps = norms.transpose(2, 0, 1).tolist(), overlaps.T.tolist()
+    recon = recon.max(axis=1).T.tolist()
     totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
     coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
     for L, *device in zip(spins, present, norms, totals, overlaps, recon):
@@ -524,7 +527,7 @@ _EIGENSTATES = ((1.0, 0.0), (0.0, 1.0))
 def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
     """Run both eigenstate inputs, premeasured together, and read off C, D, E, F and the kets.
 
-    The one-device case of a `measure` sweep's readout (`_read_stack`).
+    The one-device case of a `measure` sweep's readout (`_read_pass`).
     """
     finals = _premeasure_all(_EIGENSTATES, sys)
     kron = np.array([final.amplitudes for final in finals]).reshape(2, -1, 2)
@@ -542,7 +545,7 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     brackets; raises ConservationError if any residual magnitude exceeds
     the conservation tolerance.
     """
-    return _matching_residuals(sys, extract_error_amplitudes(sys))
+    return _matching_residuals(_matching_brackets(sys, extract_error_amplitudes(sys)), sys.L)
 
 
 def _matching_brackets(sys: CompositeSystem, amps: ErrorAmplitudes) -> list:
@@ -556,11 +559,8 @@ def _matching_brackets(sys: CompositeSystem, amps: ErrorAmplitudes) -> list:
             for weight, bra, ket in pairs if bra is not None and ket is not None]
 
 
-def _matching_residuals(sys: CompositeSystem, amps: Optional[ErrorAmplitudes],
-                        terms: list | None = None) -> np.ndarray:
-    """Residuals of the matching equations from their `_matching_brackets` terms."""
-    if terms is None:
-        terms = _matching_brackets(sys, amps)
+def _matching_residuals(terms: list, L: float) -> np.ndarray:
+    """Residuals of the matching equations of device L from their `_matching_brackets` terms."""
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     residuals = np.zeros(3, dtype=np.complex128)
     for k in range(3):
@@ -571,7 +571,7 @@ def _matching_residuals(sys: CompositeSystem, amps: Optional[ErrorAmplitudes],
     worst = float(np.max(np.abs(residuals)))
     if not worst <= NUMERICS.conservation_atol:
         raise ConservationError(
-            f"matching equations violated: max residual {worst:.3e} (L = {sys.L:g})"
+            f"matching equations violated: max residual {worst:.3e} (L = {L:g})"
         )
     return residuals
 
@@ -581,14 +581,17 @@ def _matching_residuals(sys: CompositeSystem, amps: Optional[ErrorAmplitudes],
 _MATCHING_TERMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
 
 
-def _read_stack(stack: _SectorStack) -> list[list]:
-    """The `measure` rows of a stack: its eigenstates premeasured and read.
+def _read_pass(spins) -> list[list]:
+    """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
 
-    The J matvecs of the matching kets and apparatus states run once over
-    the whole stack, the apparatus bands laid end to end with J+ zero
-    between devices; every bracket and moment is the device's own `vdot`
-    over its own columns, on the data `_j_brackets` and `angular_spread` read.
+    The devices of checked spins are built, audited, premeasured on both
+    eigenstates and read in one sector pass (`_build_stack`).  The J
+    matvecs of the matching kets and apparatus states run once over the
+    whole stack, the apparatus bands laid end to end with J+ zero between
+    devices; every bracket and moment is the device's own `vdot` over its
+    own columns, on the data `_j_brackets` and `angular_spread` read.
     """
+    stack = _build_stack(spins)
     devices = stack.devices
     dims = np.diff(stack.offsets) - 1
     cols = np.concatenate([[0], np.cumsum(dims)])
@@ -613,30 +616,28 @@ def _read_stack(stack: _SectorStack) -> list[list]:
                                        for j in jv))
                     for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
                     if have[bra] and have[ket]]
-        residuals = _matching_residuals(dev, None, matching)
+        residuals = _matching_residuals(matching, dev.L)
         spread = _spread(psi[a:b], dev.spin_app.m, jx_psi[a:b])
         rows.append([dev.L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
                      abs(matching[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])
     return rows
 
 
-def _sweep(l_values) -> list[list]:
-    """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
+def _sweep_passes(l_values) -> list[list[float]]:
+    """The L values of a `measure` sweep, checked, in the groups that share a sector pass.
 
-    Consecutive devices whose sectors fit in `_SECTOR_CHUNK` are built,
-    audited, premeasured on both eigenstates and read in one sector pass;
-    a larger device has a pass of its own.
+    Consecutive devices share a pass while their sectors fit in
+    `_SECTOR_CHUNK`; a larger device has a pass of its own.
     """
-    groups = [[]]
-    size = 0
+    passes, size = [], 0
     for L in _check_devices(l_values):
         n_sec = round(2 * L + 2)
-        if groups[-1] and size + n_sec > _SECTOR_CHUNK:
-            groups.append([])
+        if not passes or size + n_sec > _SECTOR_CHUNK:
+            passes.append([])
             size = 0
-        groups[-1].append(L)
+        passes[-1].append(L)
         size += n_sec
-    return [row for group in groups for row in _read_stack(_build_stack(group))]
+    return passes
 
 
 class BracketScalingRow(NamedTuple):
@@ -655,7 +656,8 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
     """
     if not L_list:
         raise ValueError("need at least one apparatus spin")
-    return [BracketScalingRow(row[0], *row[6:]) for row in _sweep(L_list)]
+    return [BracketScalingRow(row[0], *row[6:])
+            for spins in _sweep_passes(L_list) for row in _read_pass(spins)]
 
 
 @dataclass(frozen=True)

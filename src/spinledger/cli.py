@@ -29,7 +29,8 @@ from . import __version__
 from .angular import _check_spin, bloch_vector
 from .apparatus import (
     _j_means,
-    _sweep,
+    _read_pass,
+    _sweep_passes,
     build_measurement_unitary,
     decompose_branches,
     premeasure,
@@ -236,35 +237,28 @@ def _cmd_ideal(args) -> None:
     _write_table(args, meta, ["component", "cross_re", "cross_im", "max_residual"], rows)
 
 
-def _measure_rows(l_values, numerics: NumericsConfig = NUMERICS) -> list:
-    """The `measure` rows of l_values, in order, from one sweep (`apparatus._sweep`)."""
+def _measure_rows(spins: list, numerics: NumericsConfig = NUMERICS) -> list:
+    """The `measure` rows of one sector pass of checked spins (`apparatus._sweep_passes`)."""
     # a spawned worker starts from the default tolerances: adopt the parent's
     vars(NUMERICS).update(vars(numerics))
-    return _sweep(l_values)
-
-
-def _measure_row(L: float) -> list:
-    """The `measure` row of one L: the one-device case of `_measure_rows`."""
-    return _measure_rows([L])[0]
+    return _read_pass(spins)
 
 
 def _cmd_measure(args) -> None:
-    l_values = args.L
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    workers = min(args.jobs, os.cpu_count() or 1, len(l_values))
+    passes = _sweep_passes(args.L)
+    workers = min(args.jobs, os.cpu_count() or 1, len(args.L))
     if workers > 1:
         # imported here: a serial run, every other command, never pays for it
         from concurrent.futures import ProcessPoolExecutor
 
-        # each worker sweeps one contiguous run of the list
-        bounds = [len(l_values) * k // workers for k in range(workers + 1)]
-        parts = [l_values[a:b] for a, b in zip(bounds, bounds[1:])]
+        # a task per pass: a device larger than the chunk is a task of its own
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for part in pool.map(functools.partial(_measure_rows, numerics=NUMERICS),
-                                             parts) for row in part]
+            parts = list(pool.map(functools.partial(_measure_rows, numerics=NUMERICS), passes))
     else:
-        rows = _measure_rows(l_values)
+        parts = [_measure_rows(spins) for spins in passes]
+    rows = [row for part in parts for row in part]
     meta = _metadata(args)
     _write_table(args, meta, [
         "L", "C", "D", "E", "F", "matching_residual_max",

@@ -7,7 +7,8 @@ matrices alone.  The premeasurement unitary, J over particle (x) apparatus
 and over the full composite, and the same unitary from an exponentiated
 coupling are built here as dense matrices, for small L only.
 `dense_blocks` scatters a sector block stack into the kron layout, so the
-blocks a build keeps can be compared with these matrices.  The package
+blocks a build keeps can be compared with these matrices, and
+`to_sectors` gathers kron-layout amplitudes into sector slots.  The package
 forms no dense operator; `spin_matrices` builds a banded spin's matrices
 for the tests, and each matrix an oracle claims to be Hermitian or
 unitary is checked to be so.
@@ -113,3 +114,13 @@ def dense_blocks(blocks: np.ndarray) -> np.ndarray:
     out = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.complex128)
     out[idx[:, :, None], idx[:, None, :]] = blocks
     return out[:-1, :-1]
+
+
+def to_sectors(v: np.ndarray) -> np.ndarray:
+    """Particle (x) apparatus amplitudes (kron layout) as (d+1, 2) sector slots."""
+    t = v.reshape(2, -1)
+    d = t.shape[1]
+    sec = np.zeros((d + 1, 2), dtype=np.complex128)
+    sec[:d, 0] = t[0]
+    sec[1:, 1] = t[1]
+    return sec

@@ -138,7 +138,8 @@ def test_brackets_and_means_match_the_per_component_oracle(device):
 
 def test_matching_residuals_match_the_per_component_oracle(device):
     amps = sl.extract_error_amplitudes(device)
-    assert_bits_equal(apparatus._matching_residuals(device, amps),
+    assert_bits_equal(apparatus._matching_residuals(apparatus._matching_brackets(device, amps),
+                                                    device.L),
                       oracle_matching_residuals(amps, device))
 
 
@@ -151,7 +152,7 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
     assert weight == amps.C * amps.F
     want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     assert_bits_equal(np.float64(abs(brackets[0])), np.float64(want))
-    assert_bits_equal(np.float64(cli._measure_row(L)[6]), np.float64(want))
+    assert_bits_equal(np.float64(cli._measure_rows([L])[0][6]), np.float64(want))
 
 
 @pytest.mark.parametrize("L", L_VALUES)

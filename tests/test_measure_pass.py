@@ -1,8 +1,9 @@
 """A `measure` sweep runs its devices through shared sector passes.
 
-`apparatus._sweep` builds, audits, premeasures and reads consecutive
-devices together while their sectors fit in `_SECTOR_CHUNK`; a larger
-device has a pass of its own.  The oracle is the per-row loop the sweep
+`apparatus._sweep_passes` groups consecutive devices while their
+sectors fit in `_SECTOR_CHUNK`, a larger device alone, and
+`apparatus._read_pass` builds, audits, premeasures and reads each group
+together.  The oracle is the per-row loop the sweep
 replaced: one build, one `extract_error_amplitudes`, the matching terms
 and `angular_spread` per L.  Every table must come out byte for byte the
 same, in CSV and in JSON, whatever the chunk, and an audit that trips in
@@ -30,7 +31,7 @@ def oracle_row(L):
     device = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(device)
     terms = apparatus._matching_brackets(device, amps)
-    residuals = apparatus._matching_residuals(device, amps, terms)
+    residuals = apparatus._matching_residuals(terms, L)
     spread = sl.angular_spread(device.apparatus_state, device.spin_app)
     return [L, amps.C, amps.D, amps.E, amps.F, float(np.max(np.abs(residuals))),
             abs(terms[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta]
@@ -70,12 +71,20 @@ def test_passes_across_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatc
 
 
 def test_sweep_groups_consecutive_devices_up_to_the_chunk(monkeypatch):
-    groups = []
-    real = apparatus._build_stack
-    monkeypatch.setattr(apparatus, "_build_stack", lambda spins: groups.append(spins) or real(spins))
     monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 12)
-    apparatus._sweep([0.5, 1, 1.5, 2, 7.5, 3, 0.5, 1])
-    assert groups == [[0.5, 1, 1.5], [2.0], [7.5], [3.0, 0.5], [1.0]]
+    assert apparatus._sweep_passes([0.5, 1, 1.5, 2, 7.5, 3, 0.5, 1]) == [
+        [0.5, 1, 1.5], [2.0], [7.5], [3.0, 0.5], [1.0]]
+    assert apparatus._sweep_passes([]) == []
+
+
+def test_bracket_scaling_builds_each_pass_once(monkeypatch):
+    stacks = []
+    real = apparatus._build_stack
+    monkeypatch.setattr(apparatus, "_build_stack", lambda spins: stacks.append(spins) or real(spins))
+    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 12)
+    rows = sl.bracket_magnitude_scaling([0.5, 1, 1.5, 2, 7.5])
+    assert stacks == [[0.5, 1, 1.5], [2.0], [7.5]]
+    assert [row.L for row in rows] == [0.5, 1, 1.5, 2, 7.5]
 
 
 def swapped_at(L_bad):
@@ -137,7 +146,7 @@ def test_a_nan_projector_fails_its_own_device(monkeypatch):
         apparatus._build_stack([2.0, 3.0, 4.0])
 
 
-def test_jobs_split_the_list_into_contiguous_runs(tmp_path, monkeypatch, capsys):
+def test_jobs_hand_out_one_sector_pass_per_task(tmp_path, monkeypatch, capsys):
     parts = []
 
     class RecordingPool:
@@ -154,17 +163,21 @@ def test_jobs_split_the_list_into_contiguous_runs(tmp_path, monkeypatch, capsys)
             parts.extend(iterable)
             return map(fn, parts)
 
-    serial = table(tmp_path, "1,2,3,4,5", "csv", "serial")
+    # a device larger than the chunk is a task of its own, so large
+    # devices spread over the workers one by one
+    serial = table(tmp_path, "1,2,3000,2100,0.5,1", "csv", "serial")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert table(tmp_path, "1,2,3,4,5", "csv", "pooled", jobs=2) == serial
-    assert parts == [[1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert table(tmp_path, "1,2,3000,2100,0.5,1", "csv", "pooled", jobs=2) == serial
+    assert parts == [[1.0, 2.0], [3000.0], [2100.0], [0.5, 1.0]]
 
 
 def test_two_workers_give_the_bytes_of_a_serial_sweep(tmp_path, monkeypatch):
-    serial = table(tmp_path, SMALL, "csv", "serial")
+    # three passes: the 64 small devices, 2100 alone, and 1
+    l_values = SMALL + ",2100,1"
+    serial = table(tmp_path, l_values, "csv", "serial")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert table(tmp_path, SMALL, "csv", "pooled", jobs=2) == serial
+    assert table(tmp_path, l_values, "csv", "pooled", jobs=2) == serial
 
 
 # ------------------------------------------------------------------ kernels
@@ -201,7 +214,7 @@ def test_written_out_audits_match_batched_matmul_on_any_blocks(seed):
 def kron_layout_records(a, b, device):
     """Premeasured amplitudes by the per-input einsum over the kron layout."""
     psi = np.kron(np.array([a, b], dtype=np.complex128), device.apparatus_state.amplitudes)
-    sec = apparatus._to_sectors(psi)
+    sec = dense_oracle.to_sectors(psi)
     by_record = []
     for p in (device.plus_blocks, device.minus_blocks):
         rec = np.einsum("kab,kb->ka", p, sec)
@@ -225,7 +238,10 @@ def test_a_stack_premeasures_each_device_with_its_own_bits():
     assert rows == finals.shape[1]
 
 
-def test_sector_j_means_sum_each_device_apart():
+@pytest.mark.parametrize("chunk", [4096, 3])
+def test_sector_j_means_sum_each_device_apart(monkeypatch, chunk):
+    # a chunk of 3 sectors straddles every device seam
+    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
     stack = apparatus._build_stack([1, 2.5, 3], tilt=0.4)
     rng = np.random.default_rng(5)
     kets = rng.normal(size=(2, 3, 2, stack.offsets[-1])) + 1j * rng.normal(size=(2, 3, 2, stack.offsets[-1]))
@@ -238,6 +254,22 @@ def test_sector_j_means_sum_each_device_apart():
         alone = apparatus._sector_j_means(kets[..., a:b], weights, device.raising_blocks,
                                           device.slot_jz)
         assert np.max(np.abs(got[:, i] - alone)) <= 1e-12
+
+
+def test_sector_j_means_temporaries_stay_chunk_sized(monkeypatch):
+    # a per-sector array over the whole stack would take 1.9 MB here
+    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 64)
+    device = sl.build_measurement_unitary(20000, tilt=0.4)
+    n_sec = device.dims[1] + 1
+    kets = np.ones((2, 3, 2, n_sec), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS, device.raising_blocks,
+                                  device.slot_jz, [0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * kets[..., :64].nbytes
 
 
 def oracle_sectors(final):

@@ -3,8 +3,10 @@
 Each CSV sha256 is that of the command's CSV as written before the
 three-component J pass and the streamed table writer; the two further
 internal streaks are pinned as written by the tensordot fold, before the
-per-fold dot, and `measure --L 1000,10000` as written before both
-eigenstate inputs were premeasured in one sector pass.  Each JSON
+per-fold dot, `measure --L 1000,10000` as written before both
+eigenstate inputs were premeasured in one sector pass, and the mixed
+`measure` sweeps as written by the per-device loop, before a sweep's
+devices shared sector passes.  Each JSON
 sha256 that of the output written whole by one `json.dumps`, before the
 JSON writer streamed; a change that moves a single output byte turns a
 test red.  The satellite's 40000-step pin lives in
@@ -29,6 +31,14 @@ PINNED = {
     "measure-macroscopic": (
         ["measure", "--L", "1000,10000"],
         "d67dd14c4aa846e2009b9eed1c875f074e7d4103f550ac50e7d5c842979bd74e"),
+    # large devices between small ones, each alone in its pass
+    "measure-mixed": (
+        ["measure", "--L", "0.5,2500,7.5,2100,3"],
+        "0d69752e1a0f6b6178afab59d79748784de6959037c6481248017ef75bcc4184"),
+    # seven devices of mixed size in one shared pass
+    "measure-shared": (
+        ["measure", "--L", "3,1,7,2.5,600,0.5,33"],
+        "2312827e9c3de9765b54c064f102a5b4cbcbbac1718799b781abf8fac40524ae"),
     "decohere": (
         ["decohere", "--L", "0.5", "--overlap", "0.8", "--n-env", "17"],
         "bb6648e8c6e13ff79b47030b302182e19be8b114448d7a6aeb542b140df7991a"),
@@ -53,6 +63,12 @@ PINNED_JSON = {
     "measure": (
         ["measure", "--L", "1.5"],
         "bba81d03901eae693a60df13db709107308d83bdee55bcbb4181165d50db39eb"),
+    "measure-mixed": (
+        ["measure", "--L", "0.5,2500,7.5,2100,3"],
+        "79495abd0a1a0c538d83a89c782375d711347c062d10f8d8c66630e7e4fd4a5c"),
+    "measure-shared": (
+        ["measure", "--L", "3,1,7,2.5,600,0.5,33"],
+        "54371c952091bd3f0d9439af27b9de52028077300dfce272f9462b4e17657f62"),
     "decohere": (
         ["decohere", "--L", "3", "--overlap", "0.5", "--n-env", "6"],
         "4c7484df145278b6de57cdcd524392533d4ec626e17a654d1df9fc970cea4b53"),

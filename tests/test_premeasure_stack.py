@@ -24,7 +24,7 @@ R2 = 1 / np.sqrt(2)
 def kron_layout_records(a, b, sys_m):
     """The premeasured amplitudes by the per-input kron-layout arithmetic."""
     psi = np.kron(np.array([a, b], dtype=np.complex128), sys_m.apparatus_state.amplitudes)
-    sec = apparatus._to_sectors(psi)
+    sec = dense_oracle.to_sectors(psi)
     by_record = []
     for p in (sys_m.plus_blocks, sys_m.minus_blocks):
         rec = np.einsum("kab,kb->ka", p, sec)
@@ -69,7 +69,7 @@ def test_chunked_passes_give_the_same_records(monkeypatch, chunk):
 
 def sector_stack(vectors):
     """Kron-layout particle (x) apparatus kets as one slot-major (s, 2, d+1) sector stack."""
-    return np.stack([apparatus._to_sectors(v).T for v in vectors])
+    return np.stack([dense_oracle.to_sectors(v).T for v in vectors])
 
 
 @pytest.mark.parametrize("chunk", [3, 4096])
@@ -127,7 +127,7 @@ def test_opposite_drifts_cancel_in_a_sum():
     app = ideal.apparatus_state.amplitudes
     kets = np.zeros((2, 3, 2, app.size + 1), dtype=np.complex128)
     for i, (a, b) in enumerate([(R2, R2), (R2, -R2)]):
-        kets[i, 2] = apparatus._to_sectors(np.kron([a, b], app)).T
+        kets[i, 2] = dense_oracle.to_sectors(np.kron([a, b], app)).T
         for r, p in enumerate((ideal.plus_blocks, ideal.minus_blocks)):
             kets[i, r] = np.einsum("kab,bk->ak", p, kets[i, 2])
     drift = apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS,
