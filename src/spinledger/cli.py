@@ -13,15 +13,16 @@ never a result, and is surfaced loudly).
 
 from __future__ import annotations
 
-import argparse
-import functools
-import gc
-import itertools
-import json
-import locale  # noqa: F401  argparse's gettext loads it at every first parse; load it with the module
-import math
 import os
-import sys
+
+# One OpenBLAS thread, set before numpy loads; a value the caller set wins,
+# and `--jobs` workers inherit it.  OpenBLAS starts a worker per core on
+# load, and an idle worker spins: on a 2-vCPU VM `import numpy` plus 0.3 s
+# of sleep costs 0.23-0.32 s of CPU with the default pool and 0.13-0.19 s
+# with one thread.  The commands' BLAS calls (batched 2x2 sector products,
+# the streak fold's `np.dot`) are small; only the dense internal streak
+# gains from a second thread, and there its wall time is 4-8% longer.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -41,6 +42,18 @@ from .decoherence import EnvironmentConfig, amplify_record, cross_term_curve, ov
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
 from .kernel import ConservationError
+
+# The package's modules load before these.  Compiled from source (no
+# bytecode cache), they then compile on the smaller heap, which keeps a
+# run's peak RSS 0.2-0.4 MB lower than the usual order does.
+import argparse
+import functools
+import gc
+import itertools
+import json
+import locale  # noqa: F401  argparse's gettext loads it at every first parse; load it with the module
+import math
+import sys
 
 # Everything the imports above made moves to the permanent generation, so
 # a fresh run's first generation-1 collection no longer rescans those ~22k
@@ -248,7 +261,8 @@ def _cmd_measure(args) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     passes = _sweep_passes(args.L)
-    workers = min(args.jobs, os.cpu_count() or 1, len(args.L))
+    # no more workers than passes: a one-pass sweep runs serially
+    workers = min(args.jobs, os.cpu_count() or 1, len(passes))
     if workers > 1:
         # imported here: a serial run, every other command, never pays for it
         from concurrent.futures import ProcessPoolExecutor

@@ -72,10 +72,10 @@ DEFAULT_SOURCE_TILT = math.radians(85.0)
 
 # The particle's dense (Sx, Sy, Sz) for both streaks, with every zero +0.0
 # as the ladder construction (J+ +- J-)/2 and /2i leaves it.
-_SPIN_HALF = np.array([[[0, 0.5], [0.5, 0]],
-                       [[0, complex(0, -0.5)], [complex(0, 0.5), 0]],
-                       [[0.5, 0], [0, -0.5]]], dtype=np.complex128)
-_SPIN_HALF.setflags(write=False)
+_SPIN_HALF_MATRICES = np.array([[[0, 0.5], [0.5, 0]],
+                                [[0, complex(0, -0.5)], [complex(0, 0.5), 0]],
+                                [[0.5, 0], [0, -0.5]]], dtype=np.complex128)
+_SPIN_HALF_MATRICES.setflags(write=False)
 
 
 # --------------------------------------------------------------------------
@@ -381,7 +381,7 @@ def _external_streak(L, pattern: str) -> StreakReport:
         coeff, state = by_label[label]
         weights.append(coeff ** 2)
         rho = partial_trace(state, keep=[0])
-        m = np.array([np.trace(rho @ op).real for op in _SPIN_HALF])
+        m = np.array([np.trace(rho @ op).real for op in _SPIN_HALF_MATRICES])
         mean_sum = mean_sum + m
         var_sum += 0.75 - float(m @ m)
         # product state over shots: <J^2> = sum_i <S_i^2> + |sum_i <S_i>|^2
@@ -462,7 +462,7 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     jz_slot = np.diag([0.5 + l_val, 0.5 + l_val - 1,
                        -0.5 + l_val, -0.5 + l_val - 1]).astype(np.complex128)
     id2 = np.eye(2)
-    s_slot = [np.kron(op, id2) for op in _SPIN_HALF]
+    s_slot = [np.kron(op, id2) for op in _SPIN_HALF_MATRICES]
 
     psi = prepare_internal_source(K, margin=n).amplitudes
     rho = np.outer(psi, psi.conj())

@@ -76,7 +76,8 @@ def test_measure_sweep_jobs_deterministic(tmp_path, capsys):
     paths = []
     for jobs in ("1", "2"):
         path = tmp_path / f"sweep-{jobs}.csv"
-        code = main(["measure", "--L", "1,2,3,4", "--jobs", jobs,
+        # three sector passes, [1, 2], [2048] and [3, 4]: a pool for --jobs 2
+        code = main(["measure", "--L", "1,2,2048,3,4", "--jobs", jobs,
                      "--output", str(path)])
         capsys.readouterr()
         assert code == 0
@@ -255,10 +256,14 @@ def test_measure_jobs_below_one_rejected(jobs, pool_sizes, capsys):
 
 
 @pytest.mark.parametrize("cpus,l_values,expected", [
-    (2, "1,2,3", [2]),   # capped by the cores
-    (8, "1,2,3", [3]),   # capped by the sweep length
-    (8, "2", []),        # one L value runs serially
-    (None, "1,2", []),   # unknown core count counts as one
+    (2, "1,2,3", []),                   # one pass runs serially
+    (8, "1,2,3", []),                   # ... however many L values and cores
+    (8, "2", []),                       # one L value runs serially
+    (None, "1,2", []),                  # unknown core count counts as one
+    (2, "2048,2049,2050", [2]),         # capped by the cores
+    (8, "2048,2049,2050", [3]),         # capped by the passes: each device is one
+    (8, "1,2,2048", [2]),               # capped by the passes, not the L values
+    (None, "2048,2049", []),            # unknown core count counts as one
 ])
 def test_measure_jobs_capped(cpus, l_values, expected, pool_sizes, tmp_path,
                              monkeypatch, capsys):
@@ -298,27 +303,88 @@ def test_measure_workers_use_the_parents_tolerances(monkeypatch, tmp_path, capsy
     # a spawned worker imports a fresh NUMERICS; the gate set here must
     # reach it, so the pooled run fails exactly as the serial run does
     monkeypatch.setattr(NUMERICS, "operator_atol", 1e-30)
-    serial = main(["measure", "--L", "1,2", "--output", str(tmp_path / "s.csv")])
+    # two sector passes, so --jobs 2 starts a pool
+    serial = main(["measure", "--L", "1,2048", "--output", str(tmp_path / "s.csv")])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
         concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
-    pooled = main(["measure", "--L", "1,2", "--jobs", "2",
+    pooled = main(["measure", "--L", "1,2048", "--jobs", "2",
                    "--output", str(tmp_path / "p.csv")])
     capsys.readouterr()
     assert serial != 0
     assert pooled == serial
 
 
+def fresh_python(code: str, **env: str) -> str:
+    """Stdout of `python -c code` in a fresh interpreter on this checkout's package.
+
+    OPENBLAS_NUM_THREADS is passed only when given here: importing the
+    CLI into this test process has set it in os.environ.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # a serial run never needs the pool; its import is paid only by --jobs > 1
     code = ("import sys, spinledger.cli; "
             "print('concurrent.futures.process' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert fresh_python(code) == "False"
+
+
+# the thread count the loaded OpenBLAS reports after `import spinledger.cli`,
+# asked through its get_num_threads symbol; "none" when no OpenBLAS is loaded
+BLAS_THREADS = """
+import ctypes
+import spinledger.cli
+
+with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+
+
+def threads():
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn()
+    return "none"
+
+
+print(threads())
+"""
+
+
+@pytest.mark.parametrize("caller,expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_openblas_on_one_thread_unless_the_caller_sets_it(caller, expected):
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS")
+    out = fresh_python(BLAS_THREADS, **({} if caller is None else {"OPENBLAS_NUM_THREADS": caller}))
+    if out == "none":
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert out == expected
+
+
+def test_importing_the_library_leaves_numpy_and_the_blas_environment_alone():
+    # the public names are resolved on first access; only the CLI sets the BLAS pool
+    code = ("import os, sys, spinledger as sl; "
+            "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ); "
+            "from spinledger import NUMERICS, build_measurement_unitary; "
+            "print(sl.premeasure.__module__, sl.decoherence.__name__, NUMERICS.state_atol, "
+            "build_measurement_unitary(1).spin_app.j, hasattr(sl, 'manifold_projectors')); "
+            "print('OPENBLAS_NUM_THREADS' in os.environ)")
+    assert fresh_python(code).splitlines() == [
+        "False False",
+        "spinledger.apparatus spinledger.decoherence 1e-12 1.0 False",
+        "False",
+    ]
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

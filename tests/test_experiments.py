@@ -100,7 +100,7 @@ def dense_jz_mean(state, K):
 def test_streak_spin_half_matrices_are_the_ladder_formulas_bit_for_bit():
     # signed zeros included: the literal -0.5j would carry a -0.0 real part
     want = np.stack(spin_matrices(sl.spin_operators(0.5))[:3])
-    assert np.array_equal(ex._SPIN_HALF.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(ex._SPIN_HALF_MATRICES.view(np.uint64), want.view(np.uint64))
 
 
 def test_emission_is_isometric_and_conserves_jz():
