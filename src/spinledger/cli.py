@@ -65,8 +65,8 @@ __all__ = ["main"]
 
 OUTDIR_ENV = "SPINLEDGER_OUTDIR"
 
-# rows formatted and written per chunk of a streamed table
-_CHUNK_ROWS = 4096
+# lines formatted and written per block of a streamed table
+_CHUNK_ROWS = 1024
 
 # header key of each NUMERICS field, in echo order; the first three keep
 # the short names that headers carried before the other four were added
@@ -96,8 +96,9 @@ def _format_rows(rows: list):
     Rows with the same cell types share one %-template, so a long table
     is formatted in C rather than by a `_fmt` call per cell.  A row with
     a complex cell, which %-formatting cannot spell like `_fmt`, goes
-    cell by cell.  A row that is a `str` is a whole line already spelled
-    and passes through unchanged.
+    cell by cell.  A row that is a `str` is a block: one or more lines
+    already spelled and joined by "\n", without a final newline.  It
+    passes through unchanged.
     """
     templates = {}
     for row in rows:
@@ -135,14 +136,25 @@ def _metadata(args, extra=None) -> dict:
     return meta
 
 
+def _blocks(rows):
+    """The table's text a block at a time: lines joined by "\n", no final newline.
+
+    Each block starts at a row.  A row that `_format_rows` passes on as a
+    block of several lines is a block as it stands, not copied; a one-line
+    row is joined with the next `_CHUNK_ROWS` - 1 rows.
+    """
+    texts = _format_rows(rows)
+    for text in texts:
+        yield text if "\n" in text else "\n".join([text, *itertools.islice(texts, _CHUNK_ROWS - 1)])
+
+
 def _csv_chunks(meta: dict, columns: list[str], rows):
-    """The CSV text: the header, then the formatted rows `_CHUNK_ROWS` at a time."""
+    """The CSV text: the header, then each block of `_blocks` as it stands and a newline."""
     yield ("".join(f"# {key} = {meta[key]}\n" for key in sorted(meta))
            + ",".join(columns) + "\n")
-    lines = _format_rows(rows)
-    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
-        chunk.append("")
-        yield "\n".join(chunk)
+    for block in _blocks(rows):
+        yield block
+        yield "\n"
 
 
 _json_string = json.JSONEncoder(ensure_ascii=True).encode
@@ -157,15 +169,15 @@ def _json_chunks(meta: dict, columns: list[str], rows):
     """`json.dumps(payload, indent=2, sort_keys=True) + "\n"`, streamed.
 
     Sorted keys put "rows" last, so json.dumps spells "columns" and
-    "metadata", and the rows follow in its layout a chunk at a time.
+    "metadata", and the rows follow in its layout a block of `_blocks` at
+    a time, split into its lines for `_json_row`.
     """
     empty = json.dumps({"columns": columns, "metadata": meta, "rows": []},
                        indent=2, sort_keys=True)
     yield empty[:-len("[]\n}")]
     sep = "[\n"
-    lines = _format_rows(rows)
-    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
-        yield sep + ",\n".join(map(_json_row, chunk))
+    for block in _blocks(rows):
+        yield sep + ",\n".join(map(_json_row, block.split("\n")))
         sep = ",\n"
     yield "[]\n}\n" if sep == "[\n" else "\n  ]\n}\n"
 
@@ -177,8 +189,11 @@ def _write_table(args, meta: dict, columns: list[str], rows) -> None:
     Cells are numbers and labels, none of which holds a comma; a row may
     also carry a run of cells already spelled by `_format_rows`, joined by
     the same comma, so splitting a line on commas gives one cell per column.
-    A row may also be a whole line already spelled the same way, a `str`
-    without its newline, which `_format_rows` passes on as it stands.
+    A row may also be a block of lines already spelled the same way, a
+    `str` of lines joined by "\n" without a final newline.  CSV writes a
+    block of `_CHUNK_ROWS` lines as it stands; JSON splits it into its
+    lines, one JSON row each, in the bytes of
+    `json.dumps(payload, indent=2, sort_keys=True)`.
     """
     chunks = (_json_chunks if args.format == "json" else _csv_chunks)(meta, columns, rows)
     if args.output:
@@ -314,23 +329,25 @@ def _cmd_decohere(args) -> None:
 
 
 def _satellite_lines(run, outcome_cells: np.ndarray, audit_cell: str):
-    """Satellite table lines, each `_CHUNK_ROWS` block spelled by one `%` call.
+    """The satellite table, each `_CHUNK_ROWS` block of `run.blocks` spelled by one `%` call.
 
     A block's cells fill an (m, 8) object array: the step, the outcome's
-    pre-spelled cells looked up by `outcome_up` in the two-entry
+    pre-spelled cells looked up by the block's outcomes in the two-entry
     `outcome_cells` (dn, up), and the six ledger floats.  One row template,
-    repeated m times, spells them all with the `%.17g` of `_format_rows`.
+    repeated m times, spells them all with the `%.17g` of `_format_rows`,
+    and the block goes to the writer as one `str` of m lines.
     """
     row = "%d,%s" + ",%.17g" * 6 + "," + audit_cell.replace("%", "%%")
     block = np.empty((min(_CHUNK_ROWS, run.n_particles), 8), dtype=object)
-    for start in range(0, run.n_particles, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, run.n_particles)
+    stop = 0
+    for up, ideal, full in run.blocks(_CHUNK_ROWS):
+        start, stop = stop, stop + len(up)
         cells = block[:stop - start]
         cells[:, 0] = np.arange(start + 1, stop + 1)
-        cells[:, 1] = outcome_cells[run.outcome_up[start:stop].astype(np.intp)]
-        cells[:, 2:5] = run.ideal_ledger[start:stop]
-        cells[:, 5:] = run.full_ledger[start:stop]
-        yield from ("\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())).split("\n")
+        cells[:, 1] = outcome_cells[up.astype(np.intp)]
+        cells[:, 2:5] = ideal
+        cells[:, 5:] = full
+        yield "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _cmd_satellite(args) -> None:

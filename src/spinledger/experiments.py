@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -95,24 +96,68 @@ class SatelliteStep:
 
 @dataclass(frozen=True)
 class SatelliteRun:
-    """A satellite run kept as arrays, one row per particle.
+    """A satellite run: the shot it repeats, and its rows replayed on demand.
 
-    outcome_up[k] is True when particle k+1 registered up; ideal_ledger
-    and full_ledger are the (n, 3) cumulative ledgers after each step.
-    `trajectory` builds the per-step `SatelliteStep` records from them on
-    each access, uncached.
+    The shot is one fresh device's branches: `branch_info`, the audit and
+    `step_rows`, where step_rows[0] and step_rows[1] are the ideal and full
+    ledgers' per-step changes, each a (dn, up) pair of rows.  `blocks`
+    replays the seeded run a block of rows at a time.  outcome_up[k] is True
+    when particle k+1 registered up; ideal_ledger and full_ledger are the
+    (n, 3) cumulative ledgers after each step.  The three arrays are built
+    by one whole-run block on first read and kept, read-only; `trajectory`
+    builds the per-step `SatelliteStep` records from them on each access,
+    uncached.
     """
 
     n_particles: int
     L: float
     polarization: tuple[complex, complex]
     seed: int
-    outcome_up: np.ndarray
-    ideal_ledger: np.ndarray
-    full_ledger: np.ndarray
     audit_deviation: float
     branch_info: dict
+    step_rows: np.ndarray = field(repr=False)
     metadata: dict = field(repr=False)
+
+    def blocks(self, size: int):
+        """Yield (outcome_up, ideal_ledger, full_ledger) rows, `size` steps at a time.
+
+        One PCG64 generator draws each block's outcomes with one
+        `rng.random(m)`, the stream of n single draws.  Each block adds the
+        previous block's last ledger row into its first step and then
+        accumulates with `np.cumsum`, so every ledger entry is the same
+        in-order sum, bit for bit, whatever the block size.  The first
+        block adds +0.0, which turns a leading -0.0 step into +0.0.  Every
+        block is fresh arrays.
+        """
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        w_up = self.branch_info["up"]["weight"]
+        last = np.zeros((2, 3))
+        for start in range(0, self.n_particles, size):
+            up = rng.random(min(size, self.n_particles - start)) < w_up
+            ledgers = self.step_rows[:, up.astype(np.intp)]
+            ledgers[:, 0] += last
+            np.cumsum(ledgers, axis=1, out=ledgers)
+            last = ledgers[:, -1].copy()
+            yield up, ledgers[0], ledgers[1]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arrays = next(self.blocks(self.n_particles))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
+
+    @property
+    def outcome_up(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def ideal_ledger(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @property
+    def full_ledger(self) -> np.ndarray:
+        return self._arrays[2]
 
     @property
     def trajectory(self) -> tuple[SatelliteStep, ...]:
@@ -145,11 +190,11 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
     transverse polarization (so its x-entry reaches -n/2 for +x input),
     while the full account adds the sampled branch's conditional change.
     The unconditioned totals are audited against their initial values at
-    every step.  Trajectories are deterministic given (n, L, a, b, seed):
-    the outcomes are one `rng.random(n)` draw, the same stream as n
-    single draws, and the ledgers accumulate their steps in order.  A run
-    of more than `NUMERICS.max_total_dim` particles is refused before
-    anything is allocated.
+    every step.  Trajectories are deterministic given (n, L, a, b, seed).
+    This runs the shot, which every step repeats; the steps themselves are
+    drawn and accumulated when read (`SatelliteRun.blocks`).  A run of more
+    than `NUMERICS.max_total_dim` particles is refused before anything is
+    allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n!r}")
@@ -181,29 +226,20 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
             f"unconditioned totals drifted by {audit:.3e} in the satellite shot"
         )
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    up = rng.random(n) < info["up"]["weight"]
-    ideal = np.zeros((n, 3))
-    ideal[:, 2] = np.where(up, 0.5, -0.5)
-    ideal -= 0.5 * u_s
-    full = np.where(up[:, None], info["up"]["j"] - initial_j, info["dn"]["j"] - initial_j)
-    # the ledgers start from +0.0, which turns a leading -0.0 step into +0.0
-    for ledger in (ideal, full):
-        ledger[0] += 0.0
-        np.cumsum(ledger, axis=0, out=ledger)
-        ledger.setflags(write=False)
-    up.setflags(write=False)
+    step_rows = np.array([
+        np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]) - 0.5 * u_s,
+        [info["dn"]["j"] - initial_j, info["up"]["j"] - initial_j],
+    ])
+    step_rows.setflags(write=False)
 
     return SatelliteRun(
         n_particles=n,
         L=sys.L,
         polarization=(complex(a), complex(b)),
         seed=int(seed),
-        outcome_up=up,
-        ideal_ledger=ideal,
-        full_ledger=full,
         audit_deviation=audit,
         branch_info=info,
+        step_rows=step_rows,
         metadata={
             "prng": PRNG_ID,
             "seed": int(seed),

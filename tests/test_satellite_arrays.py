@@ -1,9 +1,11 @@
-"""The array-backed satellite run against the per-step loop it replaced.
+"""The block-replayed satellite run against the per-step loop it replaced.
 
-`satellite_run` draws every outcome with one `rng.random(n)` and builds
-both ledgers with `np.cumsum`.  The oracle here is the original loop: one
-`rng.random()` per particle and one ledger addition per step.  Both must
-agree bit for bit.
+`SatelliteRun.blocks` draws a block's outcomes with one `rng.random(m)`
+and builds both ledgers with `np.cumsum`, carrying the last row into the
+next block; the run's arrays are one whole-run block.  The oracle here is
+the original loop: one `rng.random()` per particle and one ledger
+addition per step.  Arrays and blocks of any size must agree with it bit
+for bit.
 """
 
 import hashlib
@@ -166,3 +168,84 @@ def test_satellite_json_streams_in_bounded_memory(tmp_path, capsys):
     assert peak <= 32 * 2 ** 20
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "a07b87ef4681790bddb9107d72ae177946aad51c54f8e336bcfc18106cf13636")
+
+
+def signed_zero_run(monkeypatch, n, seed):
+    """A run whose branch <J> carry -0.0 where the initial <J> has +0.0."""
+    means = ex._j_means
+    calls = []
+
+    def signed_zero_means(sys, v):
+        j = means(sys, v)
+        calls.append(None)
+        return j if len(calls) == 1 else np.where(j == 0.0, -0.0, j)
+
+    monkeypatch.setattr(ex, "_j_means", signed_zero_means)
+    run = sl.satellite_run(n, 8, *PLUS_X, seed)
+    monkeypatch.undo()
+    return run
+
+
+@pytest.mark.parametrize("spinor", [PLUS_X, TILTED, UP, "signed_zero"],
+                         ids=["plus_x", "tilted", "up", "signed_zero"])
+@pytest.mark.parametrize("n", [1, 64, 4100, 5000])
+@pytest.mark.parametrize("size", [1, 7, 1024, 4096])
+def test_blocks_concatenate_to_the_arrays_bit_for_bit(size, n, spinor, monkeypatch):
+    if spinor == "signed_zero":
+        run = signed_zero_run(monkeypatch, n, seed=1)
+    else:
+        run = sl.satellite_run(n, 3.5, *spinor, seed=7)
+    blocks = list(run.blocks(size))
+    assert [len(up) for up, _, _ in blocks] == [min(size, n - s) for s in range(0, n, size)]
+    for k, arr in enumerate((run.outcome_up, run.ideal_ledger, run.full_ledger)):
+        joined = np.concatenate([block[k] for block in blocks])
+        assert joined.dtype == arr.dtype and joined.shape == arr.shape
+        assert joined.tobytes() == arr.tobytes()
+    if spinor == "signed_zero":
+        assert not np.signbit(run.full_ledger[0]).any()
+
+
+def test_blocks_are_fresh_arrays():
+    # writing into a block the caller holds changes neither the next block
+    # nor the run's arrays
+    run = sl.satellite_run(100, 3.5, *TILTED, seed=3)
+    blocks = []
+    for up, ideal, full in run.blocks(7):
+        blocks.append((up.copy(), ideal.copy(), full.copy()))
+        up[:] = True
+        ideal[:] = np.nan
+        full[:] = np.nan
+    for k, arr in enumerate((run.outcome_up, run.ideal_ledger, run.full_ledger)):
+        assert np.concatenate([block[k] for block in blocks]).tobytes() == arr.tobytes()
+
+
+def test_run_arrays_are_built_once_on_first_read():
+    run = sl.satellite_run(64, 2, *PLUS_X, seed=0)
+    assert "_arrays" not in vars(run)
+    assert run.full_ledger is run.full_ledger
+    assert run.outcome_up is run.outcome_up
+
+
+def satellite_peak(n, path):
+    """Peak Python allocations of one `satellite --n n` CLI run."""
+    tracemalloc.start()
+    try:
+        code = main(["satellite", "--n", str(n), "--L", "8", "--seed", "1",
+                     "--output", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_satellite_cli_memory_is_flat_in_n(tmp_path, capsys):
+    # the CLI draws, accumulates and spells the run one block at a time and
+    # never reads the whole-run arrays, so ten times the particles may not
+    # raise its peak; whole-run arrays would add about 50 bytes per step
+    satellite_peak(1, tmp_path / "warm.csv")
+    small = satellite_peak(20_000, tmp_path / "small.csv")
+    large = satellite_peak(200_000, tmp_path / "large.csv")
+    capsys.readouterr()
+    assert large <= small + 2 ** 20
+    assert (tmp_path / "large.csv").read_bytes().count(b"\n") > 200_000

@@ -1,9 +1,9 @@
 """The block-spelled satellite table against the per-row table it replaced.
 
-`cli._satellite_lines` spells each `_CHUNK_ROWS` block of the run's
-arrays with one `%` call and hands the writer finished lines.  The oracle
-here is the per-row generator it replaced: one tuple of cells per step,
-spelled by `_format_rows`.  Both must write the same bytes, CSV and JSON.
+`cli._satellite_lines` spells each `_CHUNK_ROWS` block of the run with
+one `%` call and hands the writer the block as one `str` of lines.  The
+oracle here is the per-row generator it replaced: one tuple of cells per
+step, spelled by `_format_rows`.  Both must write the same bytes, CSV and JSON.
 """
 
 import hashlib
@@ -116,3 +116,12 @@ def test_tilted_satellite_is_pinned(fmt, digest, tmp_path, capsys):
                  "--seed", "2", "--format", fmt, "--output", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_a_block_row_passes_to_the_writer_as_it_stands(monkeypatch):
+    # a str row of several lines is a block: not split, joined or copied
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    block = "1,up\n2,dn\n3,up"
+    assert next(cli._blocks([block])) is block
+    assert list(cli._blocks([[1, "up"], [2, "dn"], [3, "up"], block, [4, "dn"]])) == [
+        block, block, "4,dn"]
