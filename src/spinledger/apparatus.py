@@ -20,7 +20,7 @@ treatment would misplace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -144,17 +144,37 @@ def _stack_devs(e: np.ndarray, ident: np.ndarray, up: np.ndarray, jz: np.ndarray
     return devs
 
 
+class _SectorStack(NamedTuple):
+    """Devices laid end to end, entry-major: the sectors run along each last axis.
+
+    Device i, of apparatus spin spins[i], holds sectors offsets[i] ..
+    offsets[i+1] - 1 and the levels of psi that `_levels` gives it.  The J+
+    block that would join it to the next device is zero, so the seam
+    commutes with every block and carries no amplitude across.  A built
+    device is a stack of one; every array a stack holds is read-only.
+    """
+
+    spins: tuple          # the devices' apparatus spins L
+    psi: np.ndarray       # the devices' apparatus states end to end
+    apps: SpinOperators   # the devices' apparatus bands end to end, J+ zero between them
+    blocks: np.ndarray    # (2, 2, 2, N): entry (a, b) of P+ and of P-
+    up: np.ndarray        # (2, 2, N - 1): entry (a, b) of each J+ block
+    jz: np.ndarray        # (2, N): the total Jz of each slot, 0 on the phantoms
+    offsets: np.ndarray   # (n + 1,)
+
+
 @dataclass(frozen=True)
 class CompositeSystem:
     """Particle (x) apparatus (x) record, stored in its Clebsch-Gordan sectors.
 
     The record carries no angular momentum, so U = P+ (x) 1 + P- (x) X and
     J = j_pa (x) 1 are fixed by the projectors and the spin algebras.  A
-    build keeps P+ and P- as (2L+2, 2, 2) sector blocks, both spins'
-    banded `SpinOperators`, and the J+ blocks and slot Jz its audits read;
-    `premeasure` and every audit work on those in O(L).  That is the
-    device's only representation: no dense operator of side 2(2L+1) or
-    4(2L+1) is built, kept or offered.
+    build keeps both spins' banded `SpinOperators`, the apparatus state,
+    and its arrays in `stack`, a one-device `_SectorStack`: P+ and P- as
+    sector blocks, and the J+ blocks and slot Jz its audits read.
+    `premeasure`, the readout and every audit work on that stack in O(L).
+    That is the device's only representation: no dense operator of side
+    2(2L+1) or 4(2L+1) is built, kept or offered.
     """
 
     L: float
@@ -163,47 +183,37 @@ class CompositeSystem:
     apparatus_state: StateVector
     spin_half: SpinOperators
     spin_app: SpinOperators
-    plus_blocks: np.ndarray
-    minus_blocks: np.ndarray
-    raising_blocks: np.ndarray   # (2L+1, 2, 2): J+, block k maps sector k+1 to sector k
-    slot_jz: np.ndarray          # (2L+2, 2), the total Jz of each sector slot
+    stack: _SectorStack
 
     @property
     def pa_dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
 
-class _SectorStack(NamedTuple):
-    """Devices laid end to end, entry-major: the sectors run along each last axis.
+def _levels(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, sec, rows): where each apparatus level of a stack sits, by its offsets.
 
-    Device i holds sectors offsets[i] .. offsets[i+1] - 1.  The J+ block
-    that would join it to the next device is zero, so the seam commutes
-    with every block and carries no amplitude across.
+    Device i has the columns cols[i] .. cols[i+1] - 1 of psi.  Column c,
+    level m of its device, is slot 0 of sector sec[c] (|up, m>) and slot 1
+    of sector sec[c] + 1 (|down, m>), and rows rows[0, c] and rows[1, c] of
+    the devices' kron layouts end to end.
     """
-
-    devices: tuple
-    apps: SpinOperators   # the devices' apparatus bands end to end, J+ zero between them
-    blocks: np.ndarray    # (2, 2, 2, N): entry (a, b) of P+ and of P-
-    up: np.ndarray        # (2, 2, N - 1): entry (a, b) of each J+ block
-    jz: np.ndarray        # (2, N): the total Jz of each slot, 0 on the phantoms
-    offsets: np.ndarray   # (n + 1,)
-
-
-def _stack_of(sys: CompositeSystem) -> _SectorStack:
-    """A built device as a stack of one."""
-    blocks = np.stack([p.transpose(1, 2, 0) for p in (sys.plus_blocks, sys.minus_blocks)], axis=2)
-    return _SectorStack((sys,), sys.spin_app, blocks, sys.raising_blocks.transpose(1, 2, 0),
-                        sys.slot_jz.T, np.array([0, sys.dims[1] + 1]))
+    cols = offsets - np.arange(offsets.size)
+    dims = np.diff(cols)
+    owner = np.repeat(np.arange(dims.size), dims)
+    col = np.arange(cols[-1])
+    return cols, col + owner, col + cols[owner] + dims[owner] * np.array([[0], [1]])
 
 
 def _check_devices(l_values) -> list[float]:
     """Each L checked; a device whose composite 4(2L+1) exceeds `NUMERICS.max_total_dim` is refused."""
     spins = [_check_spin(L, 0.5, "apparatus spin") for L in l_values]
-    for d in (round(2 * L + 1) for L in spins):
+    for L in spins:
+        d = round(2 * L + 1)
         if 4 * d > NUMERICS.max_total_dim:
             raise ValueError(
-                f"build_measurement_unitary refused: 4 x {d} = {4 * d} exceeds the "
-                f"configured maximum total dimension {NUMERICS.max_total_dim}"
+                f"apparatus spin refused: 4 x {d} = {4 * d} exceeds the configured "
+                f"maximum total dimension {NUMERICS.max_total_dim} (L = {L:g})"
             )
     return spins
 
@@ -224,15 +234,16 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
     ident = np.concatenate([_sector_identity(app.dim) for app in apps]).transpose(1, 2, 0).copy()
     offsets = np.cumsum([0] + [app.dim + 1 for app in apps])
     n_sec = offsets[-1]
-    up = np.zeros((2, 2, n_sec))   # J+ = S+ (x) 1 + 1 (x) L+, and a zero seam after each device
-    jz = np.zeros((2, n_sec))
-    for o, app in zip(offsets, apps):
-        up[0, 0, o:o + app.dim - 1] = app.raising       # |up, m> -> |up, m+1>
-        up[0, 1, o:o + app.dim] = _SPIN_HALF.raising[0]  # |down, m> -> |up, m>
-        up[1, 1, o + 1:o + app.dim] = app.raising       # |down, m> -> |down, m+1>
-        jz[0, o:o + app.dim] = _SPIN_HALF.m[0] + app.m
-        jz[1, o + 1:o + app.dim + 1] = _SPIN_HALF.m[1] + app.m
+    _, sec, _ = _levels(offsets)
+    # J+ = S+ (x) 1 + 1 (x) L+; the end-to-end L+ band is 0 at each seam
+    up = np.zeros((2, 2, n_sec))
+    up[0, 0, sec[:-1]] = app_sum.raising       # |up, m> -> |up, m+1>
+    up[0, 1, sec] = _SPIN_HALF.raising[0]      # |down, m> -> |up, m>
+    up[1, 1, sec[:-1] + 1] = app_sum.raising   # |down, m> -> |down, m+1>
     up = up[..., :-1]
+    jz = np.zeros((2, n_sec))
+    jz[0, sec] = _SPIN_HALF.m[0] + app_sum.m
+    jz[1, sec + 1] = _SPIN_HALF.m[1] + app_sum.m
 
     devs = np.zeros((4, n_sec))
     for start in range(0, n_sec, _SECTOR_CHUNK):
@@ -265,16 +276,10 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
                     f"premeasurement unitary does not conserve J{axis}: "
                     f"|[U, J]| = {dev:.3e}{at}"
                 )
-    blocks.setflags(write=False)
-    devices = tuple(CompositeSystem(
-        L=L, tilt=float(tilt), dims=(2, app.dim, 2), apparatus_state=_coherent_state(L, tilt, 0.0),
-        spin_half=_SPIN_HALF, spin_app=app,
-        plus_blocks=blocks[:, :, 0, o:o + app.dim + 1].transpose(2, 0, 1),
-        minus_blocks=blocks[:, :, 1, o:o + app.dim + 1].transpose(2, 0, 1),
-        raising_blocks=up[..., o:o + app.dim].transpose(2, 0, 1),
-        slot_jz=jz[:, o:o + app.dim + 1].T,
-    ) for L, app, o in zip(spins, apps, offsets))
-    return _SectorStack(devices, app_sum, blocks, up, jz, offsets)
+    psi = np.concatenate([_coherent_state(L, tilt, 0.0).amplitudes for L in spins])
+    for arr in (psi, app_sum.m, app_sum.raising, blocks, up, jz, offsets):
+        arr.setflags(write=False)
+    return _SectorStack(tuple(spins), psi, app_sum, blocks, up, jz, offsets)
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -287,7 +292,11 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     whose full composite, 4(2L+1), exceeds `NUMERICS.max_total_dim` is
     refused before anything is allocated.  The one-device `_build_stack`.
     """
-    return _build_stack(_check_devices([L]), tilt).devices[0]
+    stack = _build_stack(_check_devices([L]), tilt)
+    [L], d = stack.spins, stack.psi.size
+    return CompositeSystem(L=L, tilt=float(tilt), dims=(2, d, 2),
+                           apparatus_state=StateVector((d,), stack.psi), spin_half=_SPIN_HALF,
+                           spin_app=replace(stack.apps, j=L), stack=stack)
 
 
 def _pa_matvecs(app: SpinOperators, t: np.ndarray) -> list[np.ndarray]:
@@ -299,19 +308,9 @@ def _pa_matvecs(app: SpinOperators, t: np.ndarray) -> list[np.ndarray]:
     return list(out)
 
 
-def _j_matvecs(sys: CompositeSystem, v: np.ndarray) -> list[np.ndarray]:
-    """[Jx v, Jy v, Jz v] over particle (x) apparatus amplitudes v (kron layout), in O(L)."""
-    return [jv.reshape(v.shape) for jv in _pa_matvecs(sys.spin_app, v.reshape(2, -1))]
-
-
-def _j_brackets(sys: CompositeSystem, bra: np.ndarray, ket: np.ndarray) -> tuple[complex, ...]:
-    """(<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>) over particle (x) apparatus."""
-    return tuple(complex(np.vdot(bra, jv)) for jv in _j_matvecs(sys, ket))
-
-
 def _j_means(sys: CompositeSystem, v: np.ndarray) -> np.ndarray:
-    """(<Jx>, <Jy>, <Jz>) of particle (x) apparatus amplitudes v."""
-    return np.array([b.real for b in _j_brackets(sys, v, v)])
+    """(<Jx>, <Jy>, <Jz>) of particle (x) apparatus amplitudes v (kron layout), in O(L)."""
+    return np.array([np.vdot(v, jv).real for jv in _pa_matvecs(sys.spin_app, v.reshape(2, -1))])
 
 
 def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
@@ -324,32 +323,27 @@ def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
 _DRIFT_WEIGHTS = np.array([1.0, 1.0, -1.0])
 
 
-def _sector_j_means(kets: np.ndarray, weights: np.ndarray, raising: np.ndarray,
-                    jz: np.ndarray, starts=None) -> np.ndarray:
-    """sum_s weights[s] (<Jx>, <Jy>, <Jz>) of each stack of sector kets, shape (..., 3).
+def _sector_j_means(kets: np.ndarray, weights: np.ndarray, stack: _SectorStack) -> np.ndarray:
+    """sum_s weights[s] (<Jx>, <Jy>, <Jz>) of each device of a stack, shape (..., n, 3).
 
     kets is (..., s, 2, N), slot-major: kets[..., s, a, k] is slot a of
-    sector k.  <J+> = sum_k x_k^dag R_k x_(k+1) reads the (N - 1, 2, 2) J+
-    blocks R and <Jz> the (N, 2) slot Jz, the blocks the build's [P, J]
+    sector k.  <J+> = sum_k x_k^dag R_k x_(k+1) reads the stack's J+
+    blocks R (`up`) and <Jz> its slot Jz, the blocks the build's [P, J]
     audit uses; <Jx> and <Jy> are the real and imaginary parts of <J+>.
     The weighted sum over s is taken within each sector before the sectors
     are summed, so a drift, a small difference of O(L) means, is not
-    rounded at the size of the means.  With `starts` the sectors are summed
-    from each start to the next, one device each, to shape
-    (..., len(starts), 3).  The sectors go `_SECTOR_CHUNK` at a time, each
-    chunk summed into its devices' totals.
+    rounded at the size of the means.  The sectors go `_SECTOR_CHUNK` at a
+    time, each chunk summed into its devices' totals.
     """
     n_sec = kets.shape[-1]
-    up, jz = raising.transpose(1, 2, 0), jz.T
-    one = starts is None
-    starts = np.zeros(1, dtype=int) if one else np.asarray(starts)
+    starts = stack.offsets[:-1]
     total = np.zeros(kets.shape[:-3] + (starts.size, 3))
     for start in range(0, n_sec, _SECTOR_CHUNK):
         stop = min(start + _SECTOR_CHUNK, n_sec)
         x = kets[..., start:stop + 1]   # with sector `stop`, which J+ takes into the chunk
         here, nxt = x[..., :stop - start], x[..., 1:]
         links = nxt.shape[-1]
-        r = up[..., start:start + links]
+        r = stack.up[..., start:start + links]
         jplus = 0.0
         for a in range(2):   # slot by slot, which keeps the temporaries small
             rx = r[a, 0] * nxt[..., 0, :]
@@ -360,13 +354,13 @@ def _sector_j_means(kets: np.ndarray, weights: np.ndarray, raising: np.ndarray,
         per_sector[..., :links, 0] = weights @ jplus.real
         per_sector[..., :links, 1] = weights @ jplus.imag
         per_sector[..., 2] = weights @ (
-            (here.real ** 2 + here.imag ** 2) * jz[:, start:stop]).sum(axis=-2)
+            (here.real ** 2 + here.imag ** 2) * stack.jz[:, start:stop]).sum(axis=-2)
         # the devices the chunk holds sectors of, the first from the chunk's start
         first = np.searchsorted(starts, start, side="right") - 1
         last = np.searchsorted(starts, stop)
         total[..., first:last, :] += np.add.reduceat(
             per_sector, np.maximum(starts[first:last] - start, 0), axis=-2)
-    return total[..., 0, :] if one else total
+    return total
 
 
 def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
@@ -380,14 +374,12 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
     kron layout (particle, apparatus, record).
     """
     pairs = np.array([_check_spinor(a, b) for a, b in spinors], dtype=np.complex128)
-    offsets = stack.offsets
-    kets = np.zeros((len(pairs), 3, 2, offsets[-1]), dtype=np.complex128)
+    cols, sec, rows = _levels(stack.offsets)
+    kets = np.zeros((len(pairs), 3, 2, stack.offsets[-1]), dtype=np.complex128)
     psi = kets[:, 2]
-    for o, dev in zip(offsets, stack.devices):
-        app = dev.apparatus_state.amplitudes
-        psi[:, 0, o:o + app.size] = pairs[:, :1] * app          # |up, m>: slot 0 of sector L - m
-        psi[:, 1, o + 1:o + app.size + 1] = pairs[:, 1:] * app  # |down, m>: slot 1 of sector L - m + 1
-    for start in range(0, offsets[-1], _SECTOR_CHUNK):
+    psi[:, 0, sec] = pairs[:, :1] * stack.psi       # |up, m>: slot 0 of sector L - m
+    psi[:, 1, sec + 1] = pairs[:, 1:] * stack.psi   # |down, m>: slot 1 of sector L - m + 1
+    for start in range(0, kets.shape[-1], _SECTOR_CHUNK):
         w = slice(start, start + _SECTOR_CHUNK)
         x = psi[:, None, :, w]
         for r in range(2):
@@ -395,23 +387,15 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
             np.multiply(stack.blocks[:, 0, r, w], x[..., 0, :], out=out)
             out += stack.blocks[:, 1, r, w] * x[..., 1, :]
             out += 0.0
-    drift = np.abs(_sector_j_means(kets, _DRIFT_WEIGHTS, stack.up.transpose(2, 0, 1), stack.jz.T,
-                                   offsets[:-1]))
+    drift = np.abs(_sector_j_means(kets, _DRIFT_WEIGHTS, stack))
     if not (drift <= NUMERICS.conservation_atol).all():   # nan fails too
         i, n, k = np.argwhere(~(drift.transpose(1, 0, 2) <= NUMERICS.conservation_atol))[0]
         raise ConservationError(f"<J{'xyz'[k]}> drifted by {drift[n, i, k]:.3e} during "
-                                f"premeasurement (L = {stack.devices[i].L:g})")
-    kron = np.empty((len(kets), 2 * (offsets[-1] - len(offsets) + 1), 2), dtype=np.complex128)
-    for i, (o, dev) in enumerate(zip(offsets, stack.devices)):
-        d, a = dev.dims[1], 2 * (o - i)   # slot 0 of sectors o .. o+d-1, slot 1 of o+1 .. o+d
-        kron[:, a:a + d] = kets[:, :2, 0, o:o + d].transpose(0, 2, 1)
-        kron[:, a + d:a + 2 * d] = kets[:, :2, 1, o + 1:o + d + 1].transpose(0, 2, 1)
-    return kron
-
-
-def _premeasure_all(spinors, sys: CompositeSystem) -> list[StateVector]:
-    """`premeasure` of each (a, b) in spinors on one device: the one-device `_premeasure_stack`."""
-    return [StateVector(sys.dims, final) for final in _premeasure_stack(spinors, _stack_of(sys))]
+                                f"premeasurement (L = {stack.spins[i]:g})")
+    flat = np.empty(2 * cols[-1], dtype=np.intp)   # kron row r is (slot, sector) flat[r]
+    flat[rows[0]] = sec
+    flat[rows[1]] = kets.shape[-1] + sec + 1
+    return np.take(kets[:, :2].reshape(len(kets), 2, -1), flat, axis=-1).transpose(0, 2, 1).copy()
 
 
 def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
@@ -420,9 +404,10 @@ def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     The record ends holding P+ psi at 0 and P- psi at 1, applied sector by
     sector.  Audited: each <J_k>, summed over both record sectors, must
     match <psi|J_k|psi> to the conservation tolerance, else
-    ConservationError.  This is the one-input case of `_premeasure_all`.
+    ConservationError.  This is the one-input, one-device case of
+    `_premeasure_stack`.
     """
-    return _premeasure_all([(a, b)], sys)[0]
+    return StateVector(sys.dims, _premeasure_stack([(a, b)], sys.stack)[0])
 
 
 @dataclass(frozen=True)
@@ -523,15 +508,43 @@ class ErrorAmplitudes:
 # +z, then -z: the inputs whose records give C, D, E and F
 _EIGENSTATES = ((1.0, 0.0), (0.0, 1.0))
 
+# C F <u|J|u_err> and E D <d|J|d_err>: each (bra, ket) as (input, record) of
+# the eigenstate records, and the product of their coefficients its weight
+_MATCHING_TERMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
+
+
+def _read_stack(stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray, list]:
+    """Both eigenstates premeasured on every device of a stack, split by record, and the matching terms.
+
+    Returns `_split_records`' coefficients, presence and branch states, and
+    per device its matching terms, C F <u|J|u_err> then E D <d|J|d_err>,
+    each as (weight, (<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>)) and left
+    out where its bra or ket is an empty sector.  The J matvecs run once
+    over the whole stack; each bracket is its device's `vdot` over its columns.
+    """
+    cols, _, rows = _levels(stack.offsets)
+    coeffs, present, states = _split_records(_premeasure_stack(_EIGENSTATES, stack), cols,
+                                             stack.spins)
+    live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
+            if any(have[bra] and have[ket] for have in present)]
+    # the live terms' kets slot-major: level m of device i at column cols[i] + m
+    kets = np.array([states[_MATCHING_TERMS[t][1]] for t in live])
+    jv = _pa_matvecs(stack.apps, np.take(kets, rows, axis=-1))
+    terms = []
+    for have, coeff, a, b in zip(present, coeffs, cols, cols[1:]):
+        terms.append([(coeff[bra[0]][bra[1]] * coeff[ket[0]][ket[1]],
+                       tuple(complex(np.vdot(states[bra][2 * a:2 * b], j[k, :, a:b])) for j in jv))
+                      for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
+                      if have[bra] and have[ket]])
+    return coeffs, present, states, terms
+
 
 def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
     """Run both eigenstate inputs, premeasured together, and read off C, D, E, F and the kets.
 
-    The one-device case of a `measure` sweep's readout (`_read_pass`).
+    The one-device case of a `measure` sweep's reader (`_read_stack`).
     """
-    finals = _premeasure_all(_EIGENSTATES, sys)
-    kron = np.array([final.amplitudes for final in finals]).reshape(2, -1, 2)
-    [coeffs], [present], states = _split_records(kron, np.array([0, sys.dims[1]]), [sys.L])
+    [coeffs], [present], states, _ = _read_stack(sys.stack)
     (u, d_err), (u_err, d) = [[StateVector((2, sys.dims[1]), s) if h else None
                                for h, s in zip(have, pair)] for have, pair in zip(present, states)]
     (c, d_amp), (f, e) = coeffs
@@ -542,25 +555,14 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     """Residuals of C F <u|J_k|u_err> + E D <d|J_k|d_err> = (1/2, -i/2, 0).
 
     Evaluated with the numerically extracted amplitudes, states, and
-    brackets; raises ConservationError if any residual magnitude exceeds
-    the conservation tolerance.
+    brackets of the one-device `_read_stack`; raises ConservationError if
+    any residual magnitude exceeds the conservation tolerance.
     """
-    return _matching_residuals(_matching_brackets(sys, extract_error_amplitudes(sys)), sys.L)
-
-
-def _matching_brackets(sys: CompositeSystem, amps: ErrorAmplitudes) -> list:
-    """(weight, (<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>)) of each matching term.
-
-    The terms are C F <u|J|u_err> and E D <d|J|d_err>, in that order; a
-    term whose bra or ket is an empty sector is left out.
-    """
-    pairs = ((amps.C * amps.F, amps.u, amps.u_err), (amps.E * amps.D, amps.d, amps.d_err))
-    return [(weight, _j_brackets(sys, bra.amplitudes, ket.amplitudes))
-            for weight, bra, ket in pairs if bra is not None and ket is not None]
+    return _matching_residuals(_read_stack(sys.stack)[3][0], sys.L)
 
 
 def _matching_residuals(terms: list, L: float) -> np.ndarray:
-    """Residuals of the matching equations of device L from their `_matching_brackets` terms."""
+    """Residuals of the matching equations of device L from its `_read_stack` terms."""
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     residuals = np.zeros(3, dtype=np.complex128)
     for k in range(3):
@@ -576,49 +578,23 @@ def _matching_residuals(terms: list, L: float) -> np.ndarray:
     return residuals
 
 
-# C F <u|J|u_err> and E D <d|J|d_err>: each (bra, ket) as (input, record) of
-# the eigenstate records
-_MATCHING_TERMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
-
-
 def _read_pass(spins) -> list[list]:
     """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
 
-    The devices of checked spins are built, audited, premeasured on both
-    eigenstates and read in one sector pass (`_build_stack`).  The J
-    matvecs of the matching kets and apparatus states run once over the
-    whole stack, the apparatus bands laid end to end with J+ zero between
-    devices; every bracket and moment is the device's own `vdot` over its
-    own columns, on the data `_j_brackets` and `angular_spread` read.
+    The devices of checked spins are built, audited, premeasured and read
+    in one sector pass (`_build_stack`, `_read_stack`).  Jx of the apparatus
+    states runs once over the whole stack; each device's moments are read
+    over its own columns, as `angular_spread` reads them.
     """
     stack = _build_stack(spins)
-    devices = stack.devices
-    dims = np.diff(stack.offsets) - 1
-    cols = np.concatenate([[0], np.cumsum(dims)])
-    coeffs, present, states = _split_records(_premeasure_stack(_EIGENSTATES, stack), cols,
-                                             [dev.L for dev in devices])
-
-    live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
-            if any(have[bra] and have[ket] for have in present)]
-    # the matching kets slot-major: level m of device i at column cols[i] + m
-    owner = np.repeat(np.arange(dims.size), dims)
-    at = cols[owner] + np.arange(cols[-1]) + dims[owner] * np.array([[0], [1]])
-    ket_j = np.take(np.array([states[_MATCHING_TERMS[t][1]] for t in live]), at, axis=-1)
-    jv = _pa_matvecs(stack.apps, ket_j)
-    psi = np.concatenate([dev.apparatus_state.amplitudes for dev in devices])
-    jx_psi = _ladder_matvecs(stack.apps, psi)[0]
-
+    coeffs, _, _, terms = _read_stack(stack)
+    cols = _levels(stack.offsets)[0]
+    jx_psi = _ladder_matvecs(stack.apps, stack.psi)[0]
     rows = []
-    for dev, have, coeff, a, b in zip(devices, present, coeffs, cols, cols[1:]):
-        (c, d_amp), (f, e) = coeff
-        weights = (c * f, e * d_amp)
-        matching = [(weights[t], tuple(complex(np.vdot(states[bra][2 * a:2 * b], j[k, :, a:b]))
-                                       for j in jv))
-                    for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
-                    if have[bra] and have[ket]]
-        residuals = _matching_residuals(matching, dev.L)
-        spread = _spread(psi[a:b], dev.spin_app.m, jx_psi[a:b])
-        rows.append([dev.L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
+    for L, ((c, d_amp), (f, e)), matching, a, b in zip(stack.spins, coeffs, terms, cols, cols[1:]):
+        residuals = _matching_residuals(matching, L)
+        spread = _spread(stack.psi[a:b], stack.apps.m[a:b], jx_psi[a:b])
+        rows.append([L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
                      abs(matching[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])
     return rows
 

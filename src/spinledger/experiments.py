@@ -44,7 +44,6 @@ from .angular import (
 from .apparatus import (
     _initial_state,
     _j_means,
-    _premeasure_all,
     build_measurement_unitary,
     decompose_branches,
     premeasure,
@@ -490,7 +489,7 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
 
     # U (particle (x) |L,L> (x) |rec 0>) as (particle*apparatus, record,
     # incoming particle)
-    shot = np.stack([final.amplitudes for final in _premeasure_all([(1.0, 0.0), (0.0, 1.0)], sys)],
+    shot = np.stack([premeasure(a, b, sys).amplitudes for a, b in ((1.0, 0.0), (0.0, 1.0))],
                     axis=1).reshape(2 * d_app, 2, 2)
 
     # post-measurement support: particle (x) {|L,L>, |L,L-1>}

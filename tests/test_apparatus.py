@@ -370,9 +370,22 @@ def test_built_system_holds_no_record_level_matrix(L):
     *(pytest.param(L, 0.4, id=f"{L:g}-tilt0.4") for L in (0.5, 3, 40)),
 ])
 def test_default_build_holds_no_quadratic_array(L, tilt):
-    # the sector blocks, (2L+2, 2, 2), are the largest arrays a build keeps
-    sizes = [arr.size for arr in _held_arrays(sl.build_measurement_unitary(L, tilt=tilt))]
-    assert sizes and max(sizes) <= 4 * (2 * L + 2)
+    # P+ and P- as one (2, 2, 2, 2L+2) sector stack are the largest arrays a
+    # build keeps; no array has two axes of side 2(2L+1), the particle (x)
+    # apparatus dimension, which a dense operator would
+    arrays = list(_held_arrays(sl.build_measurement_unitary(L, tilt=tilt)))
+    assert arrays and max(arr.size for arr in arrays) <= 8 * (2 * L + 2)
+    assert all(sum(n >= 2 * (2 * L + 1) for n in arr.shape) < 2 for arr in arrays)
+
+
+@pytest.mark.parametrize("L,tilt", [(0.5, 0.0), (2, 0.0), (7.5, 0.4)])
+def test_every_array_a_device_holds_is_read_only(L, tilt):
+    # a frozen device: writing P+-, the J+ blocks or the slot Jz in place
+    # would leave premeasure's drift audit reading other blocks than the
+    # build audited
+    arrays = list(_held_arrays(sl.build_measurement_unitary(L, tilt=tilt)))
+    assert len(arrays) >= 10
+    assert not [arr.shape for arr in arrays if arr.flags.writeable]
 
 
 def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
@@ -410,9 +423,10 @@ def test_premeasure_trips_drift_on_swapped_projector():
     # the transverse <Jx> = 1/2 of a +x input; its projector is diag(1, 0)
     # on the (up, down) slots of every sector
     sys_m = sl.build_measurement_unitary(2)
-    up = np.zeros_like(sys_m.plus_blocks)
+    up = np.zeros((sys_m.dims[1] + 1, 2, 2))
     up[:, 0, 0] = 1.0
-    ideal = dataclasses.replace(sys_m, plus_blocks=up, minus_blocks=np.eye(2) - up)
+    blocks = np.stack([up, np.eye(2) - up]).transpose(2, 3, 0, 1)   # entry-major, as a stack
+    ideal = dataclasses.replace(sys_m, stack=sys_m.stack._replace(blocks=blocks))
     r = 1 / np.sqrt(2)
     sl.premeasure(r, r, sys_m)
     with pytest.raises(sl.ConservationError, match="Jx> drifted"):

@@ -1,10 +1,13 @@
 """The three-component J pass against the per-component path it replaced.
 
 `angular._ladder_matvecs` forms the zero-padded J+ v and the J- v
-products once and builds Jx, Jy and Jz from them; `apparatus._j_matvecs`
-applies it to both factors of particle (x) apparatus.  The oracle here is
-the original code, one `moveaxis` ladder matvec per component and per
-factor.  Every result must agree bit for bit, signed zeros included.
+products once and builds Jx, Jy and Jz from them; `apparatus._pa_matvecs`
+applies it to both factors of particle (x) apparatus, and the stack
+reader `apparatus._read_stack` takes the matching brackets from it.  The
+oracle here is the original code, one `moveaxis` ladder matvec per
+component and per factor, and `oracle_matching_residuals` sums its
+brackets into the matching residuals as the per-device path did.  Every
+result must agree bit for bit, signed zeros included.
 """
 
 import math
@@ -33,6 +36,11 @@ def oracle_ladder_matvec(ops, v, k, axis=-1):
         out[..., 1:] -= lowered
         out /= 2j
     return np.moveaxis(out, -1, axis)
+
+
+def j_matvecs(sys, v):
+    """[Jx v, Jy v, Jz v] of kron-layout amplitudes v by the package's particle (x) apparatus pass."""
+    return [jv.reshape(v.shape) for jv in apparatus._pa_matvecs(sys.spin_app, v.reshape(2, -1))]
 
 
 def oracle_j_matvec(sys, v, k):
@@ -119,7 +127,7 @@ def test_ladder_matvecs_match_the_per_component_oracle():
 
 def test_j_matvecs_match_the_per_component_oracle(device):
     for v in device_vectors(device):
-        got = apparatus._j_matvecs(device, v)
+        got = j_matvecs(device, v)
         assert len(got) == 3
         for k in range(3):
             assert_bits_equal(got[k], oracle_j_matvec(device, v, k))
@@ -128,7 +136,7 @@ def test_j_matvecs_match_the_per_component_oracle(device):
 def test_brackets_and_means_match_the_per_component_oracle(device):
     vectors = device_vectors(device)
     for bra, ket in zip(vectors, vectors[1:] + vectors[:1]):
-        got = apparatus._j_brackets(device, bra, ket)
+        got = tuple(complex(np.vdot(bra, jv)) for jv in j_matvecs(device, ket))
         want = [oracle_j_bracket(device, bra, ket, k) for k in range(3)]
         assert all(type(b) is complex for b in got)
         assert_bits_equal(np.array(got), np.array(want))
@@ -138,8 +146,7 @@ def test_brackets_and_means_match_the_per_component_oracle(device):
 
 def test_matching_residuals_match_the_per_component_oracle(device):
     amps = sl.extract_error_amplitudes(device)
-    assert_bits_equal(apparatus._matching_residuals(apparatus._matching_brackets(device, amps),
-                                                    device.L),
+    assert_bits_equal(sl.verify_matching_equations(device),
                       oracle_matching_residuals(amps, device))
 
 
@@ -148,7 +155,7 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
     # a measure row takes |<u|Jx|u_err>| from the residual pass's brackets
     device = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(device)
-    weight, brackets = apparatus._matching_brackets(device, amps)[0]
+    [[(weight, brackets), *_]] = apparatus._read_stack(device.stack)[3]
     assert weight == amps.C * amps.F
     want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     assert_bits_equal(np.float64(abs(brackets[0])), np.float64(want))

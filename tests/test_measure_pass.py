@@ -3,11 +3,12 @@
 `apparatus._sweep_passes` groups consecutive devices while their
 sectors fit in `_SECTOR_CHUNK`, a larger device alone, and
 `apparatus._read_pass` builds, audits, premeasures and reads each group
-together.  The oracle is the per-row loop the sweep
+together as one `_SectorStack`.  The oracle is the per-row loop the sweep
 replaced: one build, one `extract_error_amplitudes`, the matching terms
-and `angular_spread` per L.  Every table must come out byte for byte the
-same, in CSV and in JSON, whatever the chunk, and an audit that trips in
-mid-sweep must name its device.
+by the per-component oracle of `test_j_oracle`, and `angular_spread` per
+L.  Every table must come out byte for byte the same, in CSV and in JSON,
+whatever the chunk, and an audit that trips in mid-sweep must name its
+device.
 """
 
 import concurrent.futures
@@ -22,6 +23,7 @@ import dense_oracle
 import spinledger as sl
 from spinledger import angular, apparatus, cli
 from spinledger.cli import main
+from test_j_oracle import oracle_j_bracket, oracle_matching_residuals
 
 SMALL = ",".join(f"{k / 2:g}" for k in range(1, 65))
 
@@ -30,11 +32,11 @@ def oracle_row(L):
     """One `measure` row by the per-device path."""
     device = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(device)
-    terms = apparatus._matching_brackets(device, amps)
-    residuals = apparatus._matching_residuals(terms, L)
+    residuals = oracle_matching_residuals(amps, device)
+    bracket = oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0)
     spread = sl.angular_spread(device.apparatus_state, device.spin_app)
     return [L, amps.C, amps.D, amps.E, amps.F, float(np.max(np.abs(residuals))),
-            abs(terms[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta]
+            abs(bracket), spread.delta_l, 1.0 / spread.delta_theta]
 
 
 def table(tmp_path, l_values, fmt, name, jobs=1):
@@ -107,8 +109,8 @@ def test_swapped_projectors_fail_the_matching_equations():
     # why the swap is a conservation failure: the device conserves J, but
     # the books of the matching equations no longer balance
     device = sl.build_measurement_unitary(3)
-    swapped = dataclasses.replace(device, plus_blocks=device.minus_blocks,
-                                  minus_blocks=device.plus_blocks)
+    swapped = dataclasses.replace(
+        device, stack=device.stack._replace(blocks=device.stack.blocks[:, :, ::-1]))
     with pytest.raises(sl.ConservationError, match=r"matching equations violated.*\(L = 3\)"):
         sl.verify_matching_equations(swapped)
 
@@ -216,7 +218,7 @@ def kron_layout_records(a, b, device):
     psi = np.kron(np.array([a, b], dtype=np.complex128), device.apparatus_state.amplitudes)
     sec = dense_oracle.to_sectors(psi)
     by_record = []
-    for p in (device.plus_blocks, device.minus_blocks):
+    for p in device.stack.blocks.transpose(2, 3, 0, 1):   # P+ and P-, (2L+2, 2, 2) each
         rec = np.einsum("kab,kb->ka", p, sec)
         by_record.append(np.concatenate([rec[:-1, 0], rec[1:, 1]]))
     return np.stack(by_record, axis=1)
@@ -228,9 +230,10 @@ def test_a_stack_premeasures_each_device_with_its_own_bits():
     spinors = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)]
     finals = apparatus._premeasure_stack(spinors, stack)
     rows = 0
-    for device in stack.devices:
+    for L in spins:
+        device = sl.build_measurement_unitary(L, tilt=0.4)
         n = 2 * device.dims[1]
-        one = apparatus._premeasure_all(spinors, device)
+        one = [sl.premeasure(a, b, device) for a, b in spinors]
         for (a, b), final, alone in zip(spinors, finals[:, rows:rows + n], one):
             assert final.tobytes() == kron_layout_records(a, b, device).tobytes()
             assert final.tobytes() == alone.amplitudes.tobytes()
@@ -248,11 +251,10 @@ def test_sector_j_means_sum_each_device_apart(monkeypatch, chunk):
     for o in stack.offsets[1:-1]:
         kets[..., 1, o] = kets[..., 0, o - 1] = 0.0   # the phantom slots
     weights = np.array([1.0, 1.0, -1.0])
-    got = apparatus._sector_j_means(kets, weights, stack.up.transpose(2, 0, 1), stack.jz.T,
-                                    stack.offsets[:-1])
-    for i, (device, a, b) in enumerate(zip(stack.devices, stack.offsets, stack.offsets[1:])):
-        alone = apparatus._sector_j_means(kets[..., a:b], weights, device.raising_blocks,
-                                          device.slot_jz)
+    got = apparatus._sector_j_means(kets, weights, stack)
+    for i, (L, a, b) in enumerate(zip(stack.spins, stack.offsets, stack.offsets[1:])):
+        device = sl.build_measurement_unitary(L, tilt=0.4)
+        alone = apparatus._sector_j_means(kets[..., a:b], weights, device.stack)[:, 0]
         assert np.max(np.abs(got[:, i] - alone)) <= 1e-12
 
 
@@ -264,8 +266,7 @@ def test_sector_j_means_temporaries_stay_chunk_sized(monkeypatch):
     kets = np.ones((2, 3, 2, n_sec), dtype=np.complex128)
     tracemalloc.start()
     try:
-        apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS, device.raising_blocks,
-                                  device.slot_jz, [0])
+        apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS, device.stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,12 +1,14 @@
 """The stacked premeasure pass and the sector-layout audits it reads.
 
-`_premeasure_all` premeasures a list of spinors on one device in one
-sector pass, and `premeasure` is its one-input case.  Its records must be
+`_premeasure_stack` premeasures a list of spinors on a device's
+one-device `_SectorStack` (`CompositeSystem.stack`) in one sector pass,
+and `premeasure` is its one-input case.  Its records must be
 bit-identical to the kron-layout arithmetic they replaced (one einsum per
-projector on each input's sectors), its drift audit reads <J> from the J+
-blocks and the slot Jz, and the drift is gated input by input.  The build
-audits P+ and P- as one stack; both passes go `_SECTOR_CHUNK` sectors at a
-time, so every audit is also run here with chunks of a few sectors.
+projector on each input's sectors), its drift audit reads <J> from the
+stack's J+ blocks and slot Jz, and the drift is gated input by input.
+The build audits P+ and P- as one stack; both passes go `_SECTOR_CHUNK`
+sectors at a time, so every audit is also run here with chunks of a few
+sectors.
 """
 
 import dataclasses
@@ -21,12 +23,23 @@ from spinledger import apparatus
 R2 = 1 / np.sqrt(2)
 
 
+def premeasure_all(spinors, sys_m):
+    """Each (a, b) of spinors premeasured on one device, in one stacked pass."""
+    return [sl.StateVector(sys_m.dims, final)
+            for final in apparatus._premeasure_stack(spinors, sys_m.stack)]
+
+
+def sector_blocks(sys_m):
+    """P+ and P- of a device as (2L+2, 2, 2) block stacks."""
+    return sys_m.stack.blocks.transpose(2, 3, 0, 1)
+
+
 def kron_layout_records(a, b, sys_m):
     """The premeasured amplitudes by the per-input kron-layout arithmetic."""
     psi = np.kron(np.array([a, b], dtype=np.complex128), sys_m.apparatus_state.amplitudes)
     sec = dense_oracle.to_sectors(psi)
     by_record = []
-    for p in (sys_m.plus_blocks, sys_m.minus_blocks):
+    for p in sector_blocks(sys_m):
         rec = np.einsum("kab,kb->ka", p, sec)
         by_record.append(np.concatenate([rec[:-1, 0], rec[1:, 1]]))   # phantoms dropped
     return np.stack(by_record, axis=1).reshape(-1)
@@ -46,7 +59,7 @@ def spinors_for(L, tilt):
 def test_stacked_pass_gives_the_bits_of_one_input_premeasure(L, tilt):
     sys_m = sl.build_measurement_unitary(L, tilt=tilt)
     spinors = spinors_for(L, tilt)
-    stacked = apparatus._premeasure_all(spinors, sys_m)
+    stacked = premeasure_all(spinors, sys_m)
     assert len(stacked) == len(spinors)
     for (a, b), final in zip(spinors, stacked):
         assert final.dims == sys_m.dims
@@ -60,9 +73,9 @@ def test_chunked_passes_give_the_same_records(monkeypatch, chunk):
     # L = 7.5 has 17 sectors, so a chunk of 2 or 5 sectors leaves a short last chunk
     sys_m = sl.build_measurement_unitary(7.5, tilt=0.4)
     spinors = spinors_for(7.5, 0.4)
-    whole = apparatus._premeasure_all(spinors, sys_m)
+    whole = premeasure_all(spinors, sys_m)
     monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
-    chunked = apparatus._premeasure_all(spinors, sl.build_measurement_unitary(7.5, tilt=0.4))
+    chunked = premeasure_all(spinors, sl.build_measurement_unitary(7.5, tilt=0.4))
     for w, c in zip(whole, chunked):
         assert w.amplitudes.tobytes() == c.amplitudes.tobytes()
 
@@ -88,11 +101,11 @@ def test_sector_j_means_match_the_dense_j(monkeypatch, L, chunk):
     for s, want in enumerate(dense):
         weights = np.zeros(len(vectors))
         weights[s] = 1.0
-        got = apparatus._sector_j_means(kets, weights, sys_m.raising_blocks, sys_m.slot_jz)
+        got = apparatus._sector_j_means(kets, weights, sys_m.stack)[0]
         assert np.max(np.abs(got - want)) <= tol
     # a weighted stack gives the weighted sum, and leading axes are kept apart
     weights = np.array([1.0, 1.0, -1.0])
-    got = apparatus._sector_j_means(kets[None], weights, sys_m.raising_blocks, sys_m.slot_jz)
+    got = apparatus._sector_j_means(kets[None], weights, sys_m.stack)[..., 0, :]
     assert got.shape == (1, 3)
     assert np.max(np.abs(got[0] - weights @ dense)) <= tol
 
@@ -104,9 +117,10 @@ def ideal_device():
     <Jx> of the particle: -1/2 for a +x input and +1/2 for a -x input.
     """
     sys_m = sl.build_measurement_unitary(2)
-    up = np.zeros_like(sys_m.plus_blocks)
+    up = np.zeros_like(sector_blocks(sys_m)[0])
     up[:, 0, 0] = 1.0
-    return dataclasses.replace(sys_m, plus_blocks=up, minus_blocks=np.eye(2) - up)
+    blocks = np.stack([up, np.eye(2) - up]).transpose(2, 3, 0, 1)
+    return dataclasses.replace(sys_m, stack=sys_m.stack._replace(blocks=blocks))
 
 
 @pytest.mark.parametrize("chunk", [2, 4096])
@@ -118,7 +132,7 @@ def test_drift_is_gated_input_by_input(monkeypatch, spinors, chunk):
     monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
     ideal = ideal_device()
     with pytest.raises(sl.ConservationError, match="Jx> drifted"):
-        apparatus._premeasure_all(spinors, ideal)
+        apparatus._premeasure_stack(spinors, ideal.stack)
 
 
 def test_opposite_drifts_cancel_in_a_sum():
@@ -128,10 +142,9 @@ def test_opposite_drifts_cancel_in_a_sum():
     kets = np.zeros((2, 3, 2, app.size + 1), dtype=np.complex128)
     for i, (a, b) in enumerate([(R2, R2), (R2, -R2)]):
         kets[i, 2] = dense_oracle.to_sectors(np.kron([a, b], app)).T
-        for r, p in enumerate((ideal.plus_blocks, ideal.minus_blocks)):
+        for r, p in enumerate(sector_blocks(ideal)):
             kets[i, r] = np.einsum("kab,bk->ak", p, kets[i, 2])
-    drift = apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS,
-                                      ideal.raising_blocks, ideal.slot_jz)
+    drift = apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS, ideal.stack)[:, 0]
     assert drift[:, 0] == pytest.approx([-0.5, 0.5], abs=1e-14)
     assert abs(drift[:, 0].sum()) <= 1e-14
 
@@ -139,13 +152,13 @@ def test_opposite_drifts_cancel_in_a_sum():
 def test_premeasure_is_the_one_input_case(monkeypatch):
     sys_m = sl.build_measurement_unitary(3, tilt=0.4)
     calls = []
-    real = apparatus._premeasure_all
+    real = apparatus._premeasure_stack
 
-    def spy(spinors, sys):
+    def spy(spinors, stack):
         calls.append(list(spinors))
-        return real(spinors, sys)
+        return real(spinors, stack)
 
-    monkeypatch.setattr(apparatus, "_premeasure_all", spy)
+    monkeypatch.setattr(apparatus, "_premeasure_stack", spy)
     sl.premeasure(0.6, 0.8j, sys_m)
     sl.extract_error_amplitudes(sys_m)
     assert calls == [[(0.6, 0.8j)], [(1.0, 0.0), (0.0, 1.0)]]

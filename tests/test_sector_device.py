@@ -1,12 +1,14 @@
 """The Clebsch-Gordan sector device against its dense oracles.
 
-A build stores P+ and P- as (2L+2, 2, 2) sector blocks and the apparatus
-spin as its two ladder bands; premeasure, the audits, the brackets and
-the spread run on those in O(L).  The oracle is dense: `dense_oracle`
+A build keeps P+ and P- as 2x2 sector blocks in its one-device sector
+stack (`CompositeSystem.stack`) and the apparatus spin as its two ladder
+bands; premeasure, the audits, the brackets and the spread run on those
+in O(L).  The oracle is dense: `dense_oracle`
 builds U, J and P+- from S.L and the dense spin matrices, never from the
 blocks.
 """
 
+import ast
 import csv
 import math
 import re
@@ -19,6 +21,7 @@ import dense_oracle
 import spinledger as sl
 from spinledger import angular, apparatus, kernel
 from spinledger.cli import main as cli_main
+from test_j_oracle import j_matvecs
 
 L_VALUES = [0.5, 1, 2.5, 7, 40, 150]
 
@@ -50,7 +53,7 @@ def test_structured_j_matches_dense_j_pa(device):
     rng = np.random.default_rng(round(4 * device.L))
     v = rng.normal(size=device.pa_dim) + 1j * rng.normal(size=device.pa_dim)
     for k, jk in enumerate(dense_oracle.j_pa(device)):
-        assert np.max(np.abs(apparatus._j_matvecs(device, v)[k] - jk @ v)) <= 1e-12
+        assert np.max(np.abs(j_matvecs(device, v)[k] - jk @ v)) <= 1e-12
 
 
 def test_brackets_and_means_match_dense(device):
@@ -61,7 +64,7 @@ def test_brackets_and_means_match_dense(device):
         if bra is None or ket is None:
             continue
         for k, jk in enumerate(j_pa):
-            got = apparatus._j_brackets(device, bra.amplitudes, ket.amplitudes)[k]
+            got = np.vdot(bra.amplitudes, j_matvecs(device, ket.amplitudes)[k])
             assert abs(got - np.vdot(bra.amplitudes, jk @ ket.amplitudes)) <= 1e-12
         dense_means = [np.vdot(bra.amplitudes, jk @ bra.amplitudes).real for jk in j_pa]
         assert np.max(np.abs(apparatus._j_means(device, bra.amplitudes) - dense_means)) <= 1e-12
@@ -85,8 +88,9 @@ def test_sector_blocks_match_the_s_dot_l_projectors(L):
     s_dot_l = dense_oracle.s_dot_l(L)
     plus = (s_dot_l + (L + 1) / 2 * np.eye(s_dot_l.shape[0])) / (L + 0.5)
     sys_m = sl.build_measurement_unitary(L)
-    assert np.max(np.abs(dense_oracle.dense_blocks(sys_m.plus_blocks) - plus)) <= 1e-12
-    assert np.max(np.abs(dense_oracle.dense_blocks(sys_m.minus_blocks)
+    plus_blocks, minus_blocks = sys_m.stack.blocks.transpose(2, 3, 0, 1)
+    assert np.max(np.abs(dense_oracle.dense_blocks(plus_blocks) - plus)) <= 1e-12
+    assert np.max(np.abs(dense_oracle.dense_blocks(minus_blocks)
                          - (np.eye(plus.shape[0]) - plus))) <= 1e-12
 
 
@@ -144,6 +148,30 @@ def test_src_keeps_one_device_representation():
         assert not re.search(r"\bOperator\b", path.read_text()), path.name
 
 
+SECTOR_LAYOUT_NAMES = {"_SectorStack", "_build_stack", "_premeasure_stack", "_sector_j_means"}
+
+
+def test_sector_layout_stays_inside_apparatus():
+    # the sector stack is apparatus.py's own layout: no other module names
+    # its helpers or reads a device's `.stack`
+    for path in Path(sl.__file__).parent.glob("*.py"):
+        if path.name == "apparatus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+                if node.attr == "stack":   # np.stack is numpy's
+                    assert isinstance(node.value, ast.Name) and node.value.id == "np", (
+                        path.name, node.lineno)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & SECTOR_LAYOUT_NAMES, (path.name, node.lineno, names)
+
+
 def _rows(path):
     return list(csv.DictReader(ln for ln in path.read_text().splitlines()
                                if ln and not ln.startswith("#")))
@@ -181,6 +209,16 @@ def test_oversize_device_is_refused_before_it_allocates(monkeypatch, capsys):
         sl.build_measurement_unitary(1e6)
     assert cli_main(["measure", "--L", "1000000"]) == 1
     assert "maximum total dimension" in capsys.readouterr().err
+
+
+def test_oversize_device_in_a_sweep_is_named(capsys):
+    # 4 x 600001 > 2^20: the refusal names the device among its neighbours
+    assert cli_main(["measure", "--L", "1,300000,2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "apparatus spin refused" in out.err and "(L = 300000)" in out.err
+    with pytest.raises(ValueError, match=r"maximum total dimension 1048576 \(L = 300000\)"):
+        sl.bracket_magnitude_scaling([2, 300000])
 
 
 def test_size_guard_follows_the_configured_maximum(monkeypatch, capsys):

@@ -103,7 +103,7 @@ def test_internal_streak_matches_dense_oracle(n, K, pattern, L):
 
 
 def _fake_premeasure(app_level_of_down, record_of_down):
-    """_premeasure_all that sends |up> to (up, |L,L>, rec 0) and |down> to a chosen cell."""
+    """premeasure that sends |up> to (up, |L,L>, rec 0) and |down> to a chosen cell."""
     def fake_one(a, b, sys):
         amps = np.zeros(sys.dims, dtype=complex)
         if a == 1.0:
@@ -111,19 +111,19 @@ def _fake_premeasure(app_level_of_down, record_of_down):
         else:
             amps[1, app_level_of_down, record_of_down] = 1.0
         return sl.StateVector(sys.dims, amps.reshape(-1))
-    return lambda spinors, sys: [fake_one(a, b, sys) for a, b in spinors]
+    return fake_one
 
 
 def test_slot_leakage_audit_still_raises(monkeypatch):
     # the down component lands on |L,L-2>, outside the slot subspace
-    monkeypatch.setattr(ex, "_premeasure_all", _fake_premeasure(2, 0))
+    monkeypatch.setattr(ex, "premeasure", _fake_premeasure(2, 0))
     with pytest.raises(AssertionError, match="leaked out of the slot subspace"):
         sl.lucky_streak_j2(2, 2, "internal", K=4, pattern="uu")
 
 
 def test_vanishing_weight_audit_still_raises(monkeypatch):
     # both particle states register "up", so a "d" has no weight at all
-    monkeypatch.setattr(ex, "_premeasure_all", _fake_premeasure(0, 0))
+    monkeypatch.setattr(ex, "premeasure", _fake_premeasure(0, 0))
     weights = sl.lucky_streak_j2(2, 2, "internal", K=4, pattern="uu").step_weights
     assert weights == pytest.approx((1.0, 1.0), abs=1e-14)
     with pytest.raises(sl.ConservationError, match="vanishing weight at step 1"):
