@@ -97,27 +97,48 @@ def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.n
     return jx, jy, jz
 
 
-def _check_bands(j: float, m: np.ndarray, raising: np.ndarray) -> None:
+def _check_bands(j, m: np.ndarray, raising: np.ndarray) -> None:
     """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding on the bands.
 
     Both residuals are diagonal: with r_i = raising[i] (0 past either
     end), [Jx, Jy] - i Jz = i ((r_i^2 - r_(i-1)^2)/2 - m_i) and
     J^2 - j(j+1) = (r_i^2 + r_(i-1)^2)/2 + m_i^2 - j(j+1); every other
-    diagonal cancels exactly.  Their float error grows as j (commutator)
-    and j(j+1) (Casimir), so each is gated at the operator tolerance
-    times that scale.
+    diagonal cancels exactly.  Both float errors grow as eps j^2, and are
+    gated level by level, nan failing, at the operator tolerance times
+    max(1, j) and max(1, j(j+1)): j a scalar, or each level's own spin.
     """
     sq = np.zeros(m.size + 1)
     sq[1:-1] = raising ** 2
     above, below = sq[1:], sq[:-1]
-    comm = float(np.max(np.abs((above - below) / 2 - m)))
-    casimir = float(np.max(np.abs((above + below) / 2 + m ** 2 - j * (j + 1))))
-    if (comm > NUMERICS.operator_atol * max(1.0, j)
-            or casimir > NUMERICS.operator_atol * max(1.0, j * (j + 1))):
-        raise ValueError(
-            f"spin algebra failed self-check at j={j}: comm={comm:.3e}, "
-            f"casimir={casimir:.3e}"
-        )
+    jj = j * (j + 1)
+    comm = np.abs((above - below) / 2 - m)
+    casimir = np.abs((above + below) / 2 + m ** 2 - jj)
+    ok = comm <= NUMERICS.operator_atol * np.maximum(1.0, j)
+    ok &= casimir <= NUMERICS.operator_atol * np.maximum(1.0, jj)
+    if not ok.all():
+        i = ok.argmin()
+        raise ValueError(f"spin algebra failed self-check at j={np.broadcast_to(j, m.shape)[i]}: "
+                         f"comm={comm[i]:.3e}, casimir={casimir[i]:.3e}")
+
+
+def _spin_bands(spins) -> SpinOperators:
+    """The `spin_operators` bands of checked spins laid end to end (j nan for several).
+
+    The J+ element from level m, sqrt(j(j+1) - m(m+1)), is exactly +0.0 at
+    a spin's top level, so the seams of the raising band need no special case.
+    """
+    dims = [round(2 * j + 1) for j in spins]
+    if len(spins) == 1:   # a scalar j keeps one spin as cheap as its formula
+        j = spins[0]
+        m = j - np.arange(dims[0], dtype=np.float64)
+    else:
+        j = np.repeat(spins, dims)
+        m = j - (np.arange(j.size) - np.repeat(np.cumsum(dims) - dims, dims))
+    raising = np.sqrt(j * (j + 1) - m * (m + 1))[1:]
+    _check_bands(j, m, raising)
+    m.setflags(write=False)
+    raising.setflags(write=False)
+    return SpinOperators(spins[0] if len(spins) == 1 else math.nan, m, raising)
 
 
 def spin_operators(j) -> SpinOperators:
@@ -128,13 +149,7 @@ def spin_operators(j) -> SpinOperators:
     O(j).  The commutation relations and the Casimir identity are
     verified on the bands before the result is returned.
     """
-    j = _check_spin(j)
-    m = j - np.arange(round(2 * j + 1), dtype=np.float64)
-    raising = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    _check_bands(j, m, raising)
-    m.setflags(write=False)
-    raising.setflags(write=False)
-    return SpinOperators(j=j, m=m, raising=raising)
+    return _spin_bands([_check_spin(j)])
 
 
 def coherent_spin_state(j, theta: float, phi: float) -> StateVector:
@@ -143,24 +158,23 @@ def coherent_spin_state(j, theta: float, phi: float) -> StateVector:
     The state |j, j> rotated by theta about the axis (-sin phi, cos phi, 0),
     so <J> = j * (sin theta cos phi, sin theta sin phi, cos theta).
     """
-    return _coherent_state(_check_spin(j), theta, phi)
+    psi = _coherent_state(_check_spin(j), theta, phi)
+    return StateVector((psi.size,), psi)
 
 
-def _coherent_state(j: float, theta: float, phi: float) -> StateVector:
-    """Coherent state of a checked spin j, in closed form and O(j).
+def _coherent_state(j: float, theta: float, phi: float) -> np.ndarray:
+    """Amplitudes of the coherent state of a checked spin j, in closed form and O(j).
 
     The amplitude of |m> is e^(i phi (j-m)) d^j_(mj)(theta), with
     d^j_(mj)(theta) = sqrt(C(2j, j-m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2)
     (Radcliffe 1971; Arecchi et al. 1972).  The magnitudes are built by the
     ratio a[i+1]/a[i] = sqrt((2j-i)/(i+1)) |tan(theta/2)|, i = j - m,
     outward from the mode of the binomial weights, then normalized; the
-    signs of cos and sin restore theta outside (0, pi).
+    signs of cos and sin restore theta outside (0, pi).  The caller gates the norm.
     """
     n = round(2 * j)
-    if theta == 0.0:
-        top = np.zeros(n + 1, dtype=np.complex128)
-        top[0] = 1.0
-        return StateVector((n + 1,), top)
+    if theta == 0.0:   # |j, j>
+        return np.eye(1, n + 1, dtype=np.complex128)[0]
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     t = abs(s / c)
     mode = min(n, math.floor((n + 1) * s * s))
@@ -175,7 +189,7 @@ def _coherent_state(j: float, theta: float, phi: float) -> StateVector:
         mag = -mag
     if c * s < 0:
         mag[1::2] = -mag[1::2]
-    return StateVector((n + 1,), mag * np.exp(1j * phi * i))
+    return mag * np.exp(1j * phi * i)
 
 
 @dataclass(frozen=True)

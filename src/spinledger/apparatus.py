@@ -20,7 +20,7 @@ treatment would misplace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .angular import (
     _check_spinor,
     _coherent_state,
     _ladder_matvecs,
+    _spin_bands,
     _spread,
     spin_operators,
 )
@@ -80,38 +81,26 @@ _SPIN_HALF = spin_operators(0.5)
 _SECTOR_CHUNK = 4096
 
 
-def _sector_projectors(L: float) -> np.ndarray:
-    """P+ and P- as one (2, 2L+2, 2, 2) stack of sector blocks.
+def _sector_projectors(spins, offsets: np.ndarray, ident: np.ndarray) -> np.ndarray:
+    """P+ and P- of devices on sectors offsets[i] .. offsets[i+1] - 1, as one (2, 2, 2, N) stack.
 
     S.L has the two eigenvalues L/2 and -(L+1)/2, so P+ = (S.L + (L+1)/2) /
     (L+1/2) is exactly rotationally invariant; on sector M it is
     [[L+1/2+M, r], [r, L+1/2-M]] / (2L+1) with r = sqrt((L+1/2)^2 - M^2).
-    The edge sectors are 1x1 with P+ = 1.  `build_measurement_unitary`
-    audits the stack.
+    The edge sectors are 1x1 with P+ = 1.  P- = ident - P+, ident being 1
+    on the real slots, has the bits of 0 - P+ plus 1 on the real slots.
     """
-    d = round(2 * L + 1)
-    M = L + 0.5 - np.arange(d + 1)
-    blocks = np.empty((2, d + 1, 2, 2))
-    plus = blocks[0]
-    plus[:, 0, 0] = L + 0.5 + M
-    plus[:, 0, 1] = plus[:, 1, 0] = np.sqrt((L + 0.5) ** 2 - M ** 2)
-    plus[:, 1, 1] = L + 0.5 - M
+    sizes = np.diff(offsets)
+    L = np.repeat(spins, sizes)
+    M = L + 0.5 - (np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes))
+    blocks = np.empty((2, 2, 2, offsets[-1]))
+    plus = blocks[:, :, 0]
+    plus[0, 0] = L + 0.5 + M
+    plus[0, 1] = plus[1, 0] = np.sqrt((L + 0.5) ** 2 - M ** 2)
+    plus[1, 1] = L + 0.5 - M
     plus /= 2 * L + 1
-    # P- = 1 - P+ without forming the identity, which the build forms once
-    # for its unitarity audit: 0 - P+, then 1 added on the real diagonal
-    # slots, gives the bits of 1 - P+, with +0 where P+ is 0
-    minus = np.subtract(0.0, plus, out=blocks[1])
-    minus[:-1, 0, 0] += 1.0
-    minus[1:, 1, 1] += 1.0
-    blocks.setflags(write=False)
+    np.subtract(ident, plus, out=blocks[:, :, 1])
     return blocks
-
-
-def _sector_identity(d: int) -> np.ndarray:
-    """The identity of particle (x) apparatus as sector blocks (zero on phantoms)."""
-    ident = np.zeros((d + 1, 2, 2))
-    ident[:-1, 0, 0] = ident[1:, 1, 1] = 1.0
-    return ident
 
 
 def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,29 +210,27 @@ def _check_devices(l_values) -> list[float]:
 def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
     """Build and audit a list of devices, their spins checked (`_check_devices`), as one sector stack.
 
-    The audits go `_SECTOR_CHUNK` sectors at a time, each chunk with the
-    next sector, which J+ links to its last one.  Every device is gated on
-    its own maxima, so an error names its L.
+    The bands, P+- blocks and apparatus states of all devices are filled
+    together.  The audits go `_SECTOR_CHUNK` sectors at a time, each chunk
+    with the next sector, which J+ links to its last one.  Every device is
+    gated on its own maxima and |psi|^2, so an error names its L.
     """
-    apps = [spin_operators(L) for L in spins]
-    # the bands end to end: J+ from one device's top level into the next is 0
-    app_sum = SpinOperators(math.nan, np.concatenate([app.m for app in apps]),
-                            np.concatenate([b for app in apps for b in ([0.0], app.raising)][1:]))
-    blocks = np.concatenate([np.asarray(_sector_projectors(L)) for L in spins], axis=1)
-    blocks = blocks.transpose(2, 3, 0, 1).copy()
-    ident = np.concatenate([_sector_identity(app.dim) for app in apps]).transpose(1, 2, 0).copy()
-    offsets = np.cumsum([0] + [app.dim + 1 for app in apps])
+    apps = _spin_bands(spins)   # J+ from one device's top level into the next is 0
+    offsets = np.cumsum([0] + [round(2 * L + 2) for L in spins])
     n_sec = offsets[-1]
-    _, sec, _ = _levels(offsets)
+    cols, sec, _ = _levels(offsets)
+    ident = np.zeros((2, 2, n_sec))
+    ident[0, 0, sec] = ident[1, 1, sec + 1] = 1.0   # the real slots of |up, m> and |down, m>
+    blocks = _sector_projectors(spins, offsets, ident)
     # J+ = S+ (x) 1 + 1 (x) L+; the end-to-end L+ band is 0 at each seam
     up = np.zeros((2, 2, n_sec))
-    up[0, 0, sec[:-1]] = app_sum.raising       # |up, m> -> |up, m+1>
+    up[0, 0, sec[:-1]] = apps.raising          # |up, m> -> |up, m+1>
     up[0, 1, sec] = _SPIN_HALF.raising[0]      # |down, m> -> |up, m>
-    up[1, 1, sec[:-1] + 1] = app_sum.raising   # |down, m> -> |down, m+1>
+    up[1, 1, sec[:-1] + 1] = apps.raising      # |down, m> -> |down, m+1>
     up = up[..., :-1]
     jz = np.zeros((2, n_sec))
-    jz[0, sec] = _SPIN_HALF.m[0] + app_sum.m
-    jz[1, sec + 1] = _SPIN_HALF.m[1] + app_sum.m
+    jz[0, sec] = _SPIN_HALF.m[0] + apps.m
+    jz[1, sec + 1] = _SPIN_HALF.m[1] + apps.m
 
     devs = np.zeros((4, n_sec))
     for start in range(0, n_sec, _SECTOR_CHUNK):
@@ -254,9 +241,14 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
     devs[2, offsets[1:-1] - 1] = 0.0   # a seam link belongs to neither device
     devs = np.maximum.reduceat(devs, offsets[:-1], axis=1).T.tolist()
     traces = np.add.reduceat((blocks[0, 0] + blocks[1, 1]).real, offsets[:-1], axis=1).T.tolist()
-    for L, (unitarity, idempotence, transverse, longitudinal), pair in zip(spins, devs, traces):
+    psi = np.concatenate([_coherent_state(L, tilt, 0.0) for L in spins])
+    norms = np.add.reduceat(psi.real ** 2 + psi.imag ** 2, cols[:-1]).tolist()
+    for L, (unitarity, idempotence, transverse, longitudinal), pair, norm in zip(
+            spins, devs, traces, norms):
         at = f" (L = {L:g})"
         # every gate fails on nan too
+        if not abs(norm - 1.0) <= NUMERICS.state_atol:
+            raise ValueError(f"state not normalized: |psi|^2 = {norm!r}{at}")
         if not unitarity <= NUMERICS.operator_atol:
             raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}{at}")
         if not idempotence <= NUMERICS.state_atol:
@@ -276,10 +268,9 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
                     f"premeasurement unitary does not conserve J{axis}: "
                     f"|[U, J]| = {dev:.3e}{at}"
                 )
-    psi = np.concatenate([_coherent_state(L, tilt, 0.0).amplitudes for L in spins])
-    for arr in (psi, app_sum.m, app_sum.raising, blocks, up, jz, offsets):
+    for arr in (psi, blocks, up, jz, offsets):
         arr.setflags(write=False)
-    return _SectorStack(tuple(spins), psi, app_sum, blocks, up, jz, offsets)
+    return _SectorStack(tuple(spins), psi, apps, blocks, up, jz, offsets)
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -293,10 +284,10 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
     refused before anything is allocated.  The one-device `_build_stack`.
     """
     stack = _build_stack(_check_devices([L]), tilt)
-    [L], d = stack.spins, stack.psi.size
-    return CompositeSystem(L=L, tilt=float(tilt), dims=(2, d, 2),
-                           apparatus_state=StateVector((d,), stack.psi), spin_half=_SPIN_HALF,
-                           spin_app=replace(stack.apps, j=L), stack=stack)
+    state = StateVector((stack.psi.size,), stack.psi)
+    return CompositeSystem(L=stack.spins[0], tilt=float(tilt), dims=(2, state.dim, 2),
+                           apparatus_state=state, spin_half=_SPIN_HALF, spin_app=stack.apps,
+                           stack=stack._replace(psi=state.amplitudes))
 
 
 def _pa_matvecs(app: SpinOperators, t: np.ndarray) -> list[np.ndarray]:
@@ -426,17 +417,18 @@ class BranchDecomposition:
     omitted: tuple
 
 
-def _split_records(kron: np.ndarray, cols: np.ndarray, spins) -> tuple[list, np.ndarray, np.ndarray]:
-    """Premeasured states laid end to end (`_premeasure_stack`), split by record sector.
+def _split_records(kron: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+    """Premeasured states of a stack's devices end to end (`_premeasure_stack`), split by record.
 
-    Device i has rows 2 cols[i] .. 2 cols[i+1] - 1 of kron.  A weight is the
-    `vdot` of the sector's stride-2 view, as the bits of the sum depend on
-    the stride.  Returns the coefficients [device][input][record] (0.0 below
-    the weight floor), their presence and the (n, 2, 2D) branch states,
-    sector over coefficient (an empty one left as it was), audited device
-    by device.  For the eigenstate pair, an input's weight sum is C^2+D^2
-    or E^2+F^2.
+    Device i has rows 2 cols[i] .. 2 cols[i+1] - 1 of kron (`_levels`).  A
+    weight is the `vdot` of the sector's stride-2 view, as the bits of the
+    sum depend on the stride.  Returns the coefficients [device][input][record]
+    (0.0 below the weight floor), their presence and the (n, 2, 2D) branch
+    states, sector over coefficient (an empty one left as it was), audited
+    device by device.  For the eigenstate pair, an input's weight sum is
+    C^2+D^2 or E^2+F^2.
     """
+    cols = stack.offsets - np.arange(stack.offsets.size)   # the columns of `_levels`
     starts, sizes = 2 * cols[:-1], 2 * np.diff(cols)
     weights = np.array([[[np.vdot(k[a:a + size, r], k[a:a + size, r]).real
                           for a, size in zip(starts, sizes)] for r in range(2)] for k in kron])
@@ -457,7 +449,7 @@ def _split_records(kron: np.ndarray, cols: np.ndarray, spins) -> tuple[list, np.
     recon = recon.max(axis=1).T.tolist()
     totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
     coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
-    for L, *device in zip(spins, present, norms, totals, overlaps, recon):
+    for L, *device in zip(stack.spins, present, norms, totals, overlaps, recon):
         at = f" (L = {L:g})"
         for have, norm, total, overlap, rebuilt in zip(*device):   # input by input
             for x in (x for x, h in zip(norm, have) if h):
@@ -475,8 +467,7 @@ def _split_records(kron: np.ndarray, cols: np.ndarray, spins) -> tuple[list, np.
 def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomposition:
     if final.dims != sys.dims:
         raise ValueError(f"state dims {final.dims} do not match system {sys.dims}")
-    [[coeffs]], [[present]], states = _split_records(
-        final.amplitudes.reshape(1, -1, 2), np.array([0, sys.dims[1]]), [sys.L])
+    [[coeffs]], [[present]], states = _split_records(final.amplitudes.reshape(1, -1, 2), sys.stack)
     return BranchDecomposition(
         branches=tuple((c, StateVector((2, sys.dims[1]), s), label)
                        for c, h, s, label in zip(coeffs, present, states[0], _LABELS) if h),
@@ -513,30 +504,42 @@ _EIGENSTATES = ((1.0, 0.0), (0.0, 1.0))
 _MATCHING_TERMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
 
 
-def _read_stack(stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray, list]:
-    """Both eigenstates premeasured on every device of a stack, split by record, and the matching terms.
+def _read_stack(stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+    """Both eigenstates premeasured on every device of a stack and split by record (`_split_records`)."""
+    return _split_records(_premeasure_stack(_EIGENSTATES, stack), stack)
 
-    Returns `_split_records`' coefficients, presence and branch states, and
-    per device its matching terms, C F <u|J|u_err> then E D <d|J|d_err>,
-    each as (weight, (<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>)) and left
-    out where its bra or ket is an empty sector.  The J matvecs run once
-    over the whole stack; each bracket is its device's `vdot` over its columns.
+
+def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[list, np.ndarray]]:
+    """Per device of a stack, its matching terms and their residuals, from `_read_stack`.
+
+    The terms, C F <u|J|u_err> then E D <d|J|d_err>, are (weight, (<bra|J_k|ket>
+    for Jx, Jy, Jz)), left out where a bra or ket is an empty sector.  The J
+    matvecs run once over the stack; the residuals, the terms summed less
+    (1/2, -i/2, 0), are gated device by device.
     """
     cols, _, rows = _levels(stack.offsets)
-    coeffs, present, states = _split_records(_premeasure_stack(_EIGENSTATES, stack), cols,
-                                             stack.spins)
     live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
             if any(have[bra] and have[ket] for have in present)]
     # the live terms' kets slot-major: level m of device i at column cols[i] + m
     kets = np.array([states[_MATCHING_TERMS[t][1]] for t in live])
     jv = _pa_matvecs(stack.apps, np.take(kets, rows, axis=-1))
-    terms = []
-    for have, coeff, a, b in zip(present, coeffs, cols, cols[1:]):
-        terms.append([(coeff[bra[0]][bra[1]] * coeff[ket[0]][ket[1]],
-                       tuple(complex(np.vdot(states[bra][2 * a:2 * b], j[k, :, a:b])) for j in jv))
-                      for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
-                      if have[bra] and have[ket]])
-    return coeffs, present, states, terms
+    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
+    out = []
+    for L, have, coeff, a, b in zip(stack.spins, present, coeffs, cols, cols[1:]):
+        terms = [(coeff[bra[0]][bra[1]] * coeff[ket[0]][ket[1]],
+                  tuple(complex(np.vdot(states[bra][2 * a:2 * b], j[k, :, a:b])) for j in jv))
+                 for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
+                 if have[bra] and have[ket]]
+        lhs = [0j] * 3
+        for weight, brackets in terms:   # in order, each sum from +0
+            lhs = [total + weight * bracket for total, bracket in zip(lhs, brackets)]
+        residuals = np.array(lhs) - targets
+        worst = float(np.max(np.abs(residuals)))
+        if not worst <= NUMERICS.conservation_atol:
+            raise ConservationError(
+                f"matching equations violated: max residual {worst:.3e} (L = {L:g})")
+        out.append((terms, residuals))
+    return out
 
 
 def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
@@ -544,7 +547,7 @@ def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
 
     The one-device case of a `measure` sweep's reader (`_read_stack`).
     """
-    [coeffs], [present], states, _ = _read_stack(sys.stack)
+    [coeffs], [present], states = _read_stack(sys.stack)
     (u, d_err), (u_err, d) = [[StateVector((2, sys.dims[1]), s) if h else None
                                for h, s in zip(have, pair)] for have, pair in zip(present, states)]
     (c, d_amp), (f, e) = coeffs
@@ -555,47 +558,30 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     """Residuals of C F <u|J_k|u_err> + E D <d|J_k|d_err> = (1/2, -i/2, 0).
 
     Evaluated with the numerically extracted amplitudes, states, and
-    brackets of the one-device `_read_stack`; raises ConservationError if
-    any residual magnitude exceeds the conservation tolerance.
+    brackets of the one-device `_read_matching`; raises ConservationError
+    if any residual magnitude exceeds the conservation tolerance.
     """
-    return _matching_residuals(_read_stack(sys.stack)[3][0], sys.L)
-
-
-def _matching_residuals(terms: list, L: float) -> np.ndarray:
-    """Residuals of the matching equations of device L from its `_read_stack` terms."""
-    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
-    residuals = np.zeros(3, dtype=np.complex128)
-    for k in range(3):
-        lhs = 0.0 + 0.0j
-        for weight, brackets in terms:
-            lhs += weight * brackets[k]
-        residuals[k] = lhs - targets[k]
-    worst = float(np.max(np.abs(residuals)))
-    if not worst <= NUMERICS.conservation_atol:
-        raise ConservationError(
-            f"matching equations violated: max residual {worst:.3e} (L = {L:g})"
-        )
-    return residuals
+    return _read_matching(sys.stack, *_read_stack(sys.stack))[0][1]
 
 
 def _read_pass(spins) -> list[list]:
     """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
 
-    The devices of checked spins are built, audited, premeasured and read
-    in one sector pass (`_build_stack`, `_read_stack`).  Jx of the apparatus
-    states runs once over the whole stack; each device's moments are read
-    over its own columns, as `angular_spread` reads them.
+    The devices of checked spins are built, audited, premeasured and read in
+    one sector pass (`_build_stack`, `_read_stack`, `_read_matching`), and
+    each device's moments over its own columns, as `angular_spread` reads them.
     """
     stack = _build_stack(spins)
-    coeffs, _, _, terms = _read_stack(stack)
+    coeffs, present, states = _read_stack(stack)
+    matching = _read_matching(stack, coeffs, present, states)
     cols = _levels(stack.offsets)[0]
     jx_psi = _ladder_matvecs(stack.apps, stack.psi)[0]
     rows = []
-    for L, ((c, d_amp), (f, e)), matching, a, b in zip(stack.spins, coeffs, terms, cols, cols[1:]):
-        residuals = _matching_residuals(matching, L)
+    for L, ((c, d_amp), (f, e)), (terms, residuals), a, b in zip(
+            stack.spins, coeffs, matching, cols, cols[1:]):
         spread = _spread(stack.psi[a:b], stack.apps.m[a:b], jx_psi[a:b])
         rows.append([L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
-                     abs(matching[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])
+                     abs(terms[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])
     return rows
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import dense_oracle
 from dense_oracle import spin_matrices
 import spinledger as sl
-from spinledger.angular import _check_bands, _ladder_matvecs
+from spinledger.angular import _check_bands, _ladder_matvecs, _spin_bands
 
 
 def test_spin_half_is_pauli_over_two():
@@ -206,3 +206,43 @@ def test_spin_self_check_trips_on_perturbed_algebra(j):
     # exact bands checked against the wrong j(j+1) trip the Casimir gate alone
     with pytest.raises(ValueError, match="self-check"):
         _check_bands(j + 1e-6, s.m, s.raising)
+
+
+@pytest.mark.parametrize("band,level", [("m", 1), ("raising", 0), ("m", 4)])
+def test_spin_self_check_trips_on_nan(band, level):
+    # a nan residual fails its gate, as every other gate in the package does
+    s = sl.spin_operators(2)
+    bands = {"m": s.m.copy(), "raising": s.raising.copy()}
+    bands[band][level] = np.nan
+    with pytest.raises(ValueError, match="self-check at j=2.0"):
+        _check_bands(2.0, bands["m"], bands["raising"])
+
+
+STACKED = [0.5, 1.0, 7.5, 160.0, 1000.0]
+
+
+def test_stacked_bands_are_each_spins_bands_end_to_end():
+    stacked = _spin_bands(STACKED)
+    alone = [sl.spin_operators(j) for j in STACKED]
+    assert np.isnan(stacked.j) and stacked.dim == sum(a.dim for a in alone)
+    assert stacked.m.tobytes() == np.concatenate([a.m for a in alone]).tobytes()
+    seams = np.cumsum([a.dim for a in alone])[:-1] - 1   # raising[i] joins level i to i + 1
+    want = np.concatenate([b for a in alone for b in ([0.0], a.raising)][1:])
+    assert stacked.raising.tobytes() == want.tobytes()
+    assert (stacked.raising[seams] == 0.0).all() and not np.signbit(stacked.raising[seams]).any()
+    assert not stacked.m.flags.writeable and not stacked.raising.flags.writeable
+    one = _spin_bands([7.5])
+    assert one.j == 7.5 and one.m.tobytes() == alone[2].m.tobytes()
+
+
+@pytest.mark.parametrize("band,spin", [("m", 2), ("raising", 3), ("m", 0)])
+def test_stacked_self_check_names_the_tampered_spin(band, spin):
+    # each level is gated against its own spin's j, so the error names it
+    stacked = _spin_bands(STACKED)
+    dims = [round(2 * j + 1) for j in STACKED]
+    j = np.repeat(STACKED, dims)
+    _check_bands(j, stacked.m, stacked.raising)
+    bands = {"m": stacked.m.copy(), "raising": stacked.raising.copy()}
+    bands[band][sum(dims[:spin]) + 1] += 1e-6
+    with pytest.raises(ValueError, match=f"self-check at j={STACKED[spin]}:"):
+        _check_bands(j, bands["m"], bands["raising"])

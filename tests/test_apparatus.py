@@ -388,17 +388,29 @@ def test_every_array_a_device_holds_is_read_only(L, tilt):
     assert not [arr.shape for arr in arrays if arr.flags.writeable]
 
 
+@pytest.mark.parametrize("L,tilt", [(0.5, 0.0), (7.5, 0.4), (40, 0.4)])
+def test_the_apparatus_state_is_held_once(L, tilt):
+    # the stack's psi is the validated state's own amplitudes, not a copy
+    sys_m = sl.build_measurement_unitary(L, tilt=tilt)
+    assert np.shares_memory(sys_m.stack.psi, sys_m.apparatus_state.amplitudes)
+    assert sys_m.spin_app is sys_m.stack.apps and sys_m.spin_app.j == L
+
+
 def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
     real = apparatus._sector_projectors
 
-    def rotated(L):
+    def rotated(spins, offsets, ident):
         # conjugating by a particle-only z rotation adds the small Hermitian
         # term -i eps [Sz (x) 1, P]: the pair stays complementary projectors
         # (so U stays unitary) and commutes with Jz, but not with Jx.  The
         # rotation is diagonal on the (up, down) slots of every sector.
         sz = dense_oracle.spin_matrices(sl.spin_operators(0.5))[2]
         v = dense_oracle.expm_hermitian(sz, 1e-6)
-        return tuple(v @ p @ v.conj().T for p in real(L))
+        blocks = np.array(real(spins, offsets, ident), dtype=np.complex128)
+        # the device's sectors, as (P+-, sector, 2, 2) blocks
+        device = blocks[..., offsets[0]:offsets[1]].transpose(2, 3, 0, 1)
+        device[...] = [v @ p @ v.conj().T for p in device]
+        return blocks
 
     monkeypatch.setattr(apparatus, "_sector_projectors", rotated)
     with pytest.raises(sl.ConservationError, match="does not conserve Jx"):
@@ -408,10 +420,12 @@ def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
 def test_build_trips_unitarity_on_non_complementary_projectors(monkeypatch):
     real = apparatus._sector_projectors
 
-    def leaky(L):
+    def leaky(spins, offsets, ident):
         # a multiple of the identity keeps every commutator at zero
-        plus, minus = real(L)
-        return plus, minus + 1e-6 * np.eye(2)
+        blocks = np.array(real(spins, offsets, ident))
+        plus, minus = blocks[..., offsets[0]:offsets[1]].transpose(2, 3, 0, 1)
+        minus += 1e-6 * np.eye(2)
+        return blocks
 
     monkeypatch.setattr(apparatus, "_sector_projectors", leaky)
     with pytest.raises(ValueError, match="unitary flag violated"):

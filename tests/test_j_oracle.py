@@ -2,8 +2,8 @@
 
 `angular._ladder_matvecs` forms the zero-padded J+ v and the J- v
 products once and builds Jx, Jy and Jz from them; `apparatus._pa_matvecs`
-applies it to both factors of particle (x) apparatus, and the stack
-reader `apparatus._read_stack` takes the matching brackets from it.  The
+applies it to both factors of particle (x) apparatus, and the matching
+reader `apparatus._read_matching` takes the matching brackets from it.  The
 oracle here is the original code, one `moveaxis` ladder matvec per
 component and per factor, and `oracle_matching_residuals` sums its
 brackets into the matching residuals as the per-device path did.  Every
@@ -155,11 +155,24 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
     # a measure row takes |<u|Jx|u_err>| from the residual pass's brackets
     device = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(device)
-    [[(weight, brackets), *_]] = apparatus._read_stack(device.stack)[3]
+    [([(weight, brackets), *_], _)] = apparatus._read_matching(
+        device.stack, *apparatus._read_stack(device.stack))
     assert weight == amps.C * amps.F
     want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     assert_bits_equal(np.float64(abs(brackets[0])), np.float64(want))
     assert_bits_equal(np.float64(cli._measure_rows([L])[0][6]), np.float64(want))
+
+
+def test_only_the_matching_reader_runs_the_j_pass(monkeypatch):
+    # the amplitudes need no brackets: only the matching equations pay for them
+    device = sl.build_measurement_unitary(8, tilt=0.4)
+    calls = []
+    real = apparatus._pa_matvecs
+    monkeypatch.setattr(apparatus, "_pa_matvecs", lambda *a: calls.append(a) or real(*a))
+    sl.extract_error_amplitudes(device)
+    assert len(calls) == 0
+    sl.verify_matching_equations(device)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("L", L_VALUES)

@@ -21,7 +21,7 @@ import pytest
 
 import dense_oracle
 import spinledger as sl
-from spinledger import angular, apparatus, cli
+from spinledger import angular, apparatus, cli, kernel
 from spinledger.cli import main
 from test_j_oracle import oracle_j_bracket, oracle_matching_residuals
 
@@ -89,10 +89,25 @@ def test_bracket_scaling_builds_each_pass_once(monkeypatch):
     assert [row.L for row in rows] == [0.5, 1, 1.5, 2, 7.5]
 
 
+def device_blocks(blocks, spins, offsets, L):
+    """The (P+-, sector, 2, 2) blocks of device L in a stack's projectors, a view, or None."""
+    if L not in spins:
+        return None
+    i = list(spins).index(L)
+    return blocks[..., offsets[i]:offsets[i + 1]].transpose(2, 3, 0, 1)
+
+
 def swapped_at(L_bad):
     """_sector_projectors with P+ and P- swapped for one apparatus spin."""
     real = apparatus._sector_projectors
-    return lambda L: real(L)[::-1] if L == L_bad else real(L)
+
+    def swapped(spins, offsets, ident):
+        blocks = np.array(real(spins, offsets, ident))
+        device = device_blocks(blocks, spins, offsets, L_bad)
+        if device is not None:
+            device[...] = device[::-1].copy()
+        return blocks
+    return swapped
 
 
 def test_swapped_projectors_in_mid_sweep_exit_two_naming_the_device(monkeypatch, capsys):
@@ -120,7 +135,45 @@ def rotated_at(L_bad):
     real = apparatus._sector_projectors
     sz = dense_oracle.spin_matrices(sl.spin_operators(0.5))[2]
     v = dense_oracle.expm_hermitian(sz, 1e-6)
-    return lambda L: np.array([v @ p @ v.conj().T for p in real(L)]) if L == L_bad else real(L)
+
+    def rotated(spins, offsets, ident):
+        blocks = np.array(real(spins, offsets, ident), dtype=np.complex128)
+        device = device_blocks(blocks, spins, offsets, L_bad)
+        if device is not None:
+            device[...] = [v @ p @ v.conj().T for p in device]
+        return blocks
+    return rotated
+
+
+def test_a_64_device_build_fills_its_stack_in_one_pass(monkeypatch):
+    # the bands, the projector blocks and the apparatus states of a sweep
+    # are filled for all its devices at once, with no per-device spin
+    # algebra, projector call or validated state
+    calls = {"spin_operators": 0, "__post_init__": 0, "_sector_projectors": 0}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(angular, "spin_operators"), (apparatus, "spin_operators"),
+                        (kernel.StateVector, "__post_init__"), (apparatus, "_sector_projectors")]:
+        spy(owner, name)
+    spins = [k / 2 for k in range(1, 65)]
+    stack = apparatus._build_stack(spins)
+    assert calls == {"spin_operators": 0, "__post_init__": 0, "_sector_projectors": 1}
+    assert stack.spins == tuple(spins) and stack.offsets[-1] == sum(2 * L + 2 for L in spins)
+
+
+def test_a_denormalized_apparatus_state_fails_its_own_device(monkeypatch):
+    real = apparatus._coherent_state
+    monkeypatch.setattr(apparatus, "_coherent_state",
+                        lambda L, theta, phi: real(L, theta, phi) * (1.0 + 1e-9 * (L == 3)))
+    with pytest.raises(ValueError, match=r"state not normalized: .*\(L = 3\)"):
+        apparatus._build_stack([2.0, 3.0, 4.0])
 
 
 @pytest.mark.parametrize("chunk", [4096, 7])
@@ -137,10 +190,9 @@ def test_a_broken_device_is_named_whatever_its_neighbours(monkeypatch, chunk, L_
 def test_a_nan_projector_fails_its_own_device(monkeypatch):
     real = apparatus._sector_projectors
 
-    def with_nan(L):
-        blocks = np.array(real(L))
-        if L == 3:
-            blocks[0, 0, 0, 0] = np.nan
+    def with_nan(spins, offsets, ident):
+        blocks = np.array(real(spins, offsets, ident))
+        device_blocks(blocks, spins, offsets, 3)[0, 0, 0, 0] = np.nan
         return blocks
 
     monkeypatch.setattr(apparatus, "_sector_projectors", with_nan)
@@ -204,7 +256,8 @@ def test_written_out_audits_match_batched_matmul_on_any_blocks(seed):
     rng = np.random.default_rng(seed)
     n = 9
     p = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
-    ident = apparatus._sector_identity(n - 1)
+    ident = np.zeros((n, 2, 2))
+    ident[:-1, 0, 0] = ident[1:, 1, 1] = 1.0   # one device's real slots, 0 on its phantoms
     raising = rng.normal(size=(n - 1, 2, 2))
     jz = rng.normal(size=(n, 2))
     got = apparatus._stack_devs(p.transpose(2, 3, 0, 1), ident.transpose(1, 2, 0),

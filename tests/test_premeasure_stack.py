@@ -175,9 +175,11 @@ def local_rotation(sector):
     sz = dense_oracle.spin_matrices(sl.spin_operators(0.5))[2]
     v = dense_oracle.expm_hermitian(sz, 1e-6)
 
-    def rotated(L):
-        blocks = np.array(real(L), dtype=np.complex128)
-        blocks[:, sector] = v @ blocks[:, sector] @ v.conj().T
+    def rotated(spins, offsets, ident):
+        blocks = np.array(real(spins, offsets, ident), dtype=np.complex128)
+        # the device's sectors, as (P+-, sector, 2, 2) blocks
+        device = blocks[..., offsets[0]:offsets[1]].transpose(2, 3, 0, 1)
+        device[:, sector] = v @ device[:, sector] @ v.conj().T
         return blocks
     return rotated
 
@@ -194,9 +196,31 @@ def test_build_audit_sees_every_sector_pair_in_chunks(monkeypatch, chunk, sector
         sl.build_measurement_unitary(2)
 
 
+def one_device_identity(L):
+    """The identity of particle (x) apparatus on device L's real slots, 0 on its phantoms."""
+    ident = np.zeros((2, 2, round(2 * L + 2)))
+    ident[0, 0, :-1] = ident[1, 1, 1:] = 1.0
+    return ident
+
+
 def test_projectors_match_the_identity_complement():
-    # P- is spelled 0 - P+ plus 1 on the real slots: the bits of 1 - P+
-    for L in (0.5, 3, 40.5):
-        plus, minus = apparatus._sector_projectors(L)
-        want = apparatus._sector_identity(round(2 * L + 1)) - plus
+    # P- is spelled ident - P+: the bits of 1 - P+, and of the 0 - P+ plus 1
+    # on the real slots that it replaced, with +0 where P+ is 0
+    spins = (0.5, 3, 40.5)
+    stacked = apparatus._sector_projectors(
+        spins, np.cumsum([0] + [round(2 * L + 2) for L in spins]),
+        np.concatenate([one_device_identity(L) for L in spins], axis=-1))
+    alone = []
+    for L in spins:
+        ident = one_device_identity(L)
+        blocks = apparatus._sector_projectors([L], np.array([0, ident.shape[-1]]), ident)
+        plus, minus = blocks[:, :, 0], blocks[:, :, 1]
+        want = ident - plus
         assert minus.tobytes() == want.tobytes()
+        spelled = 0.0 - plus
+        spelled[0, 0, :-1] += 1.0
+        spelled[1, 1, 1:] += 1.0
+        assert minus.tobytes() == spelled.tobytes()
+        alone.append(blocks)
+    # the devices filled together give each device's own bits
+    assert stacked.tobytes() == np.concatenate(alone, axis=-1).tobytes()

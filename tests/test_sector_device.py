@@ -204,6 +204,7 @@ def test_oversize_device_is_refused_before_it_allocates(monkeypatch, capsys):
 
     monkeypatch.setattr(apparatus, "spin_operators", no_alloc)
     monkeypatch.setattr(apparatus, "_sector_projectors", no_alloc)
+    monkeypatch.setattr(apparatus, "_spin_bands", no_alloc)
     # 4 (2L+1) = 8000004 > 2^20
     with pytest.raises(ValueError, match="exceeds the configured maximum total dimension 1048576"):
         sl.build_measurement_unitary(1e6)
