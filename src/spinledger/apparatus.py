@@ -137,10 +137,11 @@ class _SectorStack(NamedTuple):
     """Devices laid end to end, entry-major: the sectors run along each last axis.
 
     Device i, of apparatus spin spins[i], holds sectors offsets[i] ..
-    offsets[i+1] - 1 and the levels of psi that `_levels` gives it.  The J+
-    block that would join it to the next device is zero, so the seam
-    commutes with every block and carries no amplitude across.  A built
-    device is a stack of one; every array a stack holds is read-only.
+    offsets[i+1] - 1 and columns cols[i] .. cols[i+1] - 1 of psi, the level
+    map `_levels` computes once per stack.  The J+ block that would join it
+    to the next device is zero, so the seam commutes with every block and
+    carries no amplitude across.  A built device is a stack of one; every
+    array a stack holds is read-only.
     """
 
     spins: tuple          # the devices' apparatus spins L
@@ -150,6 +151,9 @@ class _SectorStack(NamedTuple):
     up: np.ndarray        # (2, 2, N - 1): entry (a, b) of each J+ block
     jz: np.ndarray        # (2, N): the total Jz of each slot, 0 on the phantoms
     offsets: np.ndarray   # (n + 1,)
+    cols: np.ndarray      # (n + 1,): the devices' first columns of psi, and its length
+    sec: np.ndarray       # (D,): column c is slot 0 of sector sec[c] and slot 1 of sec[c] + 1
+    owner: np.ndarray     # (N,): the device of each sector
 
 
 @dataclass(frozen=True)
@@ -180,18 +184,10 @@ class CompositeSystem:
 
 
 def _levels(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, sec, rows): where each apparatus level of a stack sits, by its offsets.
-
-    Device i has the columns cols[i] .. cols[i+1] - 1 of psi.  Column c,
-    level m of its device, is slot 0 of sector sec[c] (|up, m>) and slot 1
-    of sector sec[c] + 1 (|down, m>), and rows rows[0, c] and rows[1, c] of
-    the devices' kron layouts end to end.
-    """
+    """(cols, sec, owner) of a stack by its offsets: each sector but a device's last holds one column."""
     cols = offsets - np.arange(offsets.size)
-    dims = np.diff(cols)
-    owner = np.repeat(np.arange(dims.size), dims)
-    col = np.arange(cols[-1])
-    return cols, col + owner, col + cols[owner] + dims[owner] * np.array([[0], [1]])
+    sec = np.delete(np.arange(offsets[-1]), offsets[1:] - 1)
+    return cols, sec, np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
 
 
 def _check_devices(l_values) -> list[float]:
@@ -218,7 +214,7 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
     apps = _spin_bands(spins)   # J+ from one device's top level into the next is 0
     offsets = np.cumsum([0] + [round(2 * L + 2) for L in spins])
     n_sec = offsets[-1]
-    cols, sec, _ = _levels(offsets)
+    cols, sec, owner = _levels(offsets)
     ident = np.zeros((2, 2, n_sec))
     ident[0, 0, sec] = ident[1, 1, sec + 1] = 1.0   # the real slots of |up, m> and |down, m>
     blocks = _sector_projectors(spins, offsets, ident)
@@ -268,9 +264,9 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
                     f"premeasurement unitary does not conserve J{axis}: "
                     f"|[U, J]| = {dev:.3e}{at}"
                 )
-    for arr in (psi, blocks, up, jz, offsets):
+    for arr in (psi, blocks, up, jz, offsets, cols, sec, owner):
         arr.setflags(write=False)
-    return _SectorStack(tuple(spins), psi, apps, blocks, up, jz, offsets)
+    return _SectorStack(tuple(spins), psi, apps, blocks, up, jz, offsets, cols, sec, owner)
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -314,43 +310,37 @@ def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
 _DRIFT_WEIGHTS = np.array([1.0, 1.0, -1.0])
 
 
-def _sector_j_means(kets: np.ndarray, weights: np.ndarray, stack: _SectorStack) -> np.ndarray:
-    """sum_s weights[s] (<Jx>, <Jy>, <Jz>) of each device of a stack, shape (..., n, 3).
+def _sector_j_brackets(bras: np.ndarray, kets: np.ndarray, weights: np.ndarray,
+                       stack: _SectorStack) -> np.ndarray:
+    """sum_s weights[s] (<bra_s|J_k|ket_s> for Jx, Jy, Jz) of each device of a stack, shape (..., n, 3).
 
-    kets is (..., s, 2, N), slot-major: kets[..., s, a, k] is slot a of
-    sector k.  <J+> = sum_k x_k^dag R_k x_(k+1) reads the stack's J+
-    blocks R (`up`) and <Jz> its slot Jz, the blocks the build's [P, J]
-    audit uses; <Jx> and <Jy> are the real and imaginary parts of <J+>.
-    The weighted sum over s is taken within each sector before the sectors
-    are summed, so a drift, a small difference of O(L) means, is not
-    rounded at the size of the means.  The sectors go `_SECTOR_CHUNK` at a
-    time, each chunk summed into its devices' totals.
+    bras and kets are (..., s, 2, N), slot-major: kets[..., s, a, k] is slot
+    a of sector k; (t, s) weights keep t sums apart.  <b|J+|k> = sum_k
+    b_k^dag R_k k_(k+1) reads the stack's J+ blocks R (`up`), <b|J-|k> is
+    the conjugate of <k|J+|b>, and <b|Jz|k> reads the slot Jz: the blocks
+    the build's [P, J] audit uses.  The sum over s is taken within each
+    sector, so a drift, a small difference of O(L) means, is not rounded at
+    the size of the means.  The sectors go `_SECTOR_CHUNK` at a time, each
+    added into its device's total in sector order from +0, so a device's
+    brackets depend neither on the chunk nor on its neighbours.
     """
     n_sec = kets.shape[-1]
-    starts = stack.offsets[:-1]
-    total = np.zeros(kets.shape[:-3] + (starts.size, 3))
+    total = np.zeros(kets.shape[:-3] + weights.shape[:-1] + (len(stack.spins), 3), dtype=np.complex128)
     for start in range(0, n_sec, _SECTOR_CHUNK):
         stop = min(start + _SECTOR_CHUNK, n_sec)
-        x = kets[..., start:stop + 1]   # with sector `stop`, which J+ takes into the chunk
-        here, nxt = x[..., :stop - start], x[..., 1:]
-        links = nxt.shape[-1]
-        r = stack.up[..., start:start + links]
-        jplus = 0.0
-        for a in range(2):   # slot by slot, which keeps the temporaries small
-            rx = r[a, 0] * nxt[..., 0, :]
-            rx += r[a, 1] * nxt[..., 1, :]
-            rx *= here[..., a, :links].conj()
-            jplus = jplus + rx
-        per_sector = np.zeros(kets.shape[:-3] + (stop - start, 3))
-        per_sector[..., :links, 0] = weights @ jplus.real
-        per_sector[..., :links, 1] = weights @ jplus.imag
-        per_sector[..., 2] = weights @ (
-            (here.real ** 2 + here.imag ** 2) * stack.jz[:, start:stop]).sum(axis=-2)
-        # the devices the chunk holds sectors of, the first from the chunk's start
-        first = np.searchsorted(starts, start, side="right") - 1
-        last = np.searchsorted(starts, stop)
-        total[..., first:last, :] += np.add.reduceat(
-            per_sector, np.maximum(starts[first:last] - start, 0), axis=-2)
+        # with sector `stop`, which J+ takes into the chunk
+        b, k, up = bras[..., start:stop + 1], kets[..., start:stop + 1], stack.up[..., start:stop]
+        # x_k^dag R_k y_(k+1) per sector for <b|J+|k> and <k|J+|b>, slot by
+        # slot to keep the temporaries small; one product when bras is kets
+        pairs = [(b, k)] if bras is kets else [(b, k), (k, b)]
+        jplus = [weights @ sum((up[a, 0] * y[..., 0, 1:] + up[a, 1] * y[..., 1, 1:])
+                               * x[..., a, :-1].conj() for a in range(2)) for x, y in pairs]
+        plus, minus = jplus[0], jplus[-1].conj()
+        jz = weights @ (b[..., :stop - start].conj() * stack.jz[:, start:stop]
+                        * k[..., :stop - start]).sum(axis=-2)
+        for c, x in enumerate(((plus + minus) / 2, (plus - minus) / 2j, jz)):
+            for at in np.ndindex(x.shape[:-1]):   # np.add.at adds in sector order
+                np.add.at(total[at + (..., c)], stack.owner[start:start + x.shape[-1]], x[at])
     return total
 
 
@@ -360,16 +350,14 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
     A record slot is P[a, 0] psi_0 + P[a, 1] psi_1 + 0.0; the +0.0 turns a
     -0 sum into +0, the signed zeros of a sum started from +0, which the
     pinned outputs were written with.  The drift is gated device by device
-    and input by input, so no two drifts can cancel.  Returns (n, 2D, 2):
-    per input, the devices' premeasured states end to end, each in the
-    kron layout (particle, apparatus, record).
+    and input by input, so no two drifts can cancel.  Returns the (n, 2, 2,
+    N) sector kets: input, record, slot, sector.
     """
     pairs = np.array([_check_spinor(a, b) for a, b in spinors], dtype=np.complex128)
-    cols, sec, rows = _levels(stack.offsets)
     kets = np.zeros((len(pairs), 3, 2, stack.offsets[-1]), dtype=np.complex128)
     psi = kets[:, 2]
-    psi[:, 0, sec] = pairs[:, :1] * stack.psi       # |up, m>: slot 0 of sector L - m
-    psi[:, 1, sec + 1] = pairs[:, 1:] * stack.psi   # |down, m>: slot 1 of sector L - m + 1
+    psi[:, 0, stack.sec] = pairs[:, :1] * stack.psi       # |up, m>: slot 0 of sector L - m
+    psi[:, 1, stack.sec + 1] = pairs[:, 1:] * stack.psi   # |down, m>: slot 1 of sector L - m + 1
     for start in range(0, kets.shape[-1], _SECTOR_CHUNK):
         w = slice(start, start + _SECTOR_CHUNK)
         x = psi[:, None, :, w]
@@ -378,15 +366,24 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
             np.multiply(stack.blocks[:, 0, r, w], x[..., 0, :], out=out)
             out += stack.blocks[:, 1, r, w] * x[..., 1, :]
             out += 0.0
-    drift = np.abs(_sector_j_means(kets, _DRIFT_WEIGHTS, stack))
+    drift = np.abs(_sector_j_brackets(kets, kets, _DRIFT_WEIGHTS, stack).real)
     if not (drift <= NUMERICS.conservation_atol).all():   # nan fails too
         i, n, k = np.argwhere(~(drift.transpose(1, 0, 2) <= NUMERICS.conservation_atol))[0]
         raise ConservationError(f"<J{'xyz'[k]}> drifted by {drift[n, i, k]:.3e} during "
                                 f"premeasurement (L = {stack.spins[i]:g})")
-    flat = np.empty(2 * cols[-1], dtype=np.intp)   # kron row r is (slot, sector) flat[r]
-    flat[rows[0]] = sec
-    flat[rows[1]] = kets.shape[-1] + sec + 1
-    return np.take(kets[:, :2].reshape(len(kets), 2, -1), flat, axis=-1).transpose(0, 2, 1).copy()
+    return kets[:, :2]
+
+
+def _to_kron(kets: np.ndarray) -> np.ndarray:
+    """One device's (..., 2, d + 1) sector kets in the kron layout (..., 2, d), the phantoms dropped."""
+    return np.stack([kets[..., 0, :-1], kets[..., 1, 1:]], axis=-2)
+
+
+def _from_kron(kron: np.ndarray) -> np.ndarray:
+    """One device's kron-layout (..., 2, d) amplitudes as its sector kets, the inverse of `_to_kron`."""
+    kets = np.zeros(kron.shape[:-1] + (kron.shape[-1] + 1,), dtype=np.complex128)
+    kets[..., 0, :-1], kets[..., 1, 1:] = kron[..., 0, :], kron[..., 1, :]
+    return kets
 
 
 def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
@@ -396,9 +393,9 @@ def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     sector.  Audited: each <J_k>, summed over both record sectors, must
     match <psi|J_k|psi> to the conservation tolerance, else
     ConservationError.  This is the one-input, one-device case of
-    `_premeasure_stack`.
+    `_premeasure_stack`, in the kron layout (particle, apparatus, record).
     """
-    return StateVector(sys.dims, _premeasure_stack([(a, b)], sys.stack)[0])
+    return StateVector(sys.dims, np.moveaxis(_to_kron(_premeasure_stack([(a, b)], sys.stack)[0]), 0, -1))
 
 
 @dataclass(frozen=True)
@@ -417,35 +414,36 @@ class BranchDecomposition:
     omitted: tuple
 
 
-def _split_records(kron: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
-    """Premeasured states of a stack's devices end to end (`_premeasure_stack`), split by record.
+def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+    """(n, 2, 2, N) sector kets of a stack's devices (`_premeasure_stack`), split by record in place.
 
-    Device i has rows 2 cols[i] .. 2 cols[i+1] - 1 of kron (`_levels`).  A
-    weight is the `vdot` of the sector's stride-2 view, as the bits of the
-    sum depend on the stride.  Returns the coefficients [device][input][record]
-    (0.0 below the weight floor), their presence and the (n, 2, 2D) branch
-    states, sector over coefficient (an empty one left as it was), audited
-    device by device.  For the eigenstate pair, an input's weight sum is
-    C^2+D^2 or E^2+F^2.
+    A weight (|slot 0|^2 + |slot 1|^2), a norm or an overlap is its device's
+    sum over its sectors in sector order from +0.  Returns the coefficients
+    [device][input][record] (0.0 below the weight floor), their presence and
+    the kets, each record divided into its branch state by its coefficient
+    (an empty one left as it was), audited device by device.  For the
+    eigenstate pair, an input's weight sum is C^2+D^2 or E^2+F^2.
     """
-    cols = stack.offsets - np.arange(stack.offsets.size)   # the columns of `_levels`
-    starts, sizes = 2 * cols[:-1], 2 * np.diff(cols)
-    weights = np.array([[[np.vdot(k[a:a + size, r], k[a:a + size, r]).real
-                          for a, size in zip(starts, sizes)] for r in range(2)] for k in kron])
+    owner = stack.owner
+    shape = kets.shape[:2] + (len(stack.spins),)
+    weights, norms, recon = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    overlaps = np.zeros(shape[::2], dtype=np.complex128)
+    for at in np.ndindex(shape[:2]):   # record by record, to bound the temporaries
+        np.add.at(weights[at], owner, (kets[at].real ** 2 + kets[at].imag ** 2).sum(axis=0))
     present = ~(weights < NUMERICS.branch_weight_floor)
     coeffs = np.where(present, np.sqrt(weights), 0.0)
     divisors = np.where(present, coeffs, 1.0)
-    states = np.empty((len(kron), 2, kron.shape[1]), dtype=np.complex128)
-    norms, recon = np.empty(weights.shape), np.empty(weights.shape)
-    for i, r in np.ndindex(weights.shape[:2]):   # record by record, to bound the temporaries
-        comp, state = kron[i, :, r], states[i, r]
-        np.divide(comp, np.repeat(divisors[i, r], sizes), out=state)
-        norms[i, r] = np.add.reduceat(state.real ** 2 + state.imag ** 2, starts)
-        rebuilt = np.repeat(coeffs[i, r], sizes) * state
+    for i, r in np.ndindex(shape[:2]):   # the branch state replaces its record's ket
+        comp = kets[i, r]
+        state = comp / divisors[i, r][owner]
+        rebuilt = coeffs[i, r][owner] * state
         rebuilt -= comp
-        recon[i, r] = np.maximum.reduceat(np.abs(rebuilt), starts)
-    overlaps = np.array([np.abs(np.add.reduceat(s[0].conj() * s[1], starts)) for s in states])
-    norms, overlaps = norms.transpose(2, 0, 1).tolist(), overlaps.T.tolist()
+        recon[i, r] = np.maximum.reduceat(np.abs(rebuilt).max(axis=0), stack.offsets[:-1])
+        comp[...] = state
+        np.add.at(norms[i, r], owner, (state.real ** 2 + state.imag ** 2).sum(axis=0))
+        if r:
+            np.add.at(overlaps[i], owner, (kets[i, 0].conj() * state).sum(axis=0))
+    norms, overlaps = norms.transpose(2, 0, 1).tolist(), np.abs(overlaps).T.tolist()
     recon = recon.max(axis=1).T.tolist()
     totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
     coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
@@ -461,16 +459,17 @@ def _split_records(kron: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
                 raise AssertionError(f"record sectors not orthogonal: {overlap:.3e}{at}")
             if not rebuilt <= NUMERICS.conservation_atol:
                 raise AssertionError(f"branch reconstruction failed{at}")
-    return coeffs, present, states
+    return coeffs, present, kets
 
 
 def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomposition:
     if final.dims != sys.dims:
         raise ValueError(f"state dims {final.dims} do not match system {sys.dims}")
-    [[coeffs]], [[present]], states = _split_records(final.amplitudes.reshape(1, -1, 2), sys.stack)
+    kets = _from_kron(np.moveaxis(final.amplitudes.reshape(sys.dims), -1, 0))
+    [[coeffs]], [[present]], [states] = _split_records(kets[None], sys.stack)
     return BranchDecomposition(
-        branches=tuple((c, StateVector((2, sys.dims[1]), s), label)
-                       for c, h, s, label in zip(coeffs, present, states[0], _LABELS) if h),
+        branches=tuple((c, StateVector((2, sys.dims[1]), _to_kron(s)), label)
+                       for c, h, s, label in zip(coeffs, present, states, _LABELS) if h),
         source_state=final,
         omitted=tuple(label for h, label in zip(present, _LABELS) if not h),
     )
@@ -513,21 +512,19 @@ def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[l
     """Per device of a stack, its matching terms and their residuals, from `_read_stack`.
 
     The terms, C F <u|J|u_err> then E D <d|J|d_err>, are (weight, (<bra|J_k|ket>
-    for Jx, Jy, Jz)), left out where a bra or ket is an empty sector.  The J
-    matvecs run once over the stack; the residuals, the terms summed less
-    (1/2, -i/2, 0), are gated device by device.
+    for Jx, Jy, Jz)), left out where a bra or ket is an empty sector.  The
+    brackets are read in one sector pass over the stack
+    (`_sector_j_brackets`); the residuals, the terms summed less (1/2,
+    -i/2, 0), are gated device by device.
     """
-    cols, _, rows = _levels(stack.offsets)
     live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
             if any(have[bra] and have[ket] for have in present)]
-    # the live terms' kets slot-major: level m of device i at column cols[i] + m
-    kets = np.array([states[_MATCHING_TERMS[t][1]] for t in live])
-    jv = _pa_matvecs(stack.apps, np.take(kets, rows, axis=-1))
+    bras, kets = (np.array([states[_MATCHING_TERMS[t][side]] for t in live]) for side in (0, 1))
+    per_term = _sector_j_brackets(bras, kets, np.eye(len(live)), stack).tolist()
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     out = []
-    for L, have, coeff, a, b in zip(stack.spins, present, coeffs, cols, cols[1:]):
-        terms = [(coeff[bra[0]][bra[1]] * coeff[ket[0]][ket[1]],
-                  tuple(complex(np.vdot(states[bra][2 * a:2 * b], j[k, :, a:b])) for j in jv))
+    for i, (L, have, coeff) in enumerate(zip(stack.spins, present, coeffs)):
+        terms = [(coeff[bra[0]][bra[1]] * coeff[ket[0]][ket[1]], tuple(per_term[k][i]))
                  for k, t in enumerate(live) for bra, ket in [_MATCHING_TERMS[t]]
                  if have[bra] and have[ket]]
         lhs = [0j] * 3
@@ -548,7 +545,7 @@ def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
     The one-device case of a `measure` sweep's reader (`_read_stack`).
     """
     [coeffs], [present], states = _read_stack(sys.stack)
-    (u, d_err), (u_err, d) = [[StateVector((2, sys.dims[1]), s) if h else None
+    (u, d_err), (u_err, d) = [[StateVector((2, sys.dims[1]), _to_kron(s)) if h else None
                                for h, s in zip(have, pair)] for have, pair in zip(present, states)]
     (c, d_amp), (f, e) = coeffs
     return ErrorAmplitudes(C=c, D=d_amp, E=e, F=f, u=u, u_err=u_err, d=d, d_err=d_err)
@@ -574,11 +571,10 @@ def _read_pass(spins) -> list[list]:
     stack = _build_stack(spins)
     coeffs, present, states = _read_stack(stack)
     matching = _read_matching(stack, coeffs, present, states)
-    cols = _levels(stack.offsets)[0]
     jx_psi = _ladder_matvecs(stack.apps, stack.psi)[0]
     rows = []
     for L, ((c, d_amp), (f, e)), (terms, residuals), a, b in zip(
-            stack.spins, coeffs, matching, cols, cols[1:]):
+            stack.spins, coeffs, matching, stack.cols, stack.cols[1:]):
         spread = _spread(stack.psi[a:b], stack.apps.m[a:b], jx_psi[a:b])
         rows.append([L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
                      abs(terms[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])

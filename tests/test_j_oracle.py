@@ -2,12 +2,15 @@
 
 `angular._ladder_matvecs` forms the zero-padded J+ v and the J- v
 products once and builds Jx, Jy and Jz from them; `apparatus._pa_matvecs`
-applies it to both factors of particle (x) apparatus, and the matching
-reader `apparatus._read_matching` takes the matching brackets from it.  The
-oracle here is the original code, one `moveaxis` ladder matvec per
-component and per factor, and `oracle_matching_residuals` sums its
-brackets into the matching residuals as the per-device path did.  Every
-result must agree bit for bit, signed zeros included.
+applies it to both factors of particle (x) apparatus, the kron-layout
+reader of `_j_means`.  The oracle here is the original code, one
+`moveaxis` ladder matvec per component and per factor, and
+`oracle_matching_residuals` sums its brackets into the matching residuals
+as the per-device path did.  The kron pass must agree with it bit for bit,
+signed zeros included.  The matching reader `apparatus._read_matching`
+takes its brackets in the sector layout (`_sector_j_brackets`), summed in
+sector order, so its residuals agree with the kron oracle to rounding:
+within 1e-14 of the largest term.
 """
 
 import math
@@ -146,8 +149,17 @@ def test_brackets_and_means_match_the_per_component_oracle(device):
 
 def test_matching_residuals_match_the_per_component_oracle(device):
     amps = sl.extract_error_amplitudes(device)
-    assert_bits_equal(sl.verify_matching_equations(device),
-                      oracle_matching_residuals(amps, device))
+    got = sl.verify_matching_equations(device)
+    want = oracle_matching_residuals(amps, device)
+    [(terms, residuals)] = apparatus._read_matching(device.stack, *apparatus._read_stack(device.stack))
+    assert_bits_equal(residuals, got)
+    # each term against the kron oracle's bracket, and the residuals at the scale of the terms
+    pairs = [(amps.u, amps.u_err), (amps.d, amps.d_err)]
+    scale = max(abs(weight * b) for weight, brackets in terms for b in brackets)
+    for (weight, brackets), (bra, ket) in zip(terms, [p for p in pairs if None not in p]):
+        want_brackets = [oracle_j_bracket(device, bra.amplitudes, ket.amplitudes, k) for k in range(3)]
+        assert np.max(np.abs(np.array(brackets) - want_brackets)) <= 1e-14 * max(map(abs, brackets))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("L", L_VALUES)
@@ -164,15 +176,26 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
 
 
 def test_only_the_matching_reader_runs_the_j_pass(monkeypatch):
-    # the amplitudes need no brackets: only the matching equations pay for them
+    # the amplitudes need no brackets: only the matching equations pay for
+    # a bracket pass beyond premeasure's drift audit, and neither reads the
+    # kron layout
     device = sl.build_measurement_unitary(8, tilt=0.4)
-    calls = []
-    real = apparatus._pa_matvecs
-    monkeypatch.setattr(apparatus, "_pa_matvecs", lambda *a: calls.append(a) or real(*a))
+    calls = {"_pa_matvecs": 0, "_sector_j_brackets": 0}
+
+    def spy(name):
+        real = getattr(apparatus, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(apparatus, name, counted)
+
+    for name in calls:
+        spy(name)
     sl.extract_error_amplitudes(device)
-    assert len(calls) == 0
+    assert calls == {"_pa_matvecs": 0, "_sector_j_brackets": 1}
     sl.verify_matching_equations(device)
-    assert len(calls) == 1
+    assert calls == {"_pa_matvecs": 0, "_sector_j_brackets": 3}
 
 
 @pytest.mark.parametrize("L", L_VALUES)

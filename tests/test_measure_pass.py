@@ -281,17 +281,17 @@ def test_a_stack_premeasures_each_device_with_its_own_bits():
     spins = [0.5, 7.5, 2, 40]
     stack = apparatus._build_stack(spins, tilt=0.4)
     spinors = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)]
-    finals = apparatus._premeasure_stack(spinors, stack)
-    rows = 0
-    for L in spins:
+    kets = apparatus._premeasure_stack(spinors, stack)
+    assert kets.shape == (3, 2, 2, stack.offsets[-1])
+    for L, a, b in zip(spins, stack.offsets, stack.offsets[1:]):
         device = sl.build_measurement_unitary(L, tilt=0.4)
-        n = 2 * device.dims[1]
-        one = [sl.premeasure(a, b, device) for a, b in spinors]
-        for (a, b), final, alone in zip(spinors, finals[:, rows:rows + n], one):
-            assert final.tobytes() == kron_layout_records(a, b, device).tobytes()
+        one = [sl.premeasure(x, y, device) for x, y in spinors]
+        for (x, y), sectors, alone in zip(spinors, kets[..., a:b], one):
+            final = np.moveaxis(apparatus._to_kron(sectors), 0, -1).reshape(-1, 2)
+            assert final.tobytes() == kron_layout_records(x, y, device).tobytes()
             assert final.tobytes() == alone.amplitudes.tobytes()
-        rows += n
-    assert rows == finals.shape[1]
+            # the kron layout drops exactly the two phantom slots, which hold 0
+            assert sectors[:, 1, 0].tolist() == sectors[:, 0, -1].tolist() == [0j, 0j]
 
 
 @pytest.mark.parametrize("chunk", [4096, 3])
@@ -304,11 +304,16 @@ def test_sector_j_means_sum_each_device_apart(monkeypatch, chunk):
     for o in stack.offsets[1:-1]:
         kets[..., 1, o] = kets[..., 0, o - 1] = 0.0   # the phantom slots
     weights = np.array([1.0, 1.0, -1.0])
-    got = apparatus._sector_j_means(kets, weights, stack)
+    got = apparatus._sector_j_brackets(kets, kets, weights, stack)
+    # brackets of two kets, each term kept apart: the bits of each device alone
+    bras = kets[:, ::-1]
+    terms = apparatus._sector_j_brackets(bras[0], kets[0], np.eye(3), stack)
     for i, (L, a, b) in enumerate(zip(stack.spins, stack.offsets, stack.offsets[1:])):
         device = sl.build_measurement_unitary(L, tilt=0.4)
-        alone = apparatus._sector_j_means(kets[..., a:b], weights, device.stack)[:, 0]
-        assert np.max(np.abs(got[:, i] - alone)) <= 1e-12
+        alone = apparatus._sector_j_brackets(kets[..., a:b], kets[..., a:b], weights, device.stack)
+        assert np.max(np.abs(got[:, i] - alone[:, 0])) <= 1e-12
+        one = apparatus._sector_j_brackets(bras[0, ..., a:b], kets[0, ..., a:b], np.eye(3), device.stack)
+        assert terms[:, i].tobytes() == one[:, 0].tobytes()
 
 
 def test_sector_j_means_temporaries_stay_chunk_sized(monkeypatch):
@@ -319,7 +324,7 @@ def test_sector_j_means_temporaries_stay_chunk_sized(monkeypatch):
     kets = np.ones((2, 3, 2, n_sec), dtype=np.complex128)
     tracemalloc.start()
     try:
-        apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS, device.stack)
+        apparatus._sector_j_brackets(kets, kets, apparatus._DRIFT_WEIGHTS, device.stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -327,28 +332,39 @@ def test_sector_j_means_temporaries_stay_chunk_sized(monkeypatch):
 
 
 def oracle_sectors(final):
-    """(coefficient, state amplitudes or None) per record, by the per-sector loop."""
+    """(coefficient, state amplitudes or None, kron `vdot` weight) per record, by the per-sector loop.
+
+    The weight sums |slot 0|^2 + |slot 1|^2 sector by sector, in sector
+    order from 0.0, over the record's (2L+2, 2) sector slots.
+    """
     t = final.amplitudes.reshape(-1, 2)
     out = []
     for r in range(2):
         comp = t[:, r]
-        weight = float(np.real(np.vdot(comp, comp)))
+        weight = 0.0
+        for s0, s1 in dense_oracle.to_sectors(comp).tolist():
+            weight += (s0.real * s0.real + s0.imag * s0.imag) + (s1.real * s1.real + s1.imag * s1.imag)
+        vdot = float(np.real(np.vdot(comp, comp)))
         if weight < sl.NUMERICS.branch_weight_floor:
-            out.append((0.0, None))
+            out.append((0.0, None, vdot))
         else:
             coeff = math.sqrt(weight)
-            out.append((coeff, comp / coeff))
+            out.append((coeff, comp / coeff, vdot))
     return out
 
 
 @pytest.mark.parametrize("tilt", [0.0, 0.4, 2.9])
-@pytest.mark.parametrize("L", [0.5, 2.5, 64])
+@pytest.mark.parametrize("L", [0.5, 2.5, 64, 10000])
 def test_extracted_amplitudes_have_the_bits_of_the_per_sector_loop(L, tilt):
     device = sl.build_measurement_unitary(L, tilt=tilt)
     amps = sl.extract_error_amplitudes(device)
-    (c, u), (d_amp, d_err) = oracle_sectors(sl.premeasure(1.0, 0.0, device))
-    (f, u_err), (e, d) = oracle_sectors(sl.premeasure(0.0, 1.0, device))
+    (c, u, c2), (d_amp, d_err, d2) = oracle_sectors(sl.premeasure(1.0, 0.0, device))
+    (f, u_err, f2), (e, d, e2) = oracle_sectors(sl.premeasure(0.0, 1.0, device))
     assert (amps.C, amps.D, amps.E, amps.F) == (c, d_amp, e, f)
+    # the kron layout's stride-2 vdot, a second reference, to rounding
+    for coeff, vdot in ((c, c2), (d_amp, d2), (e, e2), (f, f2)):
+        if coeff:
+            assert abs(coeff ** 2 - vdot) <= 1e-14 * vdot
     for got, want in ((amps.u, u), (amps.u_err, u_err), (amps.d, d), (amps.d_err, d_err)):
         assert (got is None) == (want is None)
         if want is not None:
@@ -368,3 +384,33 @@ def test_ladder_matvecs_allocate_only_their_three_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * v.nbytes + 16 * np.getbufsize() + 4096
+
+
+def test_the_level_map_is_computed_once_per_stack(monkeypatch):
+    # the build computes (cols, sec, owner) and the stack holds them: no
+    # stage of the readout recomputes them
+    calls = []
+    real = apparatus._levels
+    monkeypatch.setattr(apparatus, "_levels", lambda offsets: calls.append(offsets) or real(offsets))
+    cli._measure_rows([2.0, 7.5, 40.0])
+    assert len(calls) == 1
+    device = sl.build_measurement_unitary(7.5, tilt=0.4)
+    sl.verify_matching_equations(device)
+    sl.extract_error_amplitudes(device)
+    assert len(calls) == 2
+
+
+def test_a_measure_pass_peaks_below_its_memory_bound():
+    # a pass holds its stack (10 x 16 N bytes for N sectors) and the two
+    # eigenstates' sector kets (12 x 16 N), normalized in place; the
+    # temporaries add 7 x 16 N.  A kron-layout copy of the kets, as the
+    # readout once gathered, peaks at 39.5 x 16 N.
+    L = 20000.0
+    cli._measure_rows([L])
+    tracemalloc.start()
+    try:
+        cli._measure_rows([L])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 31.5 * 16 * (2 * L + 2)

@@ -1,11 +1,13 @@
 """The stacked premeasure pass and the sector-layout audits it reads.
 
 `_premeasure_stack` premeasures a list of spinors on a device's
-one-device `_SectorStack` (`CompositeSystem.stack`) in one sector pass,
-and `premeasure` is its one-input case.  Its records must be
-bit-identical to the kron-layout arithmetic they replaced (one einsum per
-projector on each input's sectors), its drift audit reads <J> from the
-stack's J+ blocks and slot Jz, and the drift is gated input by input.
+one-device `_SectorStack` (`CompositeSystem.stack`) in one sector pass
+and returns sector kets; `premeasure` is its one-input case, gathered
+into the kron layout by `_to_kron`.  Its records must be bit-identical to
+the kron-layout arithmetic they replaced (one einsum per projector on
+each input's sectors), its drift audit reads <J> from the stack's J+
+blocks and slot Jz (`_sector_j_brackets`, which also reads the brackets
+of two kets), and the drift is gated input by input.
 The build audits P+ and P- as one stack; both passes go `_SECTOR_CHUNK`
 sectors at a time, so every audit is also run here with chunks of a few
 sectors.
@@ -25,8 +27,8 @@ R2 = 1 / np.sqrt(2)
 
 def premeasure_all(spinors, sys_m):
     """Each (a, b) of spinors premeasured on one device, in one stacked pass."""
-    return [sl.StateVector(sys_m.dims, final)
-            for final in apparatus._premeasure_stack(spinors, sys_m.stack)]
+    return [sl.StateVector(sys_m.dims, np.moveaxis(apparatus._to_kron(kets), 0, -1))
+            for kets in apparatus._premeasure_stack(spinors, sys_m.stack)]
 
 
 def sector_blocks(sys_m):
@@ -101,13 +103,34 @@ def test_sector_j_means_match_the_dense_j(monkeypatch, L, chunk):
     for s, want in enumerate(dense):
         weights = np.zeros(len(vectors))
         weights[s] = 1.0
-        got = apparatus._sector_j_means(kets, weights, sys_m.stack)[0]
+        got = apparatus._sector_j_brackets(kets, kets, weights, sys_m.stack)[0].real
         assert np.max(np.abs(got - want)) <= tol
     # a weighted stack gives the weighted sum, and leading axes are kept apart
     weights = np.array([1.0, 1.0, -1.0])
-    got = apparatus._sector_j_means(kets[None], weights, sys_m.stack)[..., 0, :]
+    got = apparatus._sector_j_brackets(kets[None], kets[None], weights, sys_m.stack)[..., 0, :]
     assert got.shape == (1, 3)
-    assert np.max(np.abs(got[0] - weights @ dense)) <= tol
+    assert np.max(np.abs(got[0].real - weights @ dense)) <= tol
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+@pytest.mark.parametrize("L", [0.5, 1, 2.5, 7, 16.5])
+def test_sector_j_brackets_match_the_dense_j(monkeypatch, L, chunk):
+    # <v|J_k|w> of two different kets: J- is read as the conjugate of <w|J+|v>
+    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
+    sys_m = sl.build_measurement_unitary(L, tilt=0.4)
+    j_dense = dense_oracle.j_pa(sys_m)
+    rng = np.random.default_rng(round(4 * L) + 1)
+    n = 2 * sys_m.dims[1]
+    vectors = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
+    bras, kets = sector_stack(vectors[:2]), sector_stack(vectors[2:])
+    dense = np.array([[np.vdot(v, jk @ w) for jk in j_dense]
+                      for v, w in zip(vectors[:2], vectors[2:])])
+    tol = 1e-14 * np.max(np.abs(dense))
+    got = apparatus._sector_j_brackets(bras, kets, np.eye(2), sys_m.stack)[:, 0]
+    assert np.max(np.abs(got - dense)) <= tol
+    # swapped, each bracket is the conjugate of the other's (J is Hermitian)
+    swapped = apparatus._sector_j_brackets(kets, bras, np.eye(2), sys_m.stack)[:, 0]
+    assert np.max(np.abs(swapped - dense.conj())) <= tol
 
 
 def ideal_device():
@@ -144,7 +167,7 @@ def test_opposite_drifts_cancel_in_a_sum():
         kets[i, 2] = dense_oracle.to_sectors(np.kron([a, b], app)).T
         for r, p in enumerate(sector_blocks(ideal)):
             kets[i, r] = np.einsum("kab,bk->ak", p, kets[i, 2])
-    drift = apparatus._sector_j_means(kets, apparatus._DRIFT_WEIGHTS, ideal.stack)[:, 0]
+    drift = apparatus._sector_j_brackets(kets, kets, apparatus._DRIFT_WEIGHTS, ideal.stack)[:, 0].real
     assert drift[:, 0] == pytest.approx([-0.5, 0.5], abs=1e-14)
     assert abs(drift[:, 0].sum()) <= 1e-14
 

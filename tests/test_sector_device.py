@@ -148,7 +148,7 @@ def test_src_keeps_one_device_representation():
         assert not re.search(r"\bOperator\b", path.read_text()), path.name
 
 
-SECTOR_LAYOUT_NAMES = {"_SectorStack", "_build_stack", "_premeasure_stack", "_sector_j_means"}
+SECTOR_LAYOUT_NAMES = {"_SectorStack", "_build_stack", "_premeasure_stack", "_sector_j_brackets"}
 
 
 def test_sector_layout_stays_inside_apparatus():
