@@ -310,38 +310,42 @@ def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
 _DRIFT_WEIGHTS = np.array([1.0, 1.0, -1.0])
 
 
+def _into_devices(ufunc: np.ufunc, out: np.ndarray, owner: np.ndarray, x: np.ndarray) -> None:
+    """ufunc.at of x[..., j] into C-contiguous out[..., owner[j]], in sector order, by one flat index."""
+    index = np.arange(0, out.size, out.shape[-1]).reshape(x.shape[:-1] + (1,)) + owner
+    ufunc.at(out.reshape(-1), index.ravel(), x.ravel())
+
+
 def _sector_j_brackets(bras: np.ndarray, kets: np.ndarray, weights: np.ndarray,
                        stack: _SectorStack) -> np.ndarray:
     """sum_s weights[s] (<bra_s|J_k|ket_s> for Jx, Jy, Jz) of each device of a stack, shape (..., n, 3).
 
     bras and kets are (..., s, 2, N), slot-major: kets[..., s, a, k] is slot
-    a of sector k; (t, s) weights keep t sums apart.  <b|J+|k> = sum_k
-    b_k^dag R_k k_(k+1) reads the stack's J+ blocks R (`up`), <b|J-|k> is
-    the conjugate of <k|J+|b>, and <b|Jz|k> reads the slot Jz: the blocks
-    the build's [P, J] audit uses.  The sum over s is taken within each
-    sector, so a drift, a small difference of O(L) means, is not rounded at
-    the size of the means.  The sectors go `_SECTOR_CHUNK` at a time, each
+    a of sector k; leading axes are kept apart.  <b|J+|k> = sum_k b_k^dag
+    R_k k_(k+1) reads the stack's J+ blocks R (`up`), <b|J-|k> is the
+    conjugate of <k|J+|b>, and <b|Jz|k> reads the slot Jz: the blocks the
+    build's [P, J] audit uses.  The sum over s is taken within each sector,
+    so a drift, a small difference of O(L) means, is not rounded at the
+    size of the means.  The sectors go `_SECTOR_CHUNK` at a time, each
     added into its device's total in sector order from +0, so a device's
     brackets depend neither on the chunk nor on its neighbours.
     """
-    n_sec = kets.shape[-1]
-    total = np.zeros(kets.shape[:-3] + weights.shape[:-1] + (len(stack.spins), 3), dtype=np.complex128)
-    for start in range(0, n_sec, _SECTOR_CHUNK):
-        stop = min(start + _SECTOR_CHUNK, n_sec)
-        # with sector `stop`, which J+ takes into the chunk
-        b, k, up = bras[..., start:stop + 1], kets[..., start:stop + 1], stack.up[..., start:stop]
+    total = np.zeros((3,) + kets.shape[:-3] + (len(stack.spins),), dtype=np.complex128)
+    for start in range(0, kets.shape[-1], _SECTOR_CHUNK):
+        w = slice(start, start + _SECTOR_CHUNK)
+        # with the next sector, which J+ takes into the chunk
+        b, k, up = bras[..., start:w.stop + 1], kets[..., start:w.stop + 1], stack.up[..., w]
         # x_k^dag R_k y_(k+1) per sector for <b|J+|k> and <k|J+|b>, slot by
         # slot to keep the temporaries small; one product when bras is kets
         pairs = [(b, k)] if bras is kets else [(b, k), (k, b)]
-        jplus = [weights @ sum((up[a, 0] * y[..., 0, 1:] + up[a, 1] * y[..., 1, 1:])
-                               * x[..., a, :-1].conj() for a in range(2)) for x, y in pairs]
+        jplus = [sum((up[a, 0] * y[..., 0, 1:] + up[a, 1] * y[..., 1, 1:]) * x[..., a, :-1].conj()
+                     for a in range(2)) for x, y in pairs]
+        jz = sum(bras[..., a, w].conj() * stack.jz[a, w] * kets[..., a, w] for a in range(2))
+        *jplus, jz = [(weights[:, None] * x).sum(axis=-2) for x in (*jplus, jz)]
         plus, minus = jplus[0], jplus[-1].conj()
-        jz = weights @ (b[..., :stop - start].conj() * stack.jz[:, start:stop]
-                        * k[..., :stop - start]).sum(axis=-2)
         for c, x in enumerate(((plus + minus) / 2, (plus - minus) / 2j, jz)):
-            for at in np.ndindex(x.shape[:-1]):   # np.add.at adds in sector order
-                np.add.at(total[at + (..., c)], stack.owner[start:start + x.shape[-1]], x[at])
-    return total
+            _into_devices(np.add, total[c], stack.owner[start:start + x.shape[-1]], x)
+    return np.moveaxis(total, 0, -1)
 
 
 def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
@@ -376,7 +380,7 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
 
 def _to_kron(kets: np.ndarray) -> np.ndarray:
     """One device's (..., 2, d + 1) sector kets in the kron layout (..., 2, d), the phantoms dropped."""
-    return np.stack([kets[..., 0, :-1], kets[..., 1, 1:]], axis=-2)
+    return np.concatenate([kets[..., :1, :-1], kets[..., 1:, 1:]], axis=-2)
 
 
 def _from_kron(kron: np.ndarray) -> np.ndarray:
@@ -420,31 +424,30 @@ def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
     A weight (|slot 0|^2 + |slot 1|^2), a norm or an overlap is its device's
     sum over its sectors in sector order from +0.  Returns the coefficients
     [device][input][record] (0.0 below the weight floor), their presence and
-    the kets, each record divided into its branch state by its coefficient
-    (an empty one left as it was), audited device by device.  For the
-    eigenstate pair, an input's weight sum is C^2+D^2 or E^2+F^2.
+    the kets, each record divided by its coefficient into its branch state
+    (an empty one left as it was), audited device by device.
     """
-    owner = stack.owner
     shape = kets.shape[:2] + (len(stack.spins),)
-    weights, norms, recon = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    weights, norms, recon = np.zeros(shape), np.zeros(shape), np.zeros(shape[::2])
     overlaps = np.zeros(shape[::2], dtype=np.complex128)
-    for at in np.ndindex(shape[:2]):   # record by record, to bound the temporaries
-        np.add.at(weights[at], owner, (kets[at].real ** 2 + kets[at].imag ** 2).sum(axis=0))
+    chunks = [slice(start, start + _SECTOR_CHUNK) for start in range(0, kets.shape[-1], _SECTOR_CHUNK)]
+    for w in chunks:
+        comp = kets[..., w]
+        _into_devices(np.add, weights, stack.owner[w], (comp.real ** 2 + comp.imag ** 2).sum(axis=-2))
     present = ~(weights < NUMERICS.branch_weight_floor)
     coeffs = np.where(present, np.sqrt(weights), 0.0)
     divisors = np.where(present, coeffs, 1.0)
-    for i, r in np.ndindex(shape[:2]):   # the branch state replaces its record's ket
-        comp = kets[i, r]
-        state = comp / divisors[i, r][owner]
-        rebuilt = coeffs[i, r][owner] * state
+    for w in chunks:   # the branch states replace their records' kets
+        comp, dev = kets[..., w], stack.owner[w]
+        state = comp / divisors[..., None, dev]
+        rebuilt = coeffs[..., None, dev] * state
         rebuilt -= comp
-        recon[i, r] = np.maximum.reduceat(np.abs(rebuilt).max(axis=0), stack.offsets[:-1])
+        _into_devices(np.maximum, recon, dev, np.abs(rebuilt).max(axis=(1, 2)))
         comp[...] = state
-        np.add.at(norms[i, r], owner, (state.real ** 2 + state.imag ** 2).sum(axis=0))
-        if r:
-            np.add.at(overlaps[i], owner, (kets[i, 0].conj() * state).sum(axis=0))
+        _into_devices(np.add, norms, dev, (state.real ** 2 + state.imag ** 2).sum(axis=-2))
+        _into_devices(np.add, overlaps, dev, (state[:, 0].conj() * state[:, 1]).sum(axis=-2))
     norms, overlaps = norms.transpose(2, 0, 1).tolist(), np.abs(overlaps).T.tolist()
-    recon = recon.max(axis=1).T.tolist()
+    recon = recon.T.tolist()
     totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
     coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
     for L, *device in zip(stack.spins, present, norms, totals, overlaps, recon):
@@ -520,7 +523,7 @@ def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[l
     live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
             if any(have[bra] and have[ket] for have in present)]
     bras, kets = (np.array([states[_MATCHING_TERMS[t][side]] for t in live]) for side in (0, 1))
-    per_term = _sector_j_brackets(bras, kets, np.eye(len(live)), stack).tolist()
+    per_term = _sector_j_brackets(bras[:, None], kets[:, None], np.ones(1), stack).tolist()
     targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     out = []
     for i, (L, have, coeff) in enumerate(zip(stack.spins, present, coeffs)):

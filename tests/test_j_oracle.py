@@ -9,8 +9,9 @@ reader of `_j_means`.  The oracle here is the original code, one
 as the per-device path did.  The kron pass must agree with it bit for bit,
 signed zeros included.  The matching reader `apparatus._read_matching`
 takes its brackets in the sector layout (`_sector_j_brackets`), summed in
-sector order, so its residuals agree with the kron oracle to rounding:
-within 1e-14 of the largest term.
+sector order: its residuals have the bits of `oracle_sector_residuals`,
+a Python loop over the sectors, and agree with the kron oracle to
+rounding, within 1e-14 of the largest term.
 """
 
 import math
@@ -18,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 import spinledger as sl
 from spinledger import angular, apparatus, cli
 
@@ -71,6 +73,43 @@ def oracle_matching_residuals(amps, sys):
             lhs += amps.E * amps.D * oracle_j_bracket(sys, amps.d.amplitudes, amps.d_err.amplitudes, k)
         residuals[k] = lhs - targets[k]
     return residuals
+
+
+def oracle_sector_bracket(sys, bra, ket):
+    """[<bra|Jx|ket>, <bra|Jy|ket>, <bra|Jz|ket>] of kron-layout amplitudes, by the per-sector loop.
+
+    Sector k holds the slots (|up, m>, |down, m + 1>), m = L - k.  J+ takes
+    sector k + 1 into sector k through the stack's 2x2 block R_k, so
+    <x|J+|y> adds x_k^dag R_k y_(k+1) and <x|J-|y> is the conjugate of
+    <y|J+|x>; Jz reads each slot's total Jz.  Each component is summed
+    sector by sector, in sector order from 0j.
+    """
+    x, y = (dense_oracle.to_sectors(v).tolist() for v in (bra, ket))
+    up, jz = sys.stack.up.tolist(), sys.stack.jz.tolist()
+
+    def raised(a, b, k):   # a_k^dag R_k b_(k+1)
+        rb = [up[s][0][k] * b[k + 1][0] + up[s][1][k] * b[k + 1][1] for s in range(2)]
+        return rb[0] * a[k][0].conjugate() + rb[1] * a[k][1].conjugate()
+
+    total = [0j, 0j, 0j]
+    for k in range(len(x)):
+        if k + 1 < len(x):
+            plus, minus = raised(x, y, k), raised(y, x, k).conjugate()
+            total[0] += (plus + minus) / 2
+            total[1] += (plus - minus) / 2j
+        total[2] += x[k][0].conjugate() * jz[0][k] * y[k][0] + x[k][1].conjugate() * jz[1][k] * y[k][1]
+    return total
+
+
+def oracle_sector_residuals(amps, sys):
+    """The matching residuals of `oracle_matching_residuals`, from `oracle_sector_bracket`."""
+    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
+    lhs = [0j, 0j, 0j]
+    for weight, bra, ket in ((amps.C * amps.F, amps.u, amps.u_err), (amps.E * amps.D, amps.d, amps.d_err)):
+        if bra is not None and ket is not None:
+            brackets = oracle_sector_bracket(sys, bra.amplitudes, ket.amplitudes)
+            lhs = [total + weight * bracket for total, bracket in zip(lhs, brackets)]
+    return np.array(lhs) - targets
 
 
 def assert_bits_equal(got, want):
@@ -150,16 +189,16 @@ def test_brackets_and_means_match_the_per_component_oracle(device):
 def test_matching_residuals_match_the_per_component_oracle(device):
     amps = sl.extract_error_amplitudes(device)
     got = sl.verify_matching_equations(device)
-    want = oracle_matching_residuals(amps, device)
-    [(terms, residuals)] = apparatus._read_matching(device.stack, *apparatus._read_stack(device.stack))
-    assert_bits_equal(residuals, got)
-    # each term against the kron oracle's bracket, and the residuals at the scale of the terms
+    assert_bits_equal(got, oracle_sector_residuals(amps, device))
+    # the kron oracle, a second reference, to rounding: each bracket at its
+    # own scale, and the residuals at the scale of the terms
+    [(terms, _)] = apparatus._read_matching(device.stack, *apparatus._read_stack(device.stack))
     pairs = [(amps.u, amps.u_err), (amps.d, amps.d_err)]
     scale = max(abs(weight * b) for weight, brackets in terms for b in brackets)
     for (weight, brackets), (bra, ket) in zip(terms, [p for p in pairs if None not in p]):
         want_brackets = [oracle_j_bracket(device, bra.amplitudes, ket.amplitudes, k) for k in range(3)]
         assert np.max(np.abs(np.array(brackets) - want_brackets)) <= 1e-14 * max(map(abs, brackets))
-    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    assert np.max(np.abs(got - oracle_matching_residuals(amps, device))) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("L", L_VALUES)

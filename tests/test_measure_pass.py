@@ -307,12 +307,13 @@ def test_sector_j_means_sum_each_device_apart(monkeypatch, chunk):
     got = apparatus._sector_j_brackets(kets, kets, weights, stack)
     # brackets of two kets, each term kept apart: the bits of each device alone
     bras = kets[:, ::-1]
-    terms = apparatus._sector_j_brackets(bras[0], kets[0], np.eye(3), stack)
+    terms = apparatus._sector_j_brackets(bras[0][:, None], kets[0][:, None], np.ones(1), stack)
     for i, (L, a, b) in enumerate(zip(stack.spins, stack.offsets, stack.offsets[1:])):
         device = sl.build_measurement_unitary(L, tilt=0.4)
         alone = apparatus._sector_j_brackets(kets[..., a:b], kets[..., a:b], weights, device.stack)
         assert np.max(np.abs(got[:, i] - alone[:, 0])) <= 1e-12
-        one = apparatus._sector_j_brackets(bras[0, ..., a:b], kets[0, ..., a:b], np.eye(3), device.stack)
+        one = apparatus._sector_j_brackets(bras[0, :, None, :, a:b], kets[0, :, None, :, a:b],
+                                          np.ones(1), device.stack)
         assert terms[:, i].tobytes() == one[:, 0].tobytes()
 
 
@@ -402,9 +403,10 @@ def test_the_level_map_is_computed_once_per_stack(monkeypatch):
 
 def test_a_measure_pass_peaks_below_its_memory_bound():
     # a pass holds its stack (10 x 16 N bytes for N sectors) and the two
-    # eigenstates' sector kets (12 x 16 N), normalized in place; the
-    # temporaries add 7 x 16 N.  A kron-layout copy of the kets, as the
-    # readout once gathered, peaks at 39.5 x 16 N.
+    # eigenstates' sector kets (12 x 16 N), normalized in place chunk by
+    # chunk; the matching reader's copy of a bra and a ket adds 4 x 16 N.
+    # A kron-layout copy of the kets, as the readout once gathered, peaks
+    # at 39.5 x 16 N.
     L = 20000.0
     cli._measure_rows([L])
     tracemalloc.start()
@@ -413,4 +415,4 @@ def test_a_measure_pass_peaks_below_its_memory_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 31.5 * 16 * (2 * L + 2)
+    assert peak <= 29.5 * 16 * (2 * L + 2)

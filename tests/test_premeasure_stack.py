@@ -126,10 +126,10 @@ def test_sector_j_brackets_match_the_dense_j(monkeypatch, L, chunk):
     dense = np.array([[np.vdot(v, jk @ w) for jk in j_dense]
                       for v, w in zip(vectors[:2], vectors[2:])])
     tol = 1e-14 * np.max(np.abs(dense))
-    got = apparatus._sector_j_brackets(bras, kets, np.eye(2), sys_m.stack)[:, 0]
+    got = apparatus._sector_j_brackets(bras[:, None], kets[:, None], np.ones(1), sys_m.stack)[:, 0]
     assert np.max(np.abs(got - dense)) <= tol
     # swapped, each bracket is the conjugate of the other's (J is Hermitian)
-    swapped = apparatus._sector_j_brackets(kets, bras, np.eye(2), sys_m.stack)[:, 0]
+    swapped = apparatus._sector_j_brackets(kets[:, None], bras[:, None], np.ones(1), sys_m.stack)[:, 0]
     assert np.max(np.abs(swapped - dense.conj())) <= tol
 
 
