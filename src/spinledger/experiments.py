@@ -120,15 +120,20 @@ class SatelliteRun:
     def blocks(self, size: int):
         """Yield (outcome_up, ideal_ledger, full_ledger) rows, `size` steps at a time.
 
-        One PCG64 generator draws each block's outcomes with one
-        `rng.random(m)`, the stream of n single draws.  Each block adds the
+        One PCG64 stream draws each block's outcomes with one
+        `rng.random(m)`, the stream of n single draws; `_pcg64` draws
+        numpy's bits without importing `numpy.random`.  Each block adds the
         previous block's last ledger row into its first step and then
         accumulates with `np.cumsum`, so every ledger entry is the same
         in-order sum, bit for bit, whatever the block size.  The first
         block adds +0.0, which turns a leading -0.0 step into +0.0.  Every
-        block is fresh arrays.
+        block is fresh arrays.  A size below 1 raises ValueError.
         """
-        rng = np.random.Generator(np.random.PCG64(self.seed))
+        if size < 1:
+            raise ValueError(f"block size must be at least 1, got size={size!r}")
+        from ._pcg64 import PCG64Stream
+
+        rng = PCG64Stream(self.seed)
         w_up = self.branch_info["up"]["weight"]
         last = np.zeros((2, 3))
         for start in range(0, self.n_particles, size):
@@ -192,8 +197,8 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
     every step.  Trajectories are deterministic given (n, L, a, b, seed).
     This runs the shot, which every step repeats; the steps themselves are
     drawn and accumulated when read (`SatelliteRun.blocks`).  A run of more
-    than `NUMERICS.max_total_dim` particles is refused before anything is
-    allocated.
+    than `NUMERICS.max_total_dim` particles, or with a negative seed, is
+    refused before anything is allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one particle, got n={n!r}")
@@ -201,6 +206,10 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
         raise ValueError(
             f"satellite_run refused: n = {n} particles exceeds the configured "
             f"maximum total dimension {NUMERICS.max_total_dim}"
+        )
+    if seed < 0:
+        raise ValueError(
+            f"satellite_run refused: seed must be a non-negative integer, got seed={seed!r}"
         )
     sys = build_measurement_unitary(L)
     u_s = bloch_vector(a, b).as_array()

@@ -194,6 +194,15 @@ def test_json_table_streams_the_bytes_of_one_json_dumps(n_rows, chunk, monkeypat
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def test_satellite_refuses_a_negative_seed_before_opening_the_output(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    code, out, err = run_cli(["satellite", "--n", "3", "--L", "2", "--seed", "-1",
+                              "--output", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert "seed=-1" in err
+    assert not path.exists()
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 1
@@ -333,6 +342,15 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     code = ("import sys, spinledger.cli; "
             "print('concurrent.futures.process' in sys.modules)")
     assert fresh_python(code) == "False"
+
+
+def test_a_satellite_run_leaves_numpy_random_unloaded(tmp_path):
+    # the outcomes come from spinledger._pcg64, which draws numpy's PCG64 bits itself
+    code = ("import sys; from spinledger import cli; "
+            "code = cli.main(['satellite', '--n', '40000', '--L', '8', '--seed', '1', "
+            f"'--output', {str(tmp_path / 'sat.csv')!r}]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    assert fresh_python(code) == "0 False"
 
 
 # the thread count the loaded OpenBLAS reports after `import spinledger.cli`,

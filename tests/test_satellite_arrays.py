@@ -205,6 +205,23 @@ def test_blocks_concatenate_to_the_arrays_bit_for_bit(size, n, spinor, monkeypat
         assert not np.signbit(run.full_ledger[0]).any()
 
 
+@pytest.mark.parametrize("seed", [-1, -0.5])
+def test_a_negative_seed_is_refused_before_the_shot_is_built(seed, monkeypatch):
+    def no_build(L):
+        raise AssertionError("the shot was built")
+
+    monkeypatch.setattr(ex, "build_measurement_unitary", no_build)
+    with pytest.raises(ValueError, match=f"seed={seed}"):
+        sl.satellite_run(10, 2, *PLUS_X, seed)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_blocks_refuse_a_size_below_one(size):
+    run = sl.satellite_run(10, 2, *PLUS_X, seed=0)
+    with pytest.raises(ValueError, match=f"size={size}"):
+        next(run.blocks(size))
+
+
 def test_blocks_are_fresh_arrays():
     # writing into a block the caller holds changes neither the next block
     # nor the run's arrays
