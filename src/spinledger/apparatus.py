@@ -286,25 +286,6 @@ def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
                            stack=stack._replace(psi=state.amplitudes))
 
 
-def _pa_matvecs(app: SpinOperators, t: np.ndarray) -> list[np.ndarray]:
-    """[Jx t, Jy t, Jz t], J_k = S_k (x) 1 + 1 (x) L_k, on (..., 2, d) particle-slot-major t."""
-    half = _ladder_matvecs(_SPIN_HALF, t.swapaxes(-1, -2))
-    out = _ladder_matvecs(app, t)
-    for h, a in zip(half, out):
-        a += h.swapaxes(-1, -2)
-    return list(out)
-
-
-def _j_means(sys: CompositeSystem, v: np.ndarray) -> np.ndarray:
-    """(<Jx>, <Jy>, <Jz>) of particle (x) apparatus amplitudes v (kron layout), in O(L)."""
-    return np.array([np.vdot(v, jv).real for jv in _pa_matvecs(sys.spin_app, v.reshape(2, -1))])
-
-
-def _initial_state(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
-    spinor = np.array(_check_spinor(a, b), dtype=np.complex128)
-    return StateVector(sys.dims[:2], np.kron(spinor, sys.apparatus_state.amplitudes))
-
-
 # record 0, record 1, and minus the input: the weights that turn the
 # <J> of an input's three premeasure kets into its drift
 _DRIFT_WEIGHTS = np.array([1.0, 1.0, -1.0])
@@ -375,7 +356,7 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
         i, n, k = np.argwhere(~(drift.transpose(1, 0, 2) <= NUMERICS.conservation_atol))[0]
         raise ConservationError(f"<J{'xyz'[k]}> drifted by {drift[n, i, k]:.3e} during "
                                 f"premeasurement (L = {stack.spins[i]:g})")
-    return kets[:, :2]
+    return kets
 
 
 def _to_kron(kets: np.ndarray) -> np.ndarray:
@@ -399,7 +380,8 @@ def premeasure(a: complex, b: complex, sys: CompositeSystem) -> StateVector:
     ConservationError.  This is the one-input, one-device case of
     `_premeasure_stack`, in the kron layout (particle, apparatus, record).
     """
-    return StateVector(sys.dims, np.moveaxis(_to_kron(_premeasure_stack([(a, b)], sys.stack)[0]), 0, -1))
+    [records] = _premeasure_stack([(a, b)], sys.stack)[:, :2]
+    return StateVector(sys.dims, np.moveaxis(_to_kron(records), 0, -1))
 
 
 @dataclass(frozen=True)
@@ -418,14 +400,14 @@ class BranchDecomposition:
     omitted: tuple
 
 
-def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndarray]:
     """(n, 2, 2, N) sector kets of a stack's devices (`_premeasure_stack`), split by record in place.
 
     A weight (|slot 0|^2 + |slot 1|^2), a norm or an overlap is its device's
-    sum over its sectors in sector order from +0.  Returns the coefficients
-    [device][input][record] (0.0 below the weight floor), their presence and
-    the kets, each record divided by its coefficient into its branch state
-    (an empty one left as it was), audited device by device.
+    sum over its sectors in sector order from +0.  Each record of the kets
+    is divided by its coefficient into its branch state (an empty one is
+    left as it was), audited device by device.  Returns the coefficients
+    [device][input][record] (0.0 below the weight floor) and their presence.
     """
     shape = kets.shape[:2] + (len(stack.spins),)
     weights, norms, recon = np.zeros(shape), np.zeros(shape), np.zeros(shape[::2])
@@ -462,17 +444,17 @@ def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
                 raise AssertionError(f"record sectors not orthogonal: {overlap:.3e}{at}")
             if not rebuilt <= NUMERICS.conservation_atol:
                 raise AssertionError(f"branch reconstruction failed{at}")
-    return coeffs, present, kets
+    return coeffs, present
 
 
 def decompose_branches(final: StateVector, sys: CompositeSystem) -> BranchDecomposition:
     if final.dims != sys.dims:
         raise ValueError(f"state dims {final.dims} do not match system {sys.dims}")
     kets = _from_kron(np.moveaxis(final.amplitudes.reshape(sys.dims), -1, 0))
-    [[coeffs]], [[present]], [states] = _split_records(kets[None], sys.stack)
+    [[coeffs]], [[present]] = _split_records(kets[None], sys.stack)
     return BranchDecomposition(
         branches=tuple((c, StateVector((2, sys.dims[1]), _to_kron(s)), label)
-                       for c, h, s, label in zip(coeffs, present, states, _LABELS) if h),
+                       for c, h, s, label in zip(coeffs, present, kets, _LABELS) if h),
         source_state=final,
         omitted=tuple(label for h, label in zip(present, _LABELS) if not h),
     )
@@ -506,9 +488,29 @@ _EIGENSTATES = ((1.0, 0.0), (0.0, 1.0))
 _MATCHING_TERMS = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
 
 
-def _read_stack(stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
-    """Both eigenstates premeasured on every device of a stack and split by record (`_split_records`)."""
-    return _split_records(_premeasure_stack(_EIGENSTATES, stack), stack)
+def _read_stack(spinors, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+    """Each spinor premeasured on every device of a stack and split by record.
+
+    Returns the coefficients and presence of `_split_records` and the (n,
+    3, 2, N) kets of `_premeasure_stack`, each record now its branch state.
+    """
+    kets = _premeasure_stack(spinors, stack)
+    return (*_split_records(kets[:, :2], stack), kets)
+
+
+def _read_branches(a: complex, b: complex, sys: CompositeSystem) -> tuple[list, np.ndarray, np.ndarray]:
+    """One input on one device: its record coefficients, their presence and three <J>.
+
+    The <J> rows are those of the record 0 and record 1 branch states and
+    of the input, read from `_read_stack`'s kets in one `_sector_j_brackets`
+    pass, each row its own sum.  An empty record has coefficient 0.0 and
+    the input's <J>.
+    """
+    [[coeffs]], [[present]], [kets] = _read_stack([(a, b)], sys.stack)
+    kets = kets[:, None]
+    means = _sector_j_brackets(kets, kets, np.ones(1), sys.stack)[:, 0].real
+    means[:2][~present] = means[2]
+    return coeffs, present, means
 
 
 def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[list, np.ndarray]]:
@@ -547,9 +549,10 @@ def extract_error_amplitudes(sys: CompositeSystem) -> ErrorAmplitudes:
 
     The one-device case of a `measure` sweep's reader (`_read_stack`).
     """
-    [coeffs], [present], states = _read_stack(sys.stack)
+    [coeffs], [present], states = _read_stack(_EIGENSTATES, sys.stack)
     (u, d_err), (u_err, d) = [[StateVector((2, sys.dims[1]), _to_kron(s)) if h else None
-                               for h, s in zip(have, pair)] for have, pair in zip(present, states)]
+                               for h, s in zip(have, pair)]
+                              for have, pair in zip(present, states[:, :2])]
     (c, d_amp), (f, e) = coeffs
     return ErrorAmplitudes(C=c, D=d_amp, E=e, F=f, u=u, u_err=u_err, d=d, d_err=d_err)
 
@@ -561,7 +564,7 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     brackets of the one-device `_read_matching`; raises ConservationError
     if any residual magnitude exceeds the conservation tolerance.
     """
-    return _read_matching(sys.stack, *_read_stack(sys.stack))[0][1]
+    return _read_matching(sys.stack, *_read_stack(_EIGENSTATES, sys.stack))[0][1]
 
 
 def _read_pass(spins) -> list[list]:
@@ -572,7 +575,7 @@ def _read_pass(spins) -> list[list]:
     each device's moments over its own columns, as `angular_spread` reads them.
     """
     stack = _build_stack(spins)
-    coeffs, present, states = _read_stack(stack)
+    coeffs, present, states = _read_stack(_EIGENSTATES, stack)
     matching = _read_matching(stack, coeffs, present, states)
     jx_psi = _ladder_matvecs(stack.apps, stack.psi)[0]
     rows = []

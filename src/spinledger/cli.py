@@ -29,11 +29,11 @@ import numpy as np
 from . import __version__
 from .angular import _check_spin, bloch_vector
 from .apparatus import (
-    _j_means,
+    _LABELS,
+    _read_branches,
     _read_pass,
     _sweep_passes,
     build_measurement_unitary,
-    decompose_branches,
     premeasure,
     thermal_orientation_uncertainty,
 )
@@ -240,11 +240,9 @@ def _cmd_ideal(args) -> None:
         labels=["up", "dn"],
     )
     sys_model = build_measurement_unitary(args.L)
-    final = premeasure(a, b, sys_model)
-    decomp = decompose_branches(final, sys_model)
-    branches = []
-    for coeff, state, label in decomp.branches:
-        branches.append(((coeff, _j_means(sys_model, state.amplitudes)), label))
+    coeffs, present, means = _read_branches(a, b, sys_model)
+    branches = [((coeff, j), label)
+                for coeff, have, j, label in zip(coeffs, present, means, _LABELS) if have]
     init_j = initial + np.array([0.0, 0.0, float(sys_model.L)])
     model_report = classify_violation(
         init_j,

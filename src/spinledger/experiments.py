@@ -28,6 +28,7 @@ makes the post-selected compensation exact rather than approximate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,8 +43,8 @@ from .angular import (
     spin_operators,
 )
 from .apparatus import (
-    _initial_state,
-    _j_means,
+    _LABELS,
+    _read_branches,
     build_measurement_unitary,
     decompose_branches,
     premeasure,
@@ -197,33 +198,28 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
     every step.  Trajectories are deterministic given (n, L, a, b, seed).
     This runs the shot, which every step repeats; the steps themselves are
     drawn and accumulated when read (`SatelliteRun.blocks`).  A run of more
-    than `NUMERICS.max_total_dim` particles, or with a negative seed, is
-    refused before anything is allocated.
+    than `NUMERICS.max_total_dim` particles, or with a non-integer n or a
+    seed that is not a non-negative integer, is refused before anything is
+    allocated.
     """
-    if n < 1:
-        raise ValueError(f"need at least one particle, got n={n!r}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n of at least one particle, got n={n!r}")
     if n > NUMERICS.max_total_dim:
         raise ValueError(
             f"satellite_run refused: n = {n} particles exceeds the configured "
             f"maximum total dimension {NUMERICS.max_total_dim}"
         )
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(
             f"satellite_run refused: seed must be a non-negative integer, got seed={seed!r}"
         )
     sys = build_measurement_unitary(L)
     u_s = bloch_vector(a, b).as_array()
 
-    final = premeasure(a, b, sys)
-    decomp = decompose_branches(final, sys)
-    initial_pa = _initial_state(a, b, sys)
-    initial_j = _j_means(sys, initial_pa.amplitudes)
-
-    info = {}
-    for coeff, state, label in decomp.branches:
-        info[label] = {"weight": coeff ** 2, "j": _j_means(sys, state.amplitudes)}
-    for label in decomp.omitted:
-        info[label] = {"weight": 0.0, "j": initial_j.copy()}
+    # an empty record has weight 0 and the input's <J>
+    coeffs, _, (*branch_j, initial_j) = _read_branches(a, b, sys)
+    info = {label: {"weight": coeff ** 2, "j": j}
+            for label, coeff, j in zip(_LABELS, coeffs, branch_j)}
 
     # unconditioned final expectation: branch mixture, record cross terms
     # vanish identically in this model
@@ -241,7 +237,7 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
     step_rows.setflags(write=False)
 
     return SatelliteRun(
-        n_particles=n,
+        n_particles=int(n),
         L=sys.L,
         polarization=(complex(a), complex(b)),
         seed=int(seed),
@@ -413,7 +409,12 @@ def _external_streak(L, pattern: str) -> StreakReport:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     final = premeasure(inv_sqrt2, inv_sqrt2, sys)
     decomp = decompose_branches(final, sys)
-    by_label = {label: (coeff, state) for coeff, state, label in decomp.branches}
+    # each branch's weight, particle <S> and variance, read once per label
+    by_label = {}
+    for coeff, state, label in decomp.branches:
+        rho = partial_trace(state, keep=[0])
+        m = np.array([np.trace(rho @ op).real for op in _SPIN_HALF_MATRICES])
+        by_label[label] = (coeff ** 2, m, 0.75 - float(m @ m))
 
     j2_series = [0.0]
     jz_series = [0.0]
@@ -421,13 +422,10 @@ def _external_streak(L, pattern: str) -> StreakReport:
     mean_sum = np.zeros(3)
     var_sum = 0.0
     for ch in pattern:
-        label = "up" if ch == "u" else "dn"
-        coeff, state = by_label[label]
-        weights.append(coeff ** 2)
-        rho = partial_trace(state, keep=[0])
-        m = np.array([np.trace(rho @ op).real for op in _SPIN_HALF_MATRICES])
+        weight, m, var = by_label["up" if ch == "u" else "dn"]
+        weights.append(weight)
         mean_sum = mean_sum + m
-        var_sum += 0.75 - float(m @ m)
+        var_sum += var
         # product state over shots: <J^2> = sum_i <S_i^2> + |sum_i <S_i>|^2
         #                                  - sum_i |<S_i>|^2
         j2_series.append(var_sum + float(mean_sum @ mean_sum))

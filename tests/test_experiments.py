@@ -89,6 +89,28 @@ def test_satellite_rejects_bad_n():
         sl.satellite_run(0, 2, *PLUS_X, seed=0)
 
 
+@pytest.mark.parametrize("n,seed,name", [(3, 1.7, "seed=1.7"), (2.5, 1, "n=2.5")])
+def test_satellite_refuses_a_non_integer_n_or_seed(n, seed, name, monkeypatch):
+    # a float seed used to run as int(seed), and a float n to fail only
+    # when the rows were read
+    def no_build(L):
+        raise AssertionError("the shot was built")
+
+    monkeypatch.setattr(ex, "build_measurement_unitary", no_build)
+    with pytest.raises(ValueError, match=name):
+        sl.satellite_run(n, 2, *PLUS_X, seed)
+
+
+def test_satellite_takes_numpy_integers():
+    run = sl.satellite_run(np.int64(3), 2, *PLUS_X, np.int64(3))
+    want = sl.satellite_run(3, 2, *PLUS_X, 3)
+    assert run.n_particles == run.seed == run.metadata["seed"] == 3
+    assert type(run.n_particles) is type(run.metadata["seed"]) is int
+    assert run.full_ledger.tobytes() == want.full_ledger.tobytes()
+    # a bool is an int: True is one particle, whose rows can be read
+    assert sl.satellite_run(True, 2, *PLUS_X, 0).full_ledger.shape == (1, 3)
+
+
 # ---------------------------------------------------------------- emission map
 
 def dense_jz_mean(state, K):
@@ -253,6 +275,21 @@ def test_external_streak_growth_and_oracle():
             acc = acc + np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax)
         j2 += float(np.real(np.vdot(acc, acc)))
     assert series[-1] == pytest.approx(j2, abs=1e-10)
+
+
+def test_external_streak_reads_each_branch_once(monkeypatch):
+    # the particle moments are a branch's, not a letter's: at most one
+    # partial trace per branch, however long the pattern
+    calls = []
+    real = ex.partial_trace
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "partial_trace", counted)
+    sl.lucky_streak_j2(12, 4, "external", pattern="uudduududddu")
+    assert len(calls) <= 2
 
 
 def test_external_streak_postselected_jz():

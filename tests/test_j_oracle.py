@@ -1,17 +1,19 @@
-"""The three-component J pass against the per-component path it replaced.
+"""The J readers against the per-component and per-sector paths they replaced.
 
 `angular._ladder_matvecs` forms the zero-padded J+ v and the J- v
-products once and builds Jx, Jy and Jz from them; `apparatus._pa_matvecs`
-applies it to both factors of particle (x) apparatus, the kron-layout
-reader of `_j_means`.  The oracle here is the original code, one
-`moveaxis` ladder matvec per component and per factor, and
-`oracle_matching_residuals` sums its brackets into the matching residuals
-as the per-device path did.  The kron pass must agree with it bit for bit,
-signed zeros included.  The matching reader `apparatus._read_matching`
-takes its brackets in the sector layout (`_sector_j_brackets`), summed in
-sector order: its residuals have the bits of `oracle_sector_residuals`,
-a Python loop over the sectors, and agree with the kron oracle to
-rounding, within 1e-14 of the largest term.
+products once and builds Jx, Jy and Jz from them.  `j_matvecs` here
+applies it to both factors of particle (x) apparatus: the kron-layout J
+pass, kept only as a test oracle since every <J> and <b|J|k> of the
+package is read in the sector layout.  The per-component oracle is the
+original code, one `moveaxis` ladder matvec per component and per
+factor, and `oracle_matching_residuals` sums its brackets into the
+matching residuals as the per-device path did; the kron pass must agree
+with it bit for bit, signed zeros included.  The package's brackets and
+means come from `apparatus._sector_j_brackets`, summed in sector order:
+the matching residuals have the bits of `oracle_sector_residuals`, and
+the branch and input means of `_read_branches` those of
+`oracle_sector_bracket`, a Python loop over the sectors; both agree with
+the kron oracle to rounding, within 1e-14 of the largest term.
 """
 
 import math
@@ -44,8 +46,13 @@ def oracle_ladder_matvec(ops, v, k, axis=-1):
 
 
 def j_matvecs(sys, v):
-    """[Jx v, Jy v, Jz v] of kron-layout amplitudes v by the package's particle (x) apparatus pass."""
-    return [jv.reshape(v.shape) for jv in apparatus._pa_matvecs(sys.spin_app, v.reshape(2, -1))]
+    """[Jx v, Jy v, Jz v] of kron-layout amplitudes v, J_k = S_k (x) 1 + 1 (x) L_k, by `_ladder_matvecs`."""
+    t = v.reshape(2, -1)
+    half = angular._ladder_matvecs(sys.spin_half, t.swapaxes(-1, -2))
+    out = angular._ladder_matvecs(sys.spin_app, t)
+    for h, a in zip(half, out):
+        a += h.swapaxes(-1, -2)
+    return [jv.reshape(v.shape) for jv in out]
 
 
 def oracle_j_matvec(sys, v, k):
@@ -183,7 +190,8 @@ def test_brackets_and_means_match_the_per_component_oracle(device):
         assert all(type(b) is complex for b in got)
         assert_bits_equal(np.array(got), np.array(want))
     for v in vectors:
-        assert_bits_equal(apparatus._j_means(device, v), oracle_j_means(device, v))
+        means = np.array([np.vdot(v, jv).real for jv in j_matvecs(device, v)])
+        assert_bits_equal(means, oracle_j_means(device, v))
 
 
 def test_matching_residuals_match_the_per_component_oracle(device):
@@ -192,7 +200,8 @@ def test_matching_residuals_match_the_per_component_oracle(device):
     assert_bits_equal(got, oracle_sector_residuals(amps, device))
     # the kron oracle, a second reference, to rounding: each bracket at its
     # own scale, and the residuals at the scale of the terms
-    [(terms, _)] = apparatus._read_matching(device.stack, *apparatus._read_stack(device.stack))
+    [(terms, _)] = apparatus._read_matching(
+        device.stack, *apparatus._read_stack(apparatus._EIGENSTATES, device.stack))
     pairs = [(amps.u, amps.u_err), (amps.d, amps.d_err)]
     scale = max(abs(weight * b) for weight, brackets in terms for b in brackets)
     for (weight, brackets), (bra, ket) in zip(terms, [p for p in pairs if None not in p]):
@@ -207,7 +216,7 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
     device = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(device)
     [([(weight, brackets), *_], _)] = apparatus._read_matching(
-        device.stack, *apparatus._read_stack(device.stack))
+        device.stack, *apparatus._read_stack(apparatus._EIGENSTATES, device.stack))
     assert weight == amps.C * amps.F
     want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     assert_bits_equal(np.float64(abs(brackets[0])), np.float64(want))
@@ -215,26 +224,24 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
 
 
 def test_only_the_matching_reader_runs_the_j_pass(monkeypatch):
-    # the amplitudes need no brackets: only the matching equations pay for
-    # a bracket pass beyond premeasure's drift audit, and neither reads the
-    # kron layout
+    # the amplitudes need no brackets: only the matching equations and the
+    # branch means pay for a bracket pass beyond premeasure's drift audit,
+    # one pass each
     device = sl.build_measurement_unitary(8, tilt=0.4)
-    calls = {"_pa_matvecs": 0, "_sector_j_brackets": 0}
+    calls = []
+    real = apparatus._sector_j_brackets
 
-    def spy(name):
-        real = getattr(apparatus, name)
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
 
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(apparatus, name, counted)
-
-    for name in calls:
-        spy(name)
+    monkeypatch.setattr(apparatus, "_sector_j_brackets", counted)
     sl.extract_error_amplitudes(device)
-    assert calls == {"_pa_matvecs": 0, "_sector_j_brackets": 1}
+    assert len(calls) == 1
     sl.verify_matching_equations(device)
-    assert calls == {"_pa_matvecs": 0, "_sector_j_brackets": 3}
+    assert len(calls) == 3
+    apparatus._read_branches(0.6, 0.8j, device)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("L", L_VALUES)

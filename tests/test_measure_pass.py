@@ -282,11 +282,15 @@ def test_a_stack_premeasures_each_device_with_its_own_bits():
     stack = apparatus._build_stack(spins, tilt=0.4)
     spinors = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)]
     kets = apparatus._premeasure_stack(spinors, stack)
-    assert kets.shape == (3, 2, 2, stack.offsets[-1])
+    assert kets.shape == (3, 3, 2, stack.offsets[-1])
     for L, a, b in zip(spins, stack.offsets, stack.offsets[1:]):
         device = sl.build_measurement_unitary(L, tilt=0.4)
         one = [sl.premeasure(x, y, device) for x, y in spinors]
         for (x, y), sectors, alone in zip(spinors, kets[..., a:b], one):
+            # the third slab is the input itself, in sectors
+            psi = np.kron(np.array([x, y], dtype=np.complex128), device.apparatus_state.amplitudes)
+            assert sectors[2].tobytes() == dense_oracle.to_sectors(psi).T.tobytes()
+            sectors = sectors[:2]
             final = np.moveaxis(apparatus._to_kron(sectors), 0, -1).reshape(-1, 2)
             assert final.tobytes() == kron_layout_records(x, y, device).tobytes()
             assert final.tobytes() == alone.amplitudes.tobytes()

@@ -14,7 +14,12 @@ branch weights are sums in sector order instead of a kron-layout `vdot`:
 `measure-64-small` and `measure-shared` (CSV and JSON), where the last
 bits of a few E cells moved, and the JSON `satellite --n 50 --L 2`, whose
 branch and full-ledger columns moved by at most 5e-15 relative.  The satellite's 40000-step pin lives in
-`test_satellite_arrays.py`.
+`test_satellite_arrays.py`.  Reading the satellite's and `ideal`'s <J> in
+the sector layout moved none of the pins here: `ideal` prints no branch
+<J>, and the JSON `satellite --n 50 --L 2` and `satellite --L 10000`
+rows came out byte-identical.  The two external streaks are pinned as
+written with each branch's moments read at every letter of the pattern,
+before they were read once per branch.
 """
 
 import csv
@@ -49,6 +54,9 @@ PINNED = {
     "ideal": (
         ["ideal"],
         "a43dcc2e85588e7c031859b2742bfaae15244e87ecbd1f138f920682daf1b276"),
+    "streak-external": (
+        ["streak", "--mode", "external", "--n", "12", "--L", "4"],
+        "9af04d0c834c14b09fc2fcb675b663ce05775e1f4625113ad24559b42c28375a"),
     "streak-internal": (
         ["streak", "--mode", "internal", "--n", "8", "--K", "16", "--L", "4"],
         "8f292ba638545eee24e362836a2870a78a235f4041a98bffd16aec32e729a268"),
@@ -76,6 +84,9 @@ PINNED_JSON = {
     "decohere": (
         ["decohere", "--L", "3", "--overlap", "0.5", "--n-env", "6"],
         "4c7484df145278b6de57cdcd524392533d4ec626e17a654d1df9fc970cea4b53"),
+    "streak-external": (
+        ["streak", "--mode", "external", "--n", "6", "--L", "2.5"],
+        "0db7bec209855e99804660fc5ced1c97083bc0494d678eb5a592a127286a0c17"),
     "streak-internal": (
         ["streak", "--mode", "internal", "--n", "5", "--K", "9", "--L", "2.5"],
         "3fa7fedd9eea6eb055f2fbdf6e8c07d311a863acbbf632abab9d1f4e598e92db"),

@@ -28,7 +28,7 @@ R2 = 1 / np.sqrt(2)
 def premeasure_all(spinors, sys_m):
     """Each (a, b) of spinors premeasured on one device, in one stacked pass."""
     return [sl.StateVector(sys_m.dims, np.moveaxis(apparatus._to_kron(kets), 0, -1))
-            for kets in apparatus._premeasure_stack(spinors, sys_m.stack)]
+            for kets in apparatus._premeasure_stack(spinors, sys_m.stack)[:, :2]]
 
 
 def sector_blocks(sys_m):

@@ -5,7 +5,14 @@ and builds both ledgers with `np.cumsum`, carrying the last row into the
 next block; the run's arrays are one whole-run block.  The oracle here is
 the original loop: one `rng.random()` per particle and one ledger
 addition per step.  Arrays and blocks of any size must agree with it bit
-for bit.
+for bit.  The loop takes each branch's <J> and the input's from the
+per-sector loop `test_j_oracle.oracle_sector_bracket`, which the
+package's sector reader (`apparatus._read_branches`) must match bit for
+bit, with the kron per-component `oracle_j_means` as a second reference
+within 1e-14.  The 40000-step CSV and 100000-step JSON pins moved when
+the satellite's <J> came to be read in the sector layout: sums in sector
+order replaced a BLAS `vdot`, which moved the branch columns by at most
+1.2e-16 relative and the full ledger by the n-step sum of that.
 """
 
 import hashlib
@@ -18,21 +25,34 @@ import pytest
 import spinledger as sl
 import spinledger.experiments as ex
 from spinledger.cli import main
+from test_j_oracle import oracle_j_means, oracle_sector_bracket
 
 PLUS_X = (0.7071067811865476, 0.7071067811865475)
 TILTED = (math.cos(0.3), math.sin(0.3) * complex(math.cos(0.7), math.sin(0.7)))
 UP = (1.0, 0.0)   # the dn sector is empty and listed as omitted
 
 
-def loop_satellite(n, L, a, b, seed):
-    """Branch info and per-step records from the original step loop."""
+def oracle_means(sys, v):
+    """<J> of kron-layout amplitudes by the per-sector loop, checked against the kron oracle."""
+    j = np.array([x.real for x in oracle_sector_bracket(sys, v, v)])
+    assert np.max(np.abs(j - oracle_j_means(sys, v))) <= 1e-14 * max(1.0, np.max(np.abs(j)))
+    return j
+
+
+def loop_satellite(n, L, a, b, seed, signed_zero=False):
+    """Branch info and per-step records from the original step loop.
+
+    With signed_zero, each branch <J> carries -0.0 where it has +0.0.
+    """
     sys = sl.build_measurement_unitary(L)
     u_s = sl.bloch_vector(a, b).as_array()
     decomp = sl.decompose_branches(sl.premeasure(a, b, sys), sys)
-    initial_j = ex._j_means(sys, ex._initial_state(a, b, sys).amplitudes)
+    initial = np.kron(np.array([a, b], dtype=np.complex128), sys.apparatus_state.amplitudes)
+    initial_j = oracle_means(sys, initial)
     info = {}
     for coeff, state, label in decomp.branches:
-        info[label] = {"weight": coeff ** 2, "j": ex._j_means(sys, state.amplitudes)}
+        j = oracle_means(sys, state.amplitudes)
+        info[label] = {"weight": coeff ** 2, "j": np.where(j == 0.0, -0.0, j) if signed_zero else j}
     for label in decomp.omitted:
         info[label] = {"weight": 0.0, "j": initial_j.copy()}
     final_j = sum(v["weight"] * v["j"] for v in info.values())
@@ -79,24 +99,23 @@ def test_arrays_match_the_step_loop_bit_for_bit(seed, n, spinor):
         assert run.branch_info[label]["j"].tobytes() == v["j"].tobytes()
 
 
+def signed_zero_branches(read):
+    """`_read_branches` with -0.0 in each branch <J> where it has +0.0; the input's <J> kept."""
+    def signed(a, b, sys):
+        coeffs, present, means = read(a, b, sys)
+        means[:2] = np.where(means[:2] == 0.0, -0.0, means[:2])
+        return coeffs, present, means
+    return signed
+
+
 def test_leading_negative_zero_step_matches_the_loop(monkeypatch):
     # the loop's ledgers start from +0.0, so a -0.0 first step must print
     # as 0, not -0: give every branch a -0.0 where the initial <J> has +0.0
-    means = ex._j_means
-    calls = []
-
-    def signed_zero_means(sys, v):
-        j = means(sys, v)
-        calls.append(None)
-        return j if len(calls) == 1 else np.where(j == 0.0, -0.0, j)
-
+    monkeypatch.setattr(ex, "_read_branches", signed_zero_branches(ex._read_branches))
     for seed in (0, 1):
-        calls.clear()
-        monkeypatch.setattr(ex, "_j_means", signed_zero_means)
-        _, steps = loop_satellite(64, 8, *PLUS_X, seed)
-        calls.clear()
+        _, steps = loop_satellite(64, 8, *PLUS_X, seed, signed_zero=True)
         run = sl.satellite_run(64, 8, *PLUS_X, seed)
-        monkeypatch.undo()
+        assert np.signbit(run.branch_info["up"]["j"][1])
         want = np.array([s.full_ledger_j for s in steps])
         assert np.signbit(want[:, 1]).sum() == 0
         assert run.full_ledger.tobytes() == want.tobytes()
@@ -123,13 +142,14 @@ def test_oversize_run_refused_before_it_allocates(monkeypatch, capsys):
 
 
 def test_satellite_csv_is_pinned(tmp_path, capsys):
-    # sha256 of this command's CSV as written by the step loop
+    # sha256 of this command's CSV as written by the step loop, its <J>
+    # read in the sector layout (0761d10d... with a kron-layout vdot)
     path = tmp_path / "sat.csv"
     assert main(["satellite", "--n", "40000", "--L", "8", "--seed", "1",
                  "--output", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "0761d10ddd6477846db5fd5e4f0192e07ca7f95e4cc0da3aeef45f19365d05b2")
+        "edc648868b8c78f704ac3c5db0a7d14adc51bbdf09539d1ce56bbc4701904f60")
 
 
 def test_satellite_table_streams_in_bounded_memory(tmp_path, capsys):
@@ -154,7 +174,8 @@ def test_satellite_table_streams_in_bounded_memory(tmp_path, capsys):
 def test_satellite_json_streams_in_bounded_memory(tmp_path, capsys):
     # one json.dumps of the whole 100000-step payload peaked at 216 MiB of
     # Python allocations; rows streamed a chunk at a time peak near 8 MiB,
-    # and the bytes are those the single dump wrote
+    # and the bytes are those the single dump wrote, its <J> read in the
+    # sector layout (a07b87ef... with a kron-layout vdot)
     path = tmp_path / "sat.json"
     tracemalloc.start()
     try:
@@ -167,20 +188,12 @@ def test_satellite_json_streams_in_bounded_memory(tmp_path, capsys):
     assert code == 0
     assert peak <= 32 * 2 ** 20
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "a07b87ef4681790bddb9107d72ae177946aad51c54f8e336bcfc18106cf13636")
+        "9322bb28d1aa50a9c5ec0d3054866bc0673c8596b133c1b177af9857c9109272")
 
 
 def signed_zero_run(monkeypatch, n, seed):
     """A run whose branch <J> carry -0.0 where the initial <J> has +0.0."""
-    means = ex._j_means
-    calls = []
-
-    def signed_zero_means(sys, v):
-        j = means(sys, v)
-        calls.append(None)
-        return j if len(calls) == 1 else np.where(j == 0.0, -0.0, j)
-
-    monkeypatch.setattr(ex, "_j_means", signed_zero_means)
+    monkeypatch.setattr(ex, "_read_branches", signed_zero_branches(ex._read_branches))
     run = sl.satellite_run(n, 8, *PLUS_X, seed)
     monkeypatch.undo()
     return run

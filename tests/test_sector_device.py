@@ -2,10 +2,11 @@
 
 A build keeps P+ and P- as 2x2 sector blocks in its one-device sector
 stack (`CompositeSystem.stack`) and the apparatus spin as its two ladder
-bands; premeasure, the audits, the brackets and the spread run on those
-in O(L).  The oracle is dense: `dense_oracle`
+bands; premeasure, the audits, the brackets, the branch means and the
+spread run on those in O(L).  The oracle is dense: `dense_oracle`
 builds U, J and P+- from S.L and the dense spin matrices, never from the
-blocks.
+blocks.  The guards at the end keep every <J> in the sector layout and
+the kron layout at the public boundary.
 """
 
 import ast
@@ -19,7 +20,7 @@ import pytest
 
 import dense_oracle
 import spinledger as sl
-from spinledger import angular, apparatus, kernel
+from spinledger import angular, apparatus, experiments, kernel
 from spinledger.cli import main as cli_main
 from test_j_oracle import j_matvecs
 
@@ -67,7 +68,35 @@ def test_brackets_and_means_match_dense(device):
             got = np.vdot(bra.amplitudes, j_matvecs(device, ket.amplitudes)[k])
             assert abs(got - np.vdot(bra.amplitudes, jk @ ket.amplitudes)) <= 1e-12
         dense_means = [np.vdot(bra.amplitudes, jk @ bra.amplitudes).real for jk in j_pa]
-        assert np.max(np.abs(apparatus._j_means(device, bra.amplitudes) - dense_means)) <= 1e-12
+        means = [np.vdot(bra.amplitudes, jv).real for jv in j_matvecs(device, bra.amplitudes)]
+        assert np.max(np.abs(np.array(means) - dense_means)) <= 1e-12
+
+
+@pytest.mark.parametrize("spinor", [(2 ** -0.5, 2 ** -0.5), (0.6, 0.8j), (1.0, 0.0)],
+                         ids=["plus_x", "y_tilted", "plus_z"])
+@pytest.mark.parametrize("tilt", [0.0, 0.4])
+@pytest.mark.parametrize("L", [0.5, 1, 2.5, 7, 20])
+def test_branch_and_input_means_match_dense(L, tilt, spinor):
+    device = sl.build_measurement_unitary(L, tilt=tilt)
+    coeffs, present, means = apparatus._read_branches(*spinor, device)
+    assert means.shape == (3, 3)
+    j_pa = dense_oracle.j_pa(device)
+    psi = np.kron(spinor, device.apparatus_state.amplitudes)
+    records = (dense_oracle.u_meas(device) @ np.kron(psi, [1, 0])).reshape(-1, 2).T
+    want = [np.vdot(psi, jk @ psi).real for jk in j_pa]
+    assert np.max(np.abs(means[2] - want)) <= 1e-12
+    for coeff, have, j, record in zip(coeffs, present, means, records):
+        weight = np.vdot(record, record).real
+        assert have == (weight >= sl.NUMERICS.branch_weight_floor)
+        assert abs(coeff ** 2 - weight) <= 1e-12
+        if have:
+            state = record / coeff
+            want = [np.vdot(state, jk @ state).real for jk in j_pa]
+            assert np.max(np.abs(j - want)) <= 1e-12
+        else:   # an empty record carries the input's <J>
+            assert coeff == 0.0 and j.tobytes() == means[2].tobytes()
+    # only +z on the aligned device leaves a record empty: D = 0
+    assert present.all() != (spinor == (1.0, 0.0) and tilt == 0.0)
 
 
 def test_angular_spread_matches_dense_jx_squared(device):
@@ -230,3 +259,60 @@ def test_size_guard_follows_the_configured_maximum(monkeypatch, capsys):
         sl.build_measurement_unitary(8)
     assert cli_main(["measure", "--L", "7.5,8"]) == 1
     assert "68 exceeds" in capsys.readouterr().err
+
+
+KRON_GATES = {"_to_kron", "_from_kron"}
+KRON_BOUNDARY = {"premeasure", "decompose_branches", "extract_error_amplitudes"}
+REMOVED_J_READERS = {"_j_means", "_pa_matvecs"}
+
+
+def _top_level_names(path):
+    """Each top-level statement of a module, with every name it defines, imports or reads."""
+    for top in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+        yield top, names
+
+
+def test_the_kron_layout_is_built_only_at_the_public_boundary():
+    # every <J> is read in the sector layout (`_sector_j_brackets`); the
+    # kron layout is only the form a StateVector leaves apparatus.py in
+    users = set()
+    for path in Path(sl.__file__).parent.glob("*.py"):
+        for top, names in _top_level_names(path):
+            assert not names & REMOVED_J_READERS, (path.name, top.lineno)
+            if names & KRON_GATES:
+                assert isinstance(top, ast.FunctionDef), (path.name, top.lineno)
+                users.add((path.name, top.name))
+    assert users == {("apparatus.py", name) for name in KRON_GATES | KRON_BOUNDARY}
+
+
+def test_ideal_and_satellite_read_in_the_sector_layout(monkeypatch, capsys):
+    # one premeasure pass each, and no state gathered into the kron layout
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_premeasure_stack", "decompose_branches", *KRON_GATES):
+        spy(apparatus, name)
+    spy(experiments, "decompose_branches")
+    assert cli_main(["ideal", "--L", "8"]) == 0
+    capsys.readouterr()
+    assert calls == ["_premeasure_stack"]
+    calls.clear()
+    sl.satellite_run(10, 8, 2 ** -0.5, 2 ** -0.5, seed=1)
+    assert calls == ["_premeasure_stack"]
