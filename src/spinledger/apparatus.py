@@ -36,6 +36,7 @@ from .angular import (
     spin_operators,
 )
 from .config import NUMERICS
+from .ideal import _FORCED_CROSS
 from .kernel import ConservationError, StateVector
 
 __all__ = [
@@ -248,7 +249,7 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
         if not unitarity <= NUMERICS.operator_atol:
             raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}{at}")
         if not idempotence <= NUMERICS.state_atol:
-            raise AssertionError(f"projector not idempotent: {idempotence:.3e}{at}")
+            raise ConservationError(f"projector not idempotent: {idempotence:.3e}{at}")
         # the ranks tell j = L + 1/2 from j = L - 1/2: P+ and P- swapped
         # conserve every J but break the matching equations
         for trace, rank in zip(pair, (2 * L + 2, 2 * L)):
@@ -439,11 +440,11 @@ def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
                 if not abs(x - 1.0) <= NUMERICS.state_atol:
                     raise ValueError(f"state not normalized: |psi|^2 = {x!r}{at}")
             if not abs(total - 1.0) <= NUMERICS.operator_atol:
-                raise AssertionError(f"branch weights sum to {total!r}{at}")
+                raise ConservationError(f"branch weights sum to {total!r}{at}")
             if all(have) and not overlap <= NUMERICS.state_atol:
-                raise AssertionError(f"record sectors not orthogonal: {overlap:.3e}{at}")
+                raise ConservationError(f"record sectors not orthogonal: {overlap:.3e}{at}")
             if not rebuilt <= NUMERICS.conservation_atol:
-                raise AssertionError(f"branch reconstruction failed{at}")
+                raise ConservationError(f"branch reconstruction failed{at}")
     return coeffs, present
 
 
@@ -519,14 +520,13 @@ def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[l
     The terms, C F <u|J|u_err> then E D <d|J|d_err>, are (weight, (<bra|J_k|ket>
     for Jx, Jy, Jz)), left out where a bra or ket is an empty sector.  The
     brackets are read in one sector pass over the stack
-    (`_sector_j_brackets`); the residuals, the terms summed less (1/2,
-    -i/2, 0), are gated device by device.
+    (`_sector_j_brackets`); the residuals, the terms summed less ideal's forced
+    cross term (`_FORCED_CROSS`), are gated device by device.
     """
     live = [t for t, (bra, ket) in enumerate(_MATCHING_TERMS)
             if any(have[bra] and have[ket] for have in present)]
     bras, kets = (np.array([states[_MATCHING_TERMS[t][side]] for t in live]) for side in (0, 1))
     per_term = _sector_j_brackets(bras[:, None], kets[:, None], np.ones(1), stack).tolist()
-    targets = np.array([0.5, -0.5j, 0.0], dtype=np.complex128)
     out = []
     for i, (L, have, coeff) in enumerate(zip(stack.spins, present, coeffs)):
         terms = [(coeff[bra[0]][bra[1]] * coeff[ket[0]][ket[1]], tuple(per_term[k][i]))
@@ -535,7 +535,7 @@ def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[l
         lhs = [0j] * 3
         for weight, brackets in terms:   # in order, each sum from +0
             lhs = [total + weight * bracket for total, bracket in zip(lhs, brackets)]
-        residuals = np.array(lhs) - targets
+        residuals = np.array(lhs) - _FORCED_CROSS
         worst = float(np.max(np.abs(residuals)))
         if not worst <= NUMERICS.conservation_atol:
             raise ConservationError(

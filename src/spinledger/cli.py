@@ -227,14 +227,12 @@ def _spinor(args) -> tuple[complex, complex]:
 def _cmd_ideal(args) -> None:
     a, b = _spinor(args)
     brackets = ideal_forced_cross_terms(a, b)
-    u_s = bloch_vector(a, b).as_array()
-    initial = 0.5 * u_s
 
     # classifier demo on the same data: ideal account stores the
     # transverse books in the cross terms
     cross_contrib = a.conjugate() * b * brackets.cross()
     ideal_report = classify_violation(
-        initial,
+        0.5 * bloch_vector(a, b).as_array(),
         [(a, brackets.diag_u), (b, brackets.diag_d)],
         cross_contrib,
         labels=["up", "dn"],
@@ -243,9 +241,9 @@ def _cmd_ideal(args) -> None:
     coeffs, present, means = _read_branches(a, b, sys_model)
     branches = [((coeff, j), label)
                 for coeff, have, j, label in zip(coeffs, present, means, _LABELS) if have]
-    init_j = initial + np.array([0.0, 0.0, float(sys_model.L)])
+    # the input's <J> as the device reads it: a tilted device's <L> is not (0, 0, L)
     model_report = classify_violation(
-        init_j,
+        means[2],
         [bv for bv, _ in branches],
         np.zeros(3, dtype=complex),
         labels=[lbl for _, lbl in branches],

@@ -17,7 +17,8 @@ class NumericsConfig:
     operator_atol: float = 1e-10
     # size cap checked before allocation: the device's full composite
     # 4(2L+1), amplification's 4 n_env factor-ket amplitudes, the
-    # satellite's n, and a quarter of the internal streak's (2K+1)^2 moments.
+    # satellite's n, the streak's n, and a quarter of the internal streak's
+    # (2K+1)^2 moments.
     # The CLI streams the satellite a block of rows at a time, so for it the
     # cap bounds the run time and the library's whole-run arrays, not memory
     max_total_dim: int = 2**20

@@ -50,6 +50,7 @@ from .apparatus import (
     premeasure,
 )
 from .config import NUMERICS
+from .ideal import _DIAG_DOWN, _DIAG_UP
 from .kernel import ConservationError, StateVector, partial_trace
 
 __all__ = [
@@ -231,7 +232,7 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
         )
 
     step_rows = np.array([
-        np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.5]]) - 0.5 * u_s,
+        np.array([_DIAG_DOWN, _DIAG_UP]) - 0.5 * u_s,
         [info["dn"]["j"] - initial_j, info["up"]["j"] - initial_j],
     ])
     step_rows.setflags(write=False)
@@ -397,13 +398,13 @@ def _ladder_trace(ops: SpinOperators, x: np.ndarray, axis: int) -> float:
     return float(np.real(ops.raising @ paired)) / 2
 
 
-def _external_streak(L, pattern: str) -> StreakReport:
+def _external_streak(L, pattern: str) -> tuple:
     """Fresh pure +x particles; post-selected register moments.
 
     Each post-selected shot leaves the particle in the same conditional
     state, independent across shots (fresh devices), so the accumulated
     register is a product state and its moments follow in closed form
-    from the single-shot reduced state.
+    from the single-shot reduced state.  Returns `_internal_streak`'s parts, with no ledger.
     """
     sys = build_measurement_unitary(L)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -430,24 +431,13 @@ def _external_streak(L, pattern: str) -> StreakReport:
         #                                  - sum_i |<S_i>|^2
         j2_series.append(var_sum + float(mean_sum @ mean_sum))
         jz_series.append(float(mean_sum[2]))
-    return StreakReport(
-        pattern=pattern,
-        source_mode="external",
-        source_K=None,
-        postselected_j2=tuple(j2_series),
-        postselected_jz=tuple(jz_series),
-        combined_jz_ledger=None,
-        step_weights=tuple(weights),
-        j2_band=(min(j2_series), max(j2_series)),
-        metadata={
-            "prng": PRNG_ID,
-            "particles": "fresh pure +x input per shot",
-            "register": "post-selected particles only",
-        },
-    )
+    return j2_series, jz_series, None, weights, {
+        "particles": "fresh pure +x input per shot",
+        "register": "post-selected particles only",
+    }
 
 
-def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
+def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
     """Spin-K source feeding the device; moments carried on the source register.
 
     The post-measurement particle+device pair occupies a fixed
@@ -474,9 +464,9 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
     (1, 4) by (4, d*d) dot per fold, and costs O(K^2) time and memory.
     A source whose dense (2K+1)-square moments exceed 4 x
     `NUMERICS.max_total_dim` entries (K > 1023.5 at the default budget) is
-    refused before anything is allocated.
+    refused before anything is allocated.  Returns the <J^2>, <Jz> and ledger
+    series, the step weights and this mode's metadata for `lucky_streak_j2`.
     """
-    K = _check_spin(K, 1.0, "source spin")
     if K < n:
         raise ValueError(
             f"K too small for n in internal mode: the exact-compensation "
@@ -492,17 +482,15 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         )
     sys = build_measurement_unitary(L)
     d_app = sys.dims[1]
-    l_val = sys.L
 
     # U (particle (x) |L,L> (x) |rec 0>) as (particle*apparatus, record,
     # incoming particle)
     shot = np.stack([premeasure(a, b, sys).amplitudes for a, b in ((1.0, 0.0), (0.0, 1.0))],
                     axis=1).reshape(2 * d_app, 2, 2)
 
-    # post-measurement support: particle (x) {|L,L>, |L,L-1>}
+    # post-measurement support: particle (x) {|L,L>, |L,L-1>}, Jz from their bands
     slot_idx = [0 * d_app + 0, 0 * d_app + 1, 1 * d_app + 0, 1 * d_app + 1]
-    jz_slot = np.diag([0.5 + l_val, 0.5 + l_val - 1,
-                       -0.5 + l_val, -0.5 + l_val - 1]).astype(np.complex128)
+    jz_slot = np.diag(np.add.outer(sys.spin_half.m, sys.spin_app.m[:2]).ravel()).astype(np.complex128)
     id2 = np.eye(2)
     s_slot = [np.kron(op, id2) for op in _SPIN_HALF_MATRICES]
 
@@ -523,7 +511,7 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         kz = _ladder_trace(ops, rho, 2)
         # the ledger also counts each device, less its initial <Lz> = L,
         # so it audits changes, not absolute offsets
-        return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * l_val
+        return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * sys.L
 
     def fold_rows(ch: str) -> tuple:
         """A record-ch shot's `_fold_coefficients`: whole shot, slot, jz_slot, each O and O^2."""
@@ -546,7 +534,7 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         rho_new = _fold(slot, rho_pairs)
         w_slot = _trace(rho_new)
         if w_full - w_slot > NUMERICS.state_atol:
-            raise AssertionError(
+            raise ConservationError(
                 f"conditioned state leaked out of the slot subspace by "
                 f"{w_full - w_slot:.3e}"
             )
@@ -568,25 +556,13 @@ def _internal_streak(n: int, L, K, pattern: str) -> StreakReport:
         series.append(moments(step + 1))
 
     j2_series, jz_series, ledger = zip(*series)
-
-    return StreakReport(
-        pattern=pattern,
-        source_mode="internal",
-        source_K=K,
-        postselected_j2=j2_series,
-        postselected_jz=jz_series,
-        combined_jz_ledger=ledger,
-        step_weights=tuple(weights),
-        j2_band=(min(j2_series), max(j2_series)),
-        metadata={
-            "prng": PRNG_ID,
-            "source": f"spin-{K} coherent state, tilt {DEFAULT_SOURCE_TILT:.6f} rad, "
-                      f"edge margin {n}",
-            "register": "source + post-selected particles (J^2); combined ledger "
-                        "additionally counts each device with its initial <Lz> "
-                        "subtracted",
-        },
-    )
+    return j2_series, jz_series, ledger, weights, {
+        "source": f"spin-{K} coherent state, tilt {DEFAULT_SOURCE_TILT:.6f} rad, "
+                  f"edge margin {n}",
+        "register": "source + post-selected particles (J^2); combined ledger "
+                    "additionally counts each device with its initial <Lz> "
+                    "subtracted",
+    }
 
 
 def lucky_streak_j2(n: int, L, source_mode: str, K=None, seed: int = 0,
@@ -602,21 +578,38 @@ def lucky_streak_j2(n: int, L, source_mode: str, K=None, seed: int = 0,
 
     pattern defaults to the all-up streak of length n.  seed is recorded
     in the metadata (and the CLI header) for provenance; the post-selected
-    analysis is deterministic and draws no random numbers.
+    analysis is deterministic and draws no random numbers.  A streak of
+    more than `NUMERICS.max_total_dim` measurements is refused before
+    anything is allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one measurement, got n={n!r}")
+    if n > NUMERICS.max_total_dim:
+        raise ValueError(
+            f"lucky_streak_j2 refused: n = {n} measurements exceeds the configured "
+            f"maximum total dimension {NUMERICS.max_total_dim}"
+        )
     if pattern is None:
         pattern = "u" * n
     if len(pattern) != n or any(ch not in "ud" for ch in pattern):
         raise ValueError(f"pattern must be n characters of 'u'/'d', got {pattern!r}")
     if source_mode == "external":
-        report = _external_streak(L, pattern)
+        j2, jz, ledger, weights, facts = _external_streak(L, pattern)
     elif source_mode == "internal":
         if K is None:
             raise ValueError("internal mode requires the source spin K")
-        report = _internal_streak(n, L, K, pattern)
+        K = _check_spin(K, 1.0, "source spin")
+        j2, jz, ledger, weights, facts = _internal_streak(n, L, K, pattern)
     else:
         raise ValueError(f"unknown source_mode {source_mode!r}")
-    report.metadata["seed"] = int(seed)
-    return report
+    return StreakReport(
+        pattern=pattern,
+        source_mode=source_mode,
+        source_K=K if source_mode == "internal" else None,
+        postselected_j2=tuple(j2),
+        postselected_jz=tuple(jz),
+        combined_jz_ledger=ledger,
+        step_weights=tuple(weights),
+        j2_band=(min(j2), max(j2)),
+        metadata={"prng": PRNG_ID, **facts, "seed": int(seed)},
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import _check_spinor
+from .angular import _check_spinor, bloch_vector
 from .config import NUMERICS
 from .kernel import ConservationError
 
@@ -66,17 +66,15 @@ def ideal_forced_cross_terms(a: complex, b: complex) -> IdealBrackets:
             "coefficient matching is underdetermined when a = 0 or b = 0: "
             "the cross terms never enter the expectation value"
         )
-    cross = a.conjugate() * b
-    initial = 0.5 * np.array([2 * cross.real, 2 * cross.imag,
-                              abs(a) ** 2 - abs(b) ** 2])
+    initial = 0.5 * bloch_vector(a, b).as_array()
     reconstructed = (
         abs(a) ** 2 * _DIAG_UP
-        + 2 * np.real(cross * _FORCED_CROSS)
+        + 2 * np.real(a.conjugate() * b * _FORCED_CROSS)
         + abs(b) ** 2 * _DIAG_DOWN
     )
     residual = float(np.max(np.abs(initial - reconstructed)))
     if residual > NUMERICS.state_atol:
-        raise AssertionError(
+        raise ConservationError(
             f"forced-bracket audit failed: residual {residual:.3e}"
         )
     return IdealBrackets(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinledger import NUMERICS, cli
+from spinledger import NUMERICS, cli, experiments
 from spinledger.cli import main
 
 
@@ -426,3 +426,31 @@ def test_cli_import_freezes_import_time_objects():
 
     assert gc.get_freeze_count() > 0
     assert gc.isenabled()
+
+
+def test_ideal_audits_a_tilted_device_against_its_own_input(monkeypatch, capsys):
+    # a tilted device's <L> is not (0, 0, L): the model's books balance
+    # against the input <J> that the device reads
+    build = cli.build_measurement_unitary
+    monkeypatch.setattr(cli, "build_measurement_unitary", lambda L: build(L, tilt=0.4))
+    code, out, err = run_cli(["ideal", "--L", "4"], capsys)
+    assert code == 0 and err == ""
+    assert parse_csv(out)[0]["apparatus_classification"] == "TypeI"
+
+
+def test_streak_n_is_refused_before_the_device_is_built(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(NUMERICS, "max_total_dim", 64)
+    build = experiments.build_measurement_unitary
+    built = []
+    monkeypatch.setattr(experiments, "build_measurement_unitary",
+                        lambda L: built.append(L) or build(L))
+    path = tmp_path / "streak.csv"
+    code, out, err = run_cli(["streak", "--n", "65", "--output", str(path)], capsys)
+    assert code == 1 and out == "" and not path.exists() and built == []
+    assert "n = 65 measurements exceeds the configured maximum total dimension 64" in err
+    with pytest.raises(ValueError, match="n = 65 measurements exceeds"):
+        experiments.lucky_streak_j2(65, 4, "external")
+    assert built == []
+    code, _, _ = run_cli(["streak", "--n", "64", "--output", str(path)], capsys)
+    assert code == 0 and built == [4.0]
+    assert len(parse_csv(path.read_text())[1]) == 65

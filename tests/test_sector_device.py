@@ -316,3 +316,24 @@ def test_ideal_and_satellite_read_in_the_sector_layout(monkeypatch, capsys):
     calls.clear()
     sl.satellite_run(10, 8, 2 ** -0.5, 2 ** -0.5, seed=1)
     assert calls == ["_premeasure_stack"]
+
+
+def test_audits_raise_conservation_error_and_facts_have_one_source():
+    # an `assert` or a raised AssertionError would escape the CLI's exit 2;
+    # one function builds every StreakReport; the forced cross term
+    # (1/2, -i/2, 0) is written only in ideal.py
+    builders = set()
+    for path in Path(sl.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), (
+                        path.name, node.lineno)
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "StreakReport"):
+                    builders.add((path.name, top.name))
+        assert ("-0.5j" in text) == (path.name == "ideal.py"), path.name
+    assert builders == {("experiments.py", "lucky_streak_j2")}

@@ -114,11 +114,14 @@ def _fake_premeasure(app_level_of_down, record_of_down):
     return fake_one
 
 
-def test_slot_leakage_audit_still_raises(monkeypatch):
+def test_slot_leakage_audit_still_raises(monkeypatch, capsys):
     # the down component lands on |L,L-2>, outside the slot subspace
     monkeypatch.setattr(ex, "premeasure", _fake_premeasure(2, 0))
-    with pytest.raises(AssertionError, match="leaked out of the slot subspace"):
+    with pytest.raises(sl.ConservationError, match="leaked out of the slot subspace"):
         sl.lucky_streak_j2(2, 2, "internal", K=4, pattern="uu")
+    assert cli_main(["streak", "--mode", "internal", "--n", "2", "--K", "4", "--L", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "leaked out of the slot subspace by 5.000e-01" in err and "Traceback" not in err
 
 
 def test_vanishing_weight_audit_still_raises(monkeypatch):
