@@ -245,9 +245,9 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
         at = f" (L = {L:g})"
         # every gate fails on nan too
         if not abs(norm - 1.0) <= NUMERICS.state_atol:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm!r}{at}")
+            raise ConservationError(f"state not normalized: |psi|^2 = {norm!r}{at}")
         if not unitarity <= NUMERICS.operator_atol:
-            raise ValueError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}{at}")
+            raise ConservationError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}{at}")
         if not idempotence <= NUMERICS.state_atol:
             raise ConservationError(f"projector not idempotent: {idempotence:.3e}{at}")
         # the ranks tell j = L + 1/2 from j = L - 1/2: P+ and P- swapped
@@ -407,11 +407,12 @@ def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
     A weight (|slot 0|^2 + |slot 1|^2), a norm or an overlap is its device's
     sum over its sectors in sector order from +0.  Each record of the kets
     is divided by its coefficient into its branch state (an empty one is
-    left as it was), audited device by device.  Returns the coefficients
+    left as it was), audited device by device; an empty record is not
+    audited (`NumericsConfig.branch_weight_floor`).  Returns the coefficients
     [device][input][record] (0.0 below the weight floor) and their presence.
     """
     shape = kets.shape[:2] + (len(stack.spins),)
-    weights, norms, recon = np.zeros(shape), np.zeros(shape), np.zeros(shape[::2])
+    weights, norms, recon = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     overlaps = np.zeros(shape[::2], dtype=np.complex128)
     chunks = [slice(start, start + _SECTOR_CHUNK) for start in range(0, kets.shape[-1], _SECTOR_CHUNK)]
     for w in chunks:
@@ -425,26 +426,26 @@ def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
         state = comp / divisors[..., None, dev]
         rebuilt = coeffs[..., None, dev] * state
         rebuilt -= comp
-        _into_devices(np.maximum, recon, dev, np.abs(rebuilt).max(axis=(1, 2)))
+        _into_devices(np.maximum, recon, dev, np.abs(rebuilt).max(axis=2))
         comp[...] = state
         _into_devices(np.add, norms, dev, (state.real ** 2 + state.imag ** 2).sum(axis=-2))
         _into_devices(np.add, overlaps, dev, (state[:, 0].conj() * state[:, 1]).sum(axis=-2))
     norms, overlaps = norms.transpose(2, 0, 1).tolist(), np.abs(overlaps).T.tolist()
-    recon = recon.T.tolist()
+    recon = recon.transpose(2, 0, 1).tolist()
     totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
     coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
     for L, *device in zip(stack.spins, present, norms, totals, overlaps, recon):
         at = f" (L = {L:g})"
         for have, norm, total, overlap, rebuilt in zip(*device):   # input by input
-            for x in (x for x, h in zip(norm, have) if h):
+            for x, r in ((x, r) for x, r, h in zip(norm, rebuilt, have) if h):
                 if not abs(x - 1.0) <= NUMERICS.state_atol:
-                    raise ValueError(f"state not normalized: |psi|^2 = {x!r}{at}")
+                    raise ConservationError(f"state not normalized: |psi|^2 = {x!r}{at}")
+                if not r <= NUMERICS.conservation_atol:
+                    raise ConservationError(f"branch reconstruction failed{at}")
             if not abs(total - 1.0) <= NUMERICS.operator_atol:
                 raise ConservationError(f"branch weights sum to {total!r}{at}")
             if all(have) and not overlap <= NUMERICS.state_atol:
                 raise ConservationError(f"record sectors not orthogonal: {overlap:.3e}{at}")
-            if not rebuilt <= NUMERICS.conservation_atol:
-                raise ConservationError(f"branch reconstruction failed{at}")
     return coeffs, present
 
 
@@ -512,6 +513,43 @@ def _read_branches(a: complex, b: complex, sys: CompositeSystem) -> tuple[list, 
     means = _sector_j_brackets(kets, kets, np.ones(1), sys.stack)[:, 0].real
     means[:2][~present] = means[2]
     return coeffs, present, means
+
+
+def _read_spin(a: complex, b: complex, sys: CompositeSystem) -> tuple[list, np.ndarray, np.ndarray]:
+    """One input on one device: its record coefficients, their presence and the particle's <S>.
+
+    The (3, 3) complex rows are <0|S|0>, <1|S|1> and <0|S|1> between the
+    record 0 and record 1 branch states of `_read_stack`: the diagonal in
+    one `_sector_j_brackets` pass over views of its kets and the cross term
+    in another, on the device's stack with S in place of J (S+ (x) 1 is the
+    J+ link from |down, m> to |up, m> alone, the slot Sz +1/2 and -1/2).
+    """
+    stack = sys.stack
+    [[coeffs]], [[present]], [kets] = _read_stack([(a, b)], stack)
+    up = np.zeros_like(stack.up)
+    up[0, 1] = stack.up[0, 1]
+    particle = stack._replace(up=up, jz=np.broadcast_to(_SPIN_HALF.m[:, None], stack.jz.shape))
+    records = kets[:2, None]
+    diag = _sector_j_brackets(records, records, np.ones(1), particle)[:, 0]
+    cross = _sector_j_brackets(kets[:1, None], kets[1:2, None], np.ones(1), particle)[0]
+    return coeffs, present, np.concatenate([diag, cross])
+
+
+# (slot, sector) of |up, L>, |up, L-1>, |down, L>, |down, L-1>: where a
+# particle premeasured on the aligned device |L, L> can leave it
+_SHOT_SLOT = ([0, 0, 1, 1], [0, 1, 1, 2])
+
+
+def _read_shot(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both eigenstates premeasured on one device, unsplit: the internal streak's shot.
+
+    Returns the shot's (record, row, input) amplitudes in the sector layout,
+    its C-contiguous (record, 4, input) rows on `_SHOT_SLOT`, and their Jz.
+    """
+    kets = _premeasure_stack(_EIGENSTATES, sys.stack)[:, :2]
+    shots = kets.reshape(2, 2, -1).transpose(1, 2, 0)
+    slots = kets[:, :, _SHOT_SLOT[0], _SHOT_SLOT[1]].transpose(1, 2, 0).copy()
+    return shots, slots, sys.stack.jz[_SHOT_SLOT]
 
 
 def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[list, np.ndarray]]:

@@ -32,13 +32,13 @@ from .apparatus import (
     _LABELS,
     _read_branches,
     _read_pass,
+    _read_spin,
     _sweep_passes,
     build_measurement_unitary,
-    premeasure,
     thermal_orientation_uncertainty,
 )
 from .config import NUMERICS, NumericsConfig
-from .decoherence import EnvironmentConfig, amplify_record, cross_term_curve, overlap_decay_curve
+from .decoherence import EnvironmentConfig, _curve, _env_kets, overlap_decay_curve
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
 from .kernel import ConservationError
@@ -83,22 +83,16 @@ _TOLERANCE_KEYS = (
 
 def _fmt(x) -> str:
     """Fixed 17-significant-digit formatting for stable diffs."""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if isinstance(x, complex):
-        return f"{format(x.real, '.17g')}{'+' if x.imag >= 0 else '-'}{format(abs(x.imag), '.17g')}j"
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _format_rows(rows: list):
     """Each row as its `_fmt` cells joined by commas.
 
     Rows with the same cell types share one %-template, so a long table
-    is formatted in C rather than by a `_fmt` call per cell.  A row with
-    a complex cell, which %-formatting cannot spell like `_fmt`, goes
-    cell by cell.  A row that is a `str` is a block: one or more lines
-    already spelled and joined by "\n", without a final newline.  It
-    passes through unchanged.
+    is formatted in C rather than by a `_fmt` call per cell.  A row that
+    is a `str` is a block: one or more lines already spelled and joined
+    by "\n", without a final newline.  It passes through unchanged.
     """
     templates = {}
     for row in rows:
@@ -107,11 +101,8 @@ def _format_rows(rows: list):
             continue
         types = tuple(map(type, row))
         if types not in templates:
-            spell = ("%.17g" if issubclass(t, float) else "%s" for t in types)
-            templates[types] = (None if any(issubclass(t, complex) for t in types)
-                                else ",".join(spell))
-        template = templates[types]
-        yield ",".join(map(_fmt, row)) if template is None else template % tuple(row)
+            templates[types] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types)
+        yield templates[types] % tuple(row)
 
 
 def _metadata(args, extra=None) -> dict:
@@ -299,22 +290,14 @@ def _cmd_thermal(args) -> None:
     _write_table(args, meta, ["I", "T", "IkT", "delta_L", "delta_theta"], rows)
 
 
-def _flip_particle(v: np.ndarray) -> np.ndarray:
-    """(sigma_x (x) 1) v over particle (x) apparatus: swap the particle halves, O(L)."""
-    return v.reshape(2, -1)[::-1].reshape(-1)
-
-
 def _cmd_decohere(args) -> None:
     sys_model = build_measurement_unitary(args.L)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    final = premeasure(inv_sqrt2, inv_sqrt2, sys_model)
-    # particle sigma_x extended over the apparatus: couples the two
+    # particle sigma_x = 2 Sx extended over the apparatus: couples the two
     # total-j manifolds, so its record-sector bracket is nonzero at n=0
-    probe = _flip_particle
+    cross = complex(2 * _read_spin(inv_sqrt2, inv_sqrt2, sys_model)[2][2, 0])
     curve = overlap_decay_curve(args.overlap, args.n_env)
-    env = EnvironmentConfig(args.n_env, args.overlap)
-    amplified = amplify_record(final, sys_model, env)
-    measured = [abs(cross) for cross in cross_term_curve(amplified, probe, sys_model, env)]
+    measured = [abs(c) for c in _curve(cross, _env_kets(EnvironmentConfig(args.n_env, args.overlap)))]
     baseline = measured[0]   # n = 0: the record not yet amplified
     rows = [[n_q, bound, m, baseline * bound, abs(m - baseline * bound)]
             for (n_q, bound), m in zip(curve, measured)]

@@ -22,7 +22,8 @@ class NumericsConfig:
     # The CLI streams the satellite a block of rows at a time, so for it the
     # cap bounds the run time and the library's whole-run arrays, not memory
     max_total_dim: int = 2**20
-    # branches below this Born weight are dropped as empty
+    # a record below this Born weight is dropped as empty, and no audit
+    # reads its amplitudes, which may lie far above the other tolerances
     branch_weight_floor: float = 1e-14
     # default threshold for "the cross-term contribution is zero":
     # far above kernel rounding, far below any physical bracket

@@ -87,20 +87,29 @@ def amplify_record(state: StateVector, sys: CompositeSystem,
         raise ValueError(f"state dims {state.dims} do not match system {sys.dims}")
     if len(state.dims) != 3:
         raise ValueError("state already carries an environment register")
+    return AmplifiedRecord(state, _env_kets(env)) if env.n_qubits else state
+
+
+def _env_kets(env: EnvironmentConfig) -> np.ndarray:
+    """The read-only (2, n_qubits, 2) factor kets of `amplify_record`, refused above the size cap."""
     size = 4 * env.n_qubits
     if size > NUMERICS.max_total_dim:
         raise ValueError(
             f"amplification refused: factor kets of 2 x {env.n_qubits} x 2 = {size} "
             f"amplitudes exceed the configured maximum {NUMERICS.max_total_dim}"
         )
-    if env.n_qubits == 0:
-        return state
     chi = math.acos(env.copy_fidelity)
     kets = np.empty((2, env.n_qubits, 2), dtype=np.complex128)
     kets[0] = (1.0, 0.0)
     kets[1] = (math.cos(chi), math.sin(chi))
     kets.setflags(write=False)
-    return AmplifiedRecord(state, kets)
+    return kets
+
+
+def _curve(cross: complex, kets: np.ndarray) -> list[complex]:
+    """cross times the running product of the first n per-qubit overlaps, n = 0 .. n_qubits, by one `np.cumprod`."""
+    overlaps = np.cumprod(np.sum(kets[0].conj() * kets[1], axis=1))
+    return [cross] + [cross * product for product in overlaps.tolist()]
 
 
 def cross_term_curve(state: StateVector | AmplifiedRecord,
@@ -110,10 +119,10 @@ def cross_term_curve(state: StateVector | AmplifiedRecord,
     """`macroscopic_cross_term` after the first n record copies, for n = 0..n_qubits.
 
     The branches are decomposed and the bracket taken once; entry n is the
-    bracket times the running product of the first n per-qubit overlaps,
-    one `np.cumprod` for the whole curve, so a table of n_qubits + 1 rows
-    costs O(pa_dim + n_qubits).  Each entry equals the cross term of the
-    state amplified with n qubits, bit for bit.
+    bracket times the running product of the first n per-qubit overlaps
+    (`_curve`), so a table of n_qubits + 1 rows costs O(pa_dim + n_qubits).
+    Each entry equals the cross term of the state amplified with n qubits,
+    bit for bit.
     """
     expected_dims = sys.dims + (2,) * env.n_qubits
     if state.dims != expected_dims:
@@ -121,18 +130,13 @@ def cross_term_curve(state: StateVector | AmplifiedRecord,
             f"state dims {state.dims} do not match system + environment "
             f"{expected_dims}"
         )
-    premeasured = state.premeasured if isinstance(state, AmplifiedRecord) else state
+    premeasured, kets = ((state.premeasured, state.env_kets) if isinstance(state, AmplifiedRecord)
+                         else (state, _env_kets(env)))   # no environment: n_qubits is 0
     decomp = decompose_branches(premeasured, sys)
     if decomp.omitted:
         raise ValueError(f"record sector {decomp.omitted[0]} is empty")
     (_, up, _), (_, dn, _) = decomp.branches
-    cross = complex(np.vdot(up.amplitudes, a(dn.amplitudes)))
-    curve = [cross]
-    if isinstance(state, AmplifiedRecord):
-        kets = state.env_kets
-        overlaps = np.cumprod(np.sum(kets[0].conj() * kets[1], axis=1))
-        curve += [cross * product for product in overlaps.tolist()]
-    return curve
+    return _curve(complex(np.vdot(up.amplitudes, a(dn.amplitudes))), kets)
 
 
 def macroscopic_cross_term(state: StateVector | AmplifiedRecord,

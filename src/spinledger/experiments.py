@@ -42,16 +42,10 @@ from .angular import (
     coherent_spin_state,
     spin_operators,
 )
-from .apparatus import (
-    _LABELS,
-    _read_branches,
-    build_measurement_unitary,
-    decompose_branches,
-    premeasure,
-)
+from .apparatus import _LABELS, _read_branches, _read_shot, _read_spin, build_measurement_unitary
 from .config import NUMERICS
 from .ideal import _DIAG_DOWN, _DIAG_UP
-from .kernel import ConservationError, StateVector, partial_trace
+from .kernel import ConservationError, StateVector
 
 __all__ = [
     "DEFAULT_SOURCE_TILT",
@@ -72,7 +66,7 @@ PRNG_ID = "numpy.random.PCG64"
 # along +z stays positive.
 DEFAULT_SOURCE_TILT = math.radians(85.0)
 
-# The particle's dense (Sx, Sy, Sz) for both streaks, with every zero +0.0
+# The particle's dense (Sx, Sy, Sz) for the internal streak, with every zero +0.0
 # as the ladder construction (J+ +- J-)/2 and /2i leaves it.
 _SPIN_HALF_MATRICES = np.array([[[0, 0.5], [0.5, 0]],
                                 [[0, complex(0, -0.5)], [complex(0, 0.5), 0]],
@@ -408,14 +402,10 @@ def _external_streak(L, pattern: str) -> tuple:
     """
     sys = build_measurement_unitary(L)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    final = premeasure(inv_sqrt2, inv_sqrt2, sys)
-    decomp = decompose_branches(final, sys)
+    coeffs, present, spins = _read_spin(inv_sqrt2, inv_sqrt2, sys)
     # each branch's weight, particle <S> and variance, read once per label
-    by_label = {}
-    for coeff, state, label in decomp.branches:
-        rho = partial_trace(state, keep=[0])
-        m = np.array([np.trace(rho @ op).real for op in _SPIN_HALF_MATRICES])
-        by_label[label] = (coeff ** 2, m, 0.75 - float(m @ m))
+    by_label = {label: (coeff ** 2, m, 0.75 - float(m @ m))
+                for coeff, have, m, label in zip(coeffs, present, spins.real, _LABELS) if have}
 
     j2_series = [0.0]
     jz_series = [0.0]
@@ -481,16 +471,10 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
             f"maximum total dimension {NUMERICS.max_total_dim}"
         )
     sys = build_measurement_unitary(L)
-    d_app = sys.dims[1]
-
-    # U (particle (x) |L,L> (x) |rec 0>) as (particle*apparatus, record,
-    # incoming particle)
-    shot = np.stack([premeasure(a, b, sys).amplitudes for a, b in ((1.0, 0.0), (0.0, 1.0))],
-                    axis=1).reshape(2 * d_app, 2, 2)
-
-    # post-measurement support: particle (x) {|L,L>, |L,L-1>}, Jz from their bands
-    slot_idx = [0 * d_app + 0, 0 * d_app + 1, 1 * d_app + 0, 1 * d_app + 1]
-    jz_slot = np.diag(np.add.outer(sys.spin_half.m, sys.spin_app.m[:2]).ravel()).astype(np.complex128)
+    # U (particle (x) |L,L> (x) |rec 0>) per record, as (row, incoming
+    # particle): all of particle (x) apparatus, and the slot
+    shots, slots, jz = _read_shot(sys)
+    jz_slot = np.diag(jz).astype(np.complex128)
     id2 = np.eye(2)
     s_slot = [np.kron(op, id2) for op in _SPIN_HALF_MATRICES]
 
@@ -515,9 +499,9 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
 
     def fold_rows(ch: str) -> tuple:
         """A record-ch shot's `_fold_coefficients`: whole shot, slot, jz_slot, each O and O^2."""
-        shot_r = shot[:, 0 if ch == "u" else 1]
-        amp = shot_r[slot_idx]
-        return (_fold_coefficients(shot_r), _fold_coefficients(amp),
+        r = 0 if ch == "u" else 1
+        amp = slots[r]
+        return (_fold_coefficients(shots[r]), _fold_coefficients(amp),
                 _fold_coefficients(amp, jz_slot),
                 [_fold_coefficients(amp, op) for op in s_slot],
                 [_fold_coefficients(amp, op @ op) for op in s_slot])

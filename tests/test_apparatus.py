@@ -6,6 +6,7 @@ import pytest
 import dense_oracle
 import spinledger as sl
 from spinledger import apparatus
+from spinledger.cli import main as cli_main
 
 CONS_ATOL = 1e-10
 
@@ -417,7 +418,7 @@ def test_build_trips_conservation_on_jx_breaking_projectors(monkeypatch):
         sl.build_measurement_unitary(2)
 
 
-def test_build_trips_unitarity_on_non_complementary_projectors(monkeypatch):
+def test_build_trips_unitarity_on_non_complementary_projectors(monkeypatch, capsys):
     real = apparatus._sector_projectors
 
     def leaky(spins, offsets, ident):
@@ -428,8 +429,12 @@ def test_build_trips_unitarity_on_non_complementary_projectors(monkeypatch):
         return blocks
 
     monkeypatch.setattr(apparatus, "_sector_projectors", leaky)
-    with pytest.raises(ValueError, match="unitary flag violated"):
+    with pytest.raises(sl.ConservationError, match="unitary flag violated"):
         sl.build_measurement_unitary(2)
+    # a numerical-invariant failure: the CLI exits 2, not 1
+    assert cli_main(["measure", "--L", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "unitary flag violated" in err and "Traceback" not in err
 
 
 def test_premeasure_trips_drift_on_swapped_projector():

@@ -5,11 +5,17 @@ reaches the audit, `cli.main` returns 2 with a one-line message and no
 traceback.  The weight-sum and orthogonality audits read kets that no
 command can build (premeasure's records are normalized and orthogonal),
 so they are tripped in the library only.  The slot-leak audit's test is
-in test_streak_moments.py.
+in test_streak_moments.py.  A record under the weight floor trips none.
 """
+
+import cmath
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinledger as sl
 from spinledger import apparatus, ideal
@@ -50,16 +56,29 @@ def test_orthogonality_audit():
         sl.decompose_branches(final, sys_m)
 
 
-def test_reconstruction_audit(capsys):
-    # the down record's weight, 1e-16 E^2, is below the weight floor, so it
-    # is dropped; its amplitude, 1e-8 E, is above conservation_atol.  The
-    # floor and this gate disagree on what a negligible record is, which
-    # lets a valid input reach the gate from the CLI
-    sys_m = sl.build_measurement_unitary(4)
-    final = sl.premeasure(1.0, 1e-8, sys_m)
-    with pytest.raises(sl.ConservationError, match=r"branch reconstruction failed \(L = 4\)"):
-        sl.decompose_branches(final, sys_m)
-    _exits_two(["ideal", "--a-re", "1", "--b-re", "1e-8"], capsys, "branch reconstruction failed")
+def test_reconstruction_audit():
+    # records scaled by 1e7: each branch state is still normalized, but the
+    # kets rebuilt from coefficient and state miss them by ~1e-9, which
+    # trips this gate before the weight sum's
+    sys_m = sl.build_measurement_unitary(2)
+    kets = apparatus._premeasure_stack([(R, R)], sys_m.stack)[:, :2]
+    with pytest.raises(sl.ConservationError, match=r"branch reconstruction failed \(L = 2\)"):
+        apparatus._split_records(1e7 * kets, sys_m.stack)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(b_exp=math.log10(3e-8), phase_a=0.0, phase_b=0.0, L=4.0)
+@given(b_exp=st.floats(-160.0, 0.0), phase_a=st.floats(0.0, 2 * math.pi),
+       phase_b=st.floats(0.0, 2 * math.pi), L=st.sampled_from([0.5, 1.0, 4.5, 1000.0]))
+def test_a_negligible_record_passes_every_audit(b_exp, phase_a, phase_b, L):
+    # a record under the weight floor is dropped and no audit reads it, so
+    # |b| from 1e-160 to 1 runs: 1e-9 to 1e-7 exited 2 when the
+    # reconstruction gate read the dropped record's amplitudes
+    a, b = cmath.rect(1.0, phase_a), cmath.rect(10.0 ** b_exp, phase_b)
+    spinor = [f"--a-re={a.real!r}", f"--a-im={a.imag!r}", f"--b-re={b.real!r}", f"--b-im={b.imag!r}"]
+    common = [f"--L={L!r}", *spinor, "--output", os.devnull]
+    assert cli_main(["ideal", *common]) == 0
+    assert cli_main(["satellite", "--n", "3", *common]) == 0
 
 
 def test_forced_bracket_audit(monkeypatch, capsys):

@@ -5,7 +5,13 @@ import pytest
 
 import dense_oracle
 import spinledger as sl
-from spinledger.cli import _flip_particle, main
+from spinledger import apparatus
+from spinledger.cli import main
+
+
+def _flip_particle(v: np.ndarray) -> np.ndarray:
+    """(sigma_x (x) 1) v over particle (x) apparatus: swap the particle halves, O(L)."""
+    return v.reshape(2, -1)[::-1].reshape(-1)
 
 
 # ---------------------------------------------------------------- dense oracle
@@ -334,15 +340,16 @@ def test_curve_multiplies_distinct_overlaps_in_order(premeasured):
         assert cross == per_row_cross_term(final, kets[:, :n], _flip_particle, sys_m), n
 
 
-def test_decohere_decomposes_once_per_table(monkeypatch, capsys):
+def test_decohere_premeasures_once_per_table(monkeypatch, capsys):
+    # one premeasure for the whole table, however many rows it has
     calls = []
-    decompose = sl.decoherence.decompose_branches
+    premeasure = apparatus._premeasure_stack
 
     def counting(*args):
         calls.append(1)
-        return decompose(*args)
+        return premeasure(*args)
 
-    monkeypatch.setattr(sl.decoherence, "decompose_branches", counting)
+    monkeypatch.setattr(apparatus, "_premeasure_stack", counting)
     assert main(["decohere", "--L", "50", "--n-env", "300"]) == 0
     capsys.readouterr()
     assert len(calls) == 1

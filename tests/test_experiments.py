@@ -278,18 +278,18 @@ def test_external_streak_growth_and_oracle():
 
 
 def test_external_streak_reads_each_branch_once(monkeypatch):
-    # the particle moments are a branch's, not a letter's: at most one
-    # partial trace per branch, however long the pattern
+    # the particle moments are a branch's, not a letter's: one read of
+    # both branches, however long the pattern
     calls = []
-    real = ex.partial_trace
+    real = ex._read_spin
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ex, "partial_trace", counted)
+    monkeypatch.setattr(ex, "_read_spin", counted)
     sl.lucky_streak_j2(12, 4, "external", pattern="uudduududddu")
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_external_streak_postselected_jz():

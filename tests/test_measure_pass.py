@@ -172,7 +172,7 @@ def test_a_denormalized_apparatus_state_fails_its_own_device(monkeypatch):
     real = apparatus._coherent_state
     monkeypatch.setattr(apparatus, "_coherent_state",
                         lambda L, theta, phi: real(L, theta, phi) * (1.0 + 1e-9 * (L == 3)))
-    with pytest.raises(ValueError, match=r"state not normalized: .*\(L = 3\)"):
+    with pytest.raises(sl.ConservationError, match=r"state not normalized: .*\(L = 3\)"):
         apparatus._build_stack([2.0, 3.0, 4.0])
 
 
@@ -196,7 +196,7 @@ def test_a_nan_projector_fails_its_own_device(monkeypatch):
         return blocks
 
     monkeypatch.setattr(apparatus, "_sector_projectors", with_nan)
-    with pytest.raises(ValueError, match=r"unitary flag violated: .*nan.*\(L = 3\)"):
+    with pytest.raises(sl.ConservationError, match=r"unitary flag violated: .*nan.*\(L = 3\)"):
         apparatus._build_stack([2.0, 3.0, 4.0])
 
 

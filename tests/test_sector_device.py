@@ -20,7 +20,7 @@ import pytest
 
 import dense_oracle
 import spinledger as sl
-from spinledger import angular, apparatus, experiments, kernel
+from spinledger import angular, apparatus, decoherence, kernel
 from spinledger.cli import main as cli_main
 from test_j_oracle import j_matvecs
 
@@ -295,8 +295,19 @@ def test_the_kron_layout_is_built_only_at_the_public_boundary():
     assert users == {("apparatus.py", name) for name in KRON_GATES | KRON_BOUNDARY}
 
 
-def test_ideal_and_satellite_read_in_the_sector_layout(monkeypatch, capsys):
+READING_COMMANDS = (
+    ["ideal", "--L", "8"],
+    ["measure", "--L", "8"],
+    ["decohere", "--L", "8", "--n-env", "5"],
+    ["satellite", "--n", "10", "--L", "8", "--seed", "1"],
+    ["streak", "--mode", "external", "--n", "4", "--L", "8"],
+    ["streak", "--mode", "internal", "--n", "3", "--K", "4", "--L", "8"],
+)
+
+
+def test_every_subcommand_reads_in_the_sector_layout(monkeypatch, capsys):
     # one premeasure pass each, and no state gathered into the kron layout
+    # (`thermal` reads no branch state)
     calls = []
 
     def spy(module, name):
@@ -309,13 +320,26 @@ def test_ideal_and_satellite_read_in_the_sector_layout(monkeypatch, capsys):
 
     for name in ("_premeasure_stack", "decompose_branches", *KRON_GATES):
         spy(apparatus, name)
-    spy(experiments, "decompose_branches")
-    assert cli_main(["ideal", "--L", "8"]) == 0
-    capsys.readouterr()
-    assert calls == ["_premeasure_stack"]
-    calls.clear()
-    sl.satellite_run(10, 8, 2 ** -0.5, 2 ** -0.5, seed=1)
-    assert calls == ["_premeasure_stack"]
+    spy(decoherence, "decompose_branches")
+    for argv in READING_COMMANDS:
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert calls == ["_premeasure_stack"], argv
+        calls.clear()
+
+
+KRON_READERS = {"premeasure", "decompose_branches", "partial_trace", *KRON_GATES}
+
+
+def test_commands_name_no_kron_reader():
+    # the commands read branch states through apparatus.py's sector
+    # readers; the kron readers serve the public functions that return or
+    # take a StateVector (decoherence's public functions among them)
+    for module in ("cli.py", "experiments.py", "decoherence.py"):
+        for top, names in _top_level_names(Path(sl.__file__).parent / module):
+            public = module == "decoherence.py" and not (
+                isinstance(top, ast.FunctionDef) and top.name.startswith("_"))
+            assert public or not names & KRON_READERS, (module, top.lineno, names & KRON_READERS)
 
 
 def test_audits_raise_conservation_error_and_facts_have_one_source():

@@ -102,21 +102,24 @@ def test_internal_streak_matches_dense_oracle(n, K, pattern, L):
     assert np.max(np.abs(np.subtract(report.step_weights, weights))) <= 1e-14
 
 
-def _fake_premeasure(app_level_of_down, record_of_down):
-    """premeasure that sends |up> to (up, |L,L>, rec 0) and |down> to a chosen cell."""
-    def fake_one(a, b, sys):
-        amps = np.zeros(sys.dims, dtype=complex)
-        if a == 1.0:
-            amps[0, 0, 0] = 1.0
-        else:
-            amps[1, app_level_of_down, record_of_down] = 1.0
-        return sl.StateVector(sys.dims, amps.reshape(-1))
-    return fake_one
+def _fake_shot(app_level_of_down, record_of_down):
+    """A `_read_shot` that sends |up> to (up, |L,L>, rec 0) and |down> to (down, |L,L-level>, rec).
+
+    Its rows are the kron rows (particle, apparatus level) of particle (x) apparatus.
+    """
+    def fake(sys):
+        d_app = sys.dims[1]
+        shots = np.zeros((2, 2 * d_app, 2), dtype=complex)   # record, row, input
+        shots[0, 0, 0] = 1.0
+        shots[record_of_down, d_app + app_level_of_down, 1] = 1.0
+        slot = [0, 1, d_app, d_app + 1]
+        return shots, shots[:, slot].copy(), np.add.outer(sys.spin_half.m, sys.spin_app.m[:2]).ravel()
+    return fake
 
 
 def test_slot_leakage_audit_still_raises(monkeypatch, capsys):
     # the down component lands on |L,L-2>, outside the slot subspace
-    monkeypatch.setattr(ex, "premeasure", _fake_premeasure(2, 0))
+    monkeypatch.setattr(ex, "_read_shot", _fake_shot(2, 0))
     with pytest.raises(sl.ConservationError, match="leaked out of the slot subspace"):
         sl.lucky_streak_j2(2, 2, "internal", K=4, pattern="uu")
     assert cli_main(["streak", "--mode", "internal", "--n", "2", "--K", "4", "--L", "2"]) == 2
@@ -126,7 +129,7 @@ def test_slot_leakage_audit_still_raises(monkeypatch, capsys):
 
 def test_vanishing_weight_audit_still_raises(monkeypatch):
     # both particle states register "up", so a "d" has no weight at all
-    monkeypatch.setattr(ex, "premeasure", _fake_premeasure(0, 0))
+    monkeypatch.setattr(ex, "_read_shot", _fake_shot(0, 0))
     weights = sl.lucky_streak_j2(2, 2, "internal", K=4, pattern="uu").step_weights
     assert weights == pytest.approx((1.0, 1.0), abs=1e-14)
     with pytest.raises(sl.ConservationError, match="vanishing weight at step 1"):
