@@ -97,19 +97,18 @@ def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.n
     return jx, jy, jz
 
 
-def _check_bands(j, m: np.ndarray, raising: np.ndarray) -> None:
+def _check_bands(j, m: np.ndarray, below: np.ndarray, above: np.ndarray) -> None:
     """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding on the bands.
 
-    Both residuals are diagonal: with r_i = raising[i] (0 past either
-    end), [Jx, Jy] - i Jz = i ((r_i^2 - r_(i-1)^2)/2 - m_i) and
-    J^2 - j(j+1) = (r_i^2 + r_(i-1)^2)/2 + m_i^2 - j(j+1); every other
+    below[i] and above[i] are the J+ elements that join level i to the
+    levels on either side of it, 0 past a spin's end.  Both residuals are
+    diagonal: [Jx, Jy] - i Jz = i ((above_i^2 - below_i^2)/2 - m_i) and
+    J^2 - j(j+1) = (above_i^2 + below_i^2)/2 + m_i^2 - j(j+1); every other
     diagonal cancels exactly.  Both float errors grow as eps j^2, and are
     gated level by level, nan failing, at the operator tolerance times
     max(1, j) and max(1, j(j+1)): j a scalar, or each level's own spin.
     """
-    sq = np.zeros(m.size + 1)
-    sq[1:-1] = raising ** 2
-    above, below = sq[1:], sq[:-1]
+    above, below = above ** 2, below ** 2
     jj = j * (j + 1)
     comm = np.abs((above - below) / 2 - m)
     casimir = np.abs((above + below) / 2 + m ** 2 - jj)
@@ -121,21 +120,31 @@ def _check_bands(j, m: np.ndarray, raising: np.ndarray) -> None:
                          f"comm={comm[i]:.3e}, casimir={casimir[i]:.3e}")
 
 
-def _spin_bands(spins) -> SpinOperators:
+def _raising(j, m):
+    """<m+1|J+|m> = sqrt(j(j+1) - m(m+1)) of spin j: exactly +0.0 at m = j and at m = -j - 1."""
+    return np.sqrt(j * (j + 1) - m * (m + 1))
+
+
+def _spin_bands(spins, windows=None) -> SpinOperators:
     """The `spin_operators` bands of checked spins laid end to end (j nan for several).
 
-    The J+ element from level m, sqrt(j(j+1) - m(m+1)), is exactly +0.0 at
-    a spin's top level, so the seams of the raising band need no special case.
+    Spin i holds its top windows[i] levels, by default all 2j+1.  Each
+    level's J+ links to the levels above and below it are gated, the one out
+    of a window's last level too; the band holds 0 in its place, as at each
+    seam.  At a whole spin's ends the link is exactly +0.0 anyway.
     """
-    dims = [round(2 * j + 1) for j in spins]
+    dims = [round(2 * j + 1) for j in spins] if windows is None else windows
     if len(spins) == 1:   # a scalar j keeps one spin as cheap as its formula
         j = spins[0]
         m = j - np.arange(dims[0], dtype=np.float64)
     else:
         j = np.repeat(spins, dims)
         m = j - (np.arange(j.size) - np.repeat(np.cumsum(dims) - dims, dims))
-    raising = np.sqrt(j * (j + 1) - m * (m + 1))[1:]
-    _check_bands(j, m, raising)
+    # m - 1 is the next level's m exactly, so above[i] has the bits of below[i + 1]
+    below, above = _raising(j, m), _raising(j, m - 1.0)
+    _check_bands(j, m, below, above)
+    above[np.cumsum(dims) - 1] = 0.0
+    raising = above[:-1]
     m.setflags(write=False)
     raising.setflags(write=False)
     return SpinOperators(spins[0] if len(spins) == 1 else math.nan, m, raising)
@@ -162,19 +171,22 @@ def coherent_spin_state(j, theta: float, phi: float) -> StateVector:
     return StateVector((psi.size,), psi)
 
 
-def _coherent_state(j: float, theta: float, phi: float) -> np.ndarray:
-    """Amplitudes of the coherent state of a checked spin j, in closed form and O(j).
+def _coherent_state(j: float, theta: float, phi: float, levels=None) -> np.ndarray:
+    """Amplitudes of the coherent state of a checked spin j on its top `levels` levels (all by default).
 
     The amplitude of |m> is e^(i phi (j-m)) d^j_(mj)(theta), with
     d^j_(mj)(theta) = sqrt(C(2j, j-m)) cos^(j+m)(theta/2) sin^(j-m)(theta/2)
     (Radcliffe 1971; Arecchi et al. 1972).  The magnitudes are built by the
     ratio a[i+1]/a[i] = sqrt((2j-i)/(i+1)) |tan(theta/2)|, i = j - m,
     outward from the mode of the binomial weights, then normalized; the
-    signs of cos and sin restore theta outside (0, pi).  The caller gates the norm.
+    signs of cos and sin restore theta outside (0, pi).  The caller gates the
+    norm.  |j, j> costs O(levels); every other state O(j).
     """
     n = round(2 * j)
     if theta == 0.0:   # |j, j>
-        return np.eye(1, n + 1, dtype=np.complex128)[0]
+        psi = np.zeros(n + 1 if levels is None else levels, dtype=np.complex128)
+        psi[0] = 1.0
+        return psi
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     t = abs(s / c)
     mode = min(n, math.floor((n + 1) * s * s))
@@ -189,7 +201,7 @@ def _coherent_state(j: float, theta: float, phi: float) -> np.ndarray:
         mag = -mag
     if c * s < 0:
         mag[1::2] = -mag[1::2]
-    return mag * np.exp(1j * phi * i)
+    return (mag * np.exp(1j * phi * i))[:levels]
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .angular import (
     _check_spinor,
     _coherent_state,
     _ladder_matvecs,
+    _raising,
     _spin_bands,
     _spread,
     spin_operators,
@@ -137,17 +138,19 @@ def _stack_devs(e: np.ndarray, ident: np.ndarray, up: np.ndarray, jz: np.ndarray
 class _SectorStack(NamedTuple):
     """Devices laid end to end, entry-major: the sectors run along each last axis.
 
-    Device i, of apparatus spin spins[i], holds sectors offsets[i] ..
-    offsets[i+1] - 1 and columns cols[i] .. cols[i+1] - 1 of psi, the level
-    map `_levels` computes once per stack.  The J+ block that would join it
-    to the next device is zero, so the seam commutes with every block and
-    carries no amplitude across.  A built device is a stack of one; every
-    array a stack holds is read-only.
+    Device i, of apparatus spin spins[i], holds its top n levels, columns
+    cols[i] .. cols[i+1] - 1 of psi, and the n + 1 sectors they touch,
+    offsets[i] .. offsets[i+1] - 1; the level map is `_levels`'s, computed
+    once per stack.  Every sector holds the whole device's blocks, J+ links
+    and slot Jz.  The J+ block that would join a device to the next is
+    zero, so the seam commutes with every block and carries no amplitude
+    across.  A built device is a stack of one; every array a stack holds
+    is read-only.
     """
 
     spins: tuple          # the devices' apparatus spins L
-    psi: np.ndarray       # the devices' apparatus states end to end
-    apps: SpinOperators   # the devices' apparatus bands end to end, J+ zero between them
+    psi: np.ndarray       # the devices' apparatus states on their levels, end to end
+    apps: SpinOperators   # the devices' apparatus bands on their levels, end to end, J+ zero between them
     blocks: np.ndarray    # (2, 2, 2, N): entry (a, b) of P+ and of P-
     up: np.ndarray        # (2, 2, N - 1): entry (a, b) of each J+ block
     jz: np.ndarray        # (2, N): the total Jz of each slot, 0 on the phantoms
@@ -204,61 +207,88 @@ def _check_devices(l_values) -> list[float]:
     return spins
 
 
-def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
+def _build_stack(spins, tilt: float = 0.0, windows=None) -> _SectorStack:
     """Build and audit a list of devices, their spins checked (`_check_devices`), as one sector stack.
 
-    The bands, P+- blocks and apparatus states of all devices are filled
-    together.  The audits go `_SECTOR_CHUNK` sectors at a time, each chunk
-    with the next sector, which J+ links to its last one.  Every device is
-    gated on its own maxima and |psi|^2, so an error names its L.
+    Device i is built on its top windows[i] levels, by default all 2L+1.  A
+    window cut short of the bottom level is a level window: it must end one
+    level past its state's support, and the state's weight on that edge
+    level is gated at exactly 0.0.  Its last sector keeps the level past
+    the window as a real slot 0 with no amplitude, and the J+ link into it,
+    so every sector and every link inside a device is the whole device's,
+    bit for bit, and is audited as such.  The bands, P+- blocks and
+    apparatus states of all devices are filled together.  The audits go
+    `_SECTOR_CHUNK` sectors at a time, each chunk with the next sector,
+    which J+ links to its last one.  Every device is gated on its own
+    maxima and |psi|^2, so an error names its L.
     """
-    apps = _spin_bands(spins)   # J+ from one device's top level into the next is 0
-    offsets = np.cumsum([0] + [round(2 * L + 2) for L in spins])
+    dims = [round(2 * L + 1) for L in spins]
+    windows = dims if windows is None else list(windows)
+    apps = _spin_bands(spins, windows)   # J+ from one device's top level into the next is 0
+    offsets = np.cumsum([0] + [n + 1 for n in windows])
     n_sec = offsets[-1]
     cols, sec, owner = _levels(offsets)
+    cut = np.less(windows, dims)
+    past = offsets[1:][cut] - 1   # the sector whose slot 0 is the level past a cut window
+    l_cut = np.array(spins)[cut]
+    m_past = l_cut - np.array(windows)[cut]
     ident = np.zeros((2, 2, n_sec))
     ident[0, 0, sec] = ident[1, 1, sec + 1] = 1.0   # the real slots of |up, m> and |down, m>
+    ident[0, 0, past] = 1.0
     blocks = _sector_projectors(spins, offsets, ident)
     # J+ = S+ (x) 1 + 1 (x) L+; the end-to-end L+ band is 0 at each seam
     up = np.zeros((2, 2, n_sec))
     up[0, 0, sec[:-1]] = apps.raising          # |up, m> -> |up, m+1>
+    up[0, 0, past - 1] = _raising(l_cut, m_past)
     up[0, 1, sec] = _SPIN_HALF.raising[0]      # |down, m> -> |up, m>
     up[1, 1, sec[:-1] + 1] = apps.raising      # |down, m> -> |down, m+1>
     up = up[..., :-1]
     jz = np.zeros((2, n_sec))
     jz[0, sec] = _SPIN_HALF.m[0] + apps.m
+    jz[0, past] = _SPIN_HALF.m[0] + m_past
     jz[1, sec + 1] = _SPIN_HALF.m[1] + apps.m
 
-    devs = np.zeros((4, n_sec))
+    devs = np.zeros((5, n_sec))
     for start in range(0, n_sec, _SECTOR_CHUNK):
         w = slice(start, start + _SECTOR_CHUNK + 1)
-        np.maximum(devs[:, w], _stack_devs(blocks[..., w], ident[..., w],
-                                           up[..., start:start + _SECTOR_CHUNK], jz[:, w]),
-                   out=devs[:, w])
+        np.maximum(devs[:4, w], _stack_devs(blocks[..., w], ident[..., w],
+                                            up[..., start:start + _SECTOR_CHUNK], jz[:, w]),
+                   out=devs[:4, w])
     devs[2, offsets[1:-1] - 1] = 0.0   # a seam link belongs to neither device
+    # the ranks tell j = L + 1/2 from j = L - 1/2, sector by sector: P+ has
+    # trace 1 on every sector, P- trace 1 on a two-slot sector and 0 on an
+    # edge sector.  P+ and P- swapped conserve every J but break the
+    # matching equations; the edge sectors tell them apart
+    traces = blocks[0, 0] + blocks[1, 1]
+    ranks = np.stack([np.ones(n_sec), ident[0, 0] + ident[1, 1] - 1.0])
+    devs[4] = rank_devs = np.abs(traces - ranks).max(axis=0)
     devs = np.maximum.reduceat(devs, offsets[:-1], axis=1).T.tolist()
-    traces = np.add.reduceat((blocks[0, 0] + blocks[1, 1]).real, offsets[:-1], axis=1).T.tolist()
-    psi = np.concatenate([_coherent_state(L, tilt, 0.0) for L in spins])
-    norms = np.add.reduceat(psi.real ** 2 + psi.imag ** 2, cols[:-1]).tolist()
-    for L, (unitarity, idempotence, transverse, longitudinal), pair, norm in zip(
-            spins, devs, traces, norms):
+    psi = np.concatenate([_coherent_state(L, tilt, 0.0, n) for L, n in zip(spins, windows)])
+    weights = psi.real ** 2 + psi.imag ** 2
+    norms = np.add.reduceat(weights, cols[:-1]).tolist()
+    edges = np.where(cut, weights[cols[1:] - 1], 0.0).tolist()
+    for i, (L, (unitarity, idempotence, transverse, longitudinal, rank), norm, edge) in enumerate(
+            zip(spins, devs, norms, edges)):
         at = f" (L = {L:g})"
         # every gate fails on nan too
+        if not edge == 0.0:
+            raise ConservationError(f"apparatus state leaves its level window: weight {edge!r} "
+                                    f"on its edge level {windows[i] - 1}{at}")
         if not abs(norm - 1.0) <= NUMERICS.state_atol:
             raise ConservationError(f"state not normalized: |psi|^2 = {norm!r}{at}")
         if not unitarity <= NUMERICS.operator_atol:
             raise ConservationError(f"unitary flag violated: max|U^dag U - 1| = {unitarity:.3e}{at}")
         if not idempotence <= NUMERICS.state_atol:
             raise ConservationError(f"projector not idempotent: {idempotence:.3e}{at}")
-        # the ranks tell j = L + 1/2 from j = L - 1/2: P+ and P- swapped
-        # conserve every J but break the matching equations
-        for trace, rank in zip(pair, (2 * L + 2, 2 * L)):
-            if not abs(trace - rank) <= NUMERICS.operator_atol:
-                raise ConservationError(f"projector rank {trace!r} != {rank}{at}")
+        if not rank <= NUMERICS.operator_atol:
+            k = offsets[i] + int(np.argmax(rank_devs[offsets[i]:offsets[i + 1]]))
+            raise ConservationError(f"projector rank (P+, P-) = {tuple(traces[:, k].tolist())} != "
+                                    f"{tuple(ranks[:, k].tolist())} in sector {k - offsets[i]}{at}")
         # [U, J (x) 1] = [P+, J] (x) 1 + [P-, J] (x) X: the two blocks never
         # share an entry, so the max-entry norm is the larger block's.  An
-        # idempotent P+ of rank 2L+2 that commutes with every J_k can only be
-        # the j = L+1/2 projector, so these audits pin the device completely.
+        # idempotent P+ of trace 1 on every sector that commutes with every
+        # J_k can only be the j = L+1/2 projector, so these audits pin the
+        # device completely on its sectors.
         for axis, dev in zip("xyz", (transverse, transverse, longitudinal)):
             if not dev <= NUMERICS.operator_atol:
                 raise ConservationError(
@@ -268,6 +298,18 @@ def _build_stack(spins, tilt: float = 0.0) -> _SectorStack:
     for arr in (psi, blocks, up, jz, offsets, cols, sec, owner):
         arr.setflags(write=False)
     return _SectorStack(tuple(spins), psi, apps, blocks, up, jz, offsets, cols, sec, owner)
+
+
+def _aligned_devices(l_values) -> _SectorStack:
+    """The aligned devices |L, L> of apparatus spins l_values, checked here, each on its level window.
+
+    The state is level 0 alone, so the window is levels 0 and 1 (sectors 0
+    to 2) at any L: what a reader of `measure`, `ideal`, `satellite`,
+    `decohere` and the external streak touches.  The public functions
+    build the whole device.
+    """
+    spins = _check_devices(l_values)
+    return _build_stack(spins, windows=[min(2, round(2 * L + 1)) for L in spins])
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -500,23 +542,23 @@ def _read_stack(spinors, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndar
     return (*_split_records(kets[:, :2], stack), kets)
 
 
-def _read_branches(a: complex, b: complex, sys: CompositeSystem) -> tuple[list, np.ndarray, np.ndarray]:
-    """One input on one device: its record coefficients, their presence and three <J>.
+def _read_branches(a: complex, b: complex, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+    """One input on a one-device stack: its record coefficients, their presence and three <J>.
 
     The <J> rows are those of the record 0 and record 1 branch states and
     of the input, read from `_read_stack`'s kets in one `_sector_j_brackets`
     pass, each row its own sum.  An empty record has coefficient 0.0 and
     the input's <J>.
     """
-    [[coeffs]], [[present]], [kets] = _read_stack([(a, b)], sys.stack)
+    [[coeffs]], [[present]], [kets] = _read_stack([(a, b)], stack)
     kets = kets[:, None]
-    means = _sector_j_brackets(kets, kets, np.ones(1), sys.stack)[:, 0].real
+    means = _sector_j_brackets(kets, kets, np.ones(1), stack)[:, 0].real
     means[:2][~present] = means[2]
     return coeffs, present, means
 
 
-def _read_spin(a: complex, b: complex, sys: CompositeSystem) -> tuple[list, np.ndarray, np.ndarray]:
-    """One input on one device: its record coefficients, their presence and the particle's <S>.
+def _read_spin(a: complex, b: complex, stack: _SectorStack) -> tuple[list, np.ndarray, np.ndarray]:
+    """One input on a one-device stack: its record coefficients, their presence and the particle's <S>.
 
     The (3, 3) complex rows are <0|S|0>, <1|S|1> and <0|S|1> between the
     record 0 and record 1 branch states of `_read_stack`: the diagonal in
@@ -524,7 +566,6 @@ def _read_spin(a: complex, b: complex, sys: CompositeSystem) -> tuple[list, np.n
     in another, on the device's stack with S in place of J (S+ (x) 1 is the
     J+ link from |down, m> to |up, m> alone, the slot Sz +1/2 and -1/2).
     """
-    stack = sys.stack
     [[coeffs]], [[present]], [kets] = _read_stack([(a, b)], stack)
     up = np.zeros_like(stack.up)
     up[0, 1] = stack.up[0, 1]
@@ -605,14 +646,14 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
     return _read_matching(sys.stack, *_read_stack(_EIGENSTATES, sys.stack))[0][1]
 
 
-def _read_pass(spins) -> list[list]:
+def _read_pass(stack: _SectorStack) -> list[list]:
     """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
 
-    The devices of checked spins are built, audited, premeasured and read in
-    one sector pass (`_build_stack`, `_read_stack`, `_read_matching`), and
-    each device's moments over its own columns, as `angular_spread` reads them.
+    The devices of a built stack (`_aligned_devices` for a sweep) are
+    premeasured and read in one sector pass (`_read_stack`,
+    `_read_matching`), and each device's moments over its own columns, as
+    `angular_spread` reads them.
     """
-    stack = _build_stack(spins)
     coeffs, present, states = _read_stack(_EIGENSTATES, stack)
     matching = _read_matching(stack, coeffs, present, states)
     jx_psi = _ladder_matvecs(stack.apps, stack.psi)[0]
@@ -659,7 +700,7 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
     if not L_list:
         raise ValueError("need at least one apparatus spin")
     return [BracketScalingRow(row[0], *row[6:])
-            for spins in _sweep_passes(L_list) for row in _read_pass(spins)]
+            for spins in _sweep_passes(L_list) for row in _read_pass(_aligned_devices(spins))]
 
 
 @dataclass(frozen=True)

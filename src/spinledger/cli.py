@@ -30,11 +30,11 @@ from . import __version__
 from .angular import _check_spin, bloch_vector
 from .apparatus import (
     _LABELS,
+    _aligned_devices,
     _read_branches,
     _read_pass,
     _read_spin,
     _sweep_passes,
-    build_measurement_unitary,
     thermal_orientation_uncertainty,
 )
 from .config import NUMERICS, NumericsConfig
@@ -228,8 +228,7 @@ def _cmd_ideal(args) -> None:
         cross_contrib,
         labels=["up", "dn"],
     )
-    sys_model = build_measurement_unitary(args.L)
-    coeffs, present, means = _read_branches(a, b, sys_model)
+    coeffs, present, means = _read_branches(a, b, _aligned_devices([args.L]))
     branches = [((coeff, j), label)
                 for coeff, have, j, label in zip(coeffs, present, means, _LABELS) if have]
     # the input's <J> as the device reads it: a tilted device's <L> is not (0, 0, L)
@@ -256,7 +255,7 @@ def _measure_rows(spins: list, numerics: NumericsConfig = NUMERICS) -> list:
     """The `measure` rows of one sector pass of checked spins (`apparatus._sweep_passes`)."""
     # a spawned worker starts from the default tolerances: adopt the parent's
     vars(NUMERICS).update(vars(numerics))
-    return _read_pass(spins)
+    return _read_pass(_aligned_devices(spins))
 
 
 def _cmd_measure(args) -> None:
@@ -291,11 +290,11 @@ def _cmd_thermal(args) -> None:
 
 
 def _cmd_decohere(args) -> None:
-    sys_model = build_measurement_unitary(args.L)
+    device = _aligned_devices([args.L])
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     # particle sigma_x = 2 Sx extended over the apparatus: couples the two
     # total-j manifolds, so its record-sector bracket is nonzero at n=0
-    cross = complex(2 * _read_spin(inv_sqrt2, inv_sqrt2, sys_model)[2][2, 0])
+    cross = complex(2 * _read_spin(inv_sqrt2, inv_sqrt2, device)[2][2, 0])
     curve = overlap_decay_curve(args.overlap, args.n_env)
     measured = [abs(c) for c in _curve(cross, _env_kets(EnvironmentConfig(args.n_env, args.overlap)))]
     baseline = measured[0]   # n = 0: the record not yet amplified
@@ -379,64 +378,44 @@ def _parse_l(value: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: `parse_args` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="spinledger",
-        description="Angular-momentum bookkeeping for quantum spin measurement",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+def _add_spinor(p) -> None:
+    p.add_argument("--a-re", type=float, default=1.0 / math.sqrt(2.0))
+    p.add_argument("--a-im", type=float, default=0.0)
+    p.add_argument("--b-re", type=float, default=1.0 / math.sqrt(2.0))
+    p.add_argument("--b-im", type=float, default=0.0)
 
-    def add_common(p):
-        p.add_argument("--output", help="output path (default: stdout); relative "
-                       f"paths resolve under ${OUTDIR_ENV} when set")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    def add_spinor(p):
-        p.add_argument("--a-re", type=float, default=1.0 / math.sqrt(2.0))
-        p.add_argument("--a-im", type=float, default=0.0)
-        p.add_argument("--b-re", type=float, default=1.0 / math.sqrt(2.0))
-        p.add_argument("--b-im", type=float, default=0.0)
-
-    p = sub.add_parser("ideal", formatter_class=fmt, help="forced ideal cross terms plus classifier demo")
-    add_spinor(p)
+def _ideal_args(p) -> None:
+    _add_spinor(p)
     p.add_argument("--L", type=float, default=4.0, help="apparatus spin for the demo")
-    add_common(p)
-    p.set_defaults(func=_cmd_ideal)
 
-    p = sub.add_parser("measure", formatter_class=fmt, help="apparatus model: amplitudes, matching residuals, scaling")
+
+def _measure_args(p) -> None:
     p.add_argument("--L", type=_parse_l, default=[1.0],
                    help="apparatus spin, or comma list for a sweep")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-    add_common(p)
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("thermal", formatter_class=fmt, help="SI orientation-uncertainty estimate")
+
+def _thermal_args(p) -> None:
     p.add_argument("--I", type=float, default=0.01, help="moment of inertia, kg m^2")
     p.add_argument("--T", type=float, default=300.0, help="temperature, K")
-    add_common(p)
-    p.set_defaults(func=_cmd_thermal)
 
-    p = sub.add_parser("decohere", formatter_class=fmt, help="cross-term suppression under record amplification")
+
+def _decohere_args(p) -> None:
     p.add_argument("--L", type=float, default=2.0)
     p.add_argument("--overlap", type=float, default=0.8,
                    help="per-qubit conditional overlap in [0, 1)")
     p.add_argument("--n-env", type=int, default=8, help="max environment qubits")
-    add_common(p)
-    p.set_defaults(func=_cmd_decohere)
 
-    p = sub.add_parser("satellite", formatter_class=fmt, help="repeated measurements with dual ledgers")
+
+def _satellite_args(p) -> None:
     p.add_argument("--n", type=int, default=100, help="number of particles")
     p.add_argument("--L", type=float, default=8.0)
-    add_spinor(p)
+    _add_spinor(p)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=_cmd_satellite)
 
-    p = sub.add_parser("streak", formatter_class=fmt, help="post-selected J^2 growth, external vs internal source")
+
+def _streak_args(p) -> None:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--L", type=float, default=4.0)
     p.add_argument("--mode", choices=["external", "internal"], default="external")
@@ -444,14 +423,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the header for provenance; the post-selected "
                         "analysis is deterministic")
-    add_common(p)
-    p.set_defaults(func=_cmd_streak)
 
+
+# each subcommand: its help line, its own arguments and what it runs
+_COMMANDS = {
+    "ideal": ("forced ideal cross terms plus classifier demo", _ideal_args, _cmd_ideal),
+    "measure": ("apparatus model: amplitudes, matching residuals, scaling", _measure_args, _cmd_measure),
+    "thermal": ("SI orientation-uncertainty estimate", _thermal_args, _cmd_thermal),
+    "decohere": ("cross-term suppression under record amplification", _decohere_args, _cmd_decohere),
+    "satellite": ("repeated measurements with dual ledgers", _satellite_args, _cmd_satellite),
+    "streak": ("post-selected J^2 growth, external vs internal source", _streak_args, _cmd_streak),
+}
+
+
+@functools.cache
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser for one subcommand, built once per process: `parse_args` leaves it unchanged.
+
+    Every subcommand is registered with its name and help, but only
+    `command`'s arguments are added: a run parses one subcommand, and
+    building all six parsers' arguments would cost it 1-2 ms.
+    """
+    parser = argparse.ArgumentParser(
+        prog="spinledger",
+        description="Angular-momentum bookkeeping for quantum spin measurement",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments, run) in _COMMANDS.items():
+        p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, help=text,
+                           add_help=name == command)
+        if name == command:
+            add_arguments(p)
+            p.add_argument("--output", help="output path (default: stdout); relative "
+                           f"paths resolve under ${OUTDIR_ENV} when set")
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first token that is not an option names the subcommand
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -42,7 +42,14 @@ from .angular import (
     coherent_spin_state,
     spin_operators,
 )
-from .apparatus import _LABELS, _read_branches, _read_shot, _read_spin, build_measurement_unitary
+from .apparatus import (
+    _LABELS,
+    _aligned_devices,
+    _read_branches,
+    _read_shot,
+    _read_spin,
+    build_measurement_unitary,
+)
 from .config import NUMERICS
 from .ideal import _DIAG_DOWN, _DIAG_UP
 from .kernel import ConservationError, StateVector
@@ -208,11 +215,11 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
         raise ValueError(
             f"satellite_run refused: seed must be a non-negative integer, got seed={seed!r}"
         )
-    sys = build_measurement_unitary(L)
+    device = _aligned_devices([L])
     u_s = bloch_vector(a, b).as_array()
 
     # an empty record has weight 0 and the input's <J>
-    coeffs, _, (*branch_j, initial_j) = _read_branches(a, b, sys)
+    coeffs, _, (*branch_j, initial_j) = _read_branches(a, b, device)
     info = {label: {"weight": coeff ** 2, "j": j}
             for label, coeff, j in zip(_LABELS, coeffs, branch_j)}
 
@@ -233,7 +240,7 @@ def satellite_run(n: int, L, a: complex, b: complex, seed: int) -> SatelliteRun:
 
     return SatelliteRun(
         n_particles=int(n),
-        L=sys.L,
+        L=device.spins[0],
         polarization=(complex(a), complex(b)),
         seed=int(seed),
         audit_deviation=audit,
@@ -400,9 +407,8 @@ def _external_streak(L, pattern: str) -> tuple:
     register is a product state and its moments follow in closed form
     from the single-shot reduced state.  Returns `_internal_streak`'s parts, with no ledger.
     """
-    sys = build_measurement_unitary(L)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    coeffs, present, spins = _read_spin(inv_sqrt2, inv_sqrt2, sys)
+    coeffs, present, spins = _read_spin(inv_sqrt2, inv_sqrt2, _aligned_devices([L]))
     # each branch's weight, particle <S> and variance, read once per label
     by_label = {label: (coeff ** 2, m, 0.75 - float(m @ m))
                 for coeff, have, m, label in zip(coeffs, present, spins.real, _LABELS) if have}

@@ -194,18 +194,23 @@ def test_spin_self_check_admits_exact_algebra_at_j_1000():
     assert s.dim == 2001
 
 
+def check_bands(j, m, raising):
+    """`_check_bands` of bands held whole: the J+ links past either end of a spin are 0."""
+    _check_bands(j, m, np.concatenate([[0.0], raising]), np.concatenate([raising, [0.0]]))
+
+
 @pytest.mark.parametrize("j", [2, 50])
 def test_spin_self_check_trips_on_perturbed_algebra(j):
     s = sl.spin_operators(j)
-    _check_bands(float(j), s.m, s.raising)
+    check_bands(float(j), s.m, s.raising)
     for band in ("m", "raising"):
         bands = {"m": s.m.copy(), "raising": s.raising.copy()}
         bands[band][0] += 1e-6
         with pytest.raises(ValueError, match="self-check"):
-            _check_bands(float(j), bands["m"], bands["raising"])
+            check_bands(float(j), bands["m"], bands["raising"])
     # exact bands checked against the wrong j(j+1) trip the Casimir gate alone
     with pytest.raises(ValueError, match="self-check"):
-        _check_bands(j + 1e-6, s.m, s.raising)
+        check_bands(j + 1e-6, s.m, s.raising)
 
 
 @pytest.mark.parametrize("band,level", [("m", 1), ("raising", 0), ("m", 4)])
@@ -215,7 +220,7 @@ def test_spin_self_check_trips_on_nan(band, level):
     bands = {"m": s.m.copy(), "raising": s.raising.copy()}
     bands[band][level] = np.nan
     with pytest.raises(ValueError, match="self-check at j=2.0"):
-        _check_bands(2.0, bands["m"], bands["raising"])
+        check_bands(2.0, bands["m"], bands["raising"])
 
 
 STACKED = [0.5, 1.0, 7.5, 160.0, 1000.0]
@@ -241,8 +246,8 @@ def test_stacked_self_check_names_the_tampered_spin(band, spin):
     stacked = _spin_bands(STACKED)
     dims = [round(2 * j + 1) for j in STACKED]
     j = np.repeat(STACKED, dims)
-    _check_bands(j, stacked.m, stacked.raising)
+    check_bands(j, stacked.m, stacked.raising)
     bands = {"m": stacked.m.copy(), "raising": stacked.raising.copy()}
     bands[band][sum(dims[:spin]) + 1] += 1e-6
     with pytest.raises(ValueError, match=f"self-check at j={STACKED[spin]}:"):
-        _check_bands(j, bands["m"], bands["raising"])
+        check_bands(j, bands["m"], bands["raising"])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinledger import NUMERICS, cli, experiments
+from spinledger import NUMERICS, build_measurement_unitary, cli, experiments
 from spinledger.cli import main
 
 
@@ -405,7 +405,7 @@ def test_importing_the_library_leaves_numpy_and_the_blas_environment_alone():
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
-    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser("satellite") is cli.build_parser("satellite")
     # a parse leaves the parser as it was: defaults come back on the next call
     first = run_cli(["satellite", "--n", "3", "--L", "2", "--seed", "4"], capsys)[1]
     assert run_cli(["satellite", "--n", "5", "--a-re", "1", "--b-re", "0"], capsys)[0] == 0
@@ -430,8 +430,8 @@ def test_cli_import_freezes_import_time_objects():
 def test_ideal_audits_a_tilted_device_against_its_own_input(monkeypatch, capsys):
     # a tilted device's <L> is not (0, 0, L): the model's books balance
     # against the input <J> that the device reads
-    build = cli.build_measurement_unitary
-    monkeypatch.setattr(cli, "build_measurement_unitary", lambda L: build(L, tilt=0.4))
+    monkeypatch.setattr(cli, "_aligned_devices",
+                        lambda ls: build_measurement_unitary(ls[0], tilt=0.4).stack)
     code, out, err = run_cli(["ideal", "--L", "4"], capsys)
     assert code == 0 and err == ""
     assert parse_csv(out)[0]["apparatus_classification"] == "TypeI"
@@ -439,10 +439,10 @@ def test_ideal_audits_a_tilted_device_against_its_own_input(monkeypatch, capsys)
 
 def test_streak_n_is_refused_before_the_device_is_built(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(NUMERICS, "max_total_dim", 64)
-    build = experiments.build_measurement_unitary
+    build = experiments._aligned_devices
     built = []
-    monkeypatch.setattr(experiments, "build_measurement_unitary",
-                        lambda L: built.append(L) or build(L))
+    monkeypatch.setattr(experiments, "_aligned_devices",
+                        lambda ls: built.extend(ls) or build(ls))
     path = tmp_path / "streak.csv"
     code, out, err = run_cli(["streak", "--n", "65", "--output", str(path)], capsys)
     assert code == 1 and out == "" and not path.exists() and built == []

@@ -96,7 +96,7 @@ def test_satellite_refuses_a_non_integer_n_or_seed(n, seed, name, monkeypatch):
     def no_build(L):
         raise AssertionError("the shot was built")
 
-    monkeypatch.setattr(ex, "build_measurement_unitary", no_build)
+    monkeypatch.setattr(ex, "_aligned_devices", no_build)
     with pytest.raises(ValueError, match=name):
         sl.satellite_run(n, 2, *PLUS_X, seed)
 

@@ -240,7 +240,7 @@ def test_only_the_matching_reader_runs_the_j_pass(monkeypatch):
     assert len(calls) == 1
     sl.verify_matching_equations(device)
     assert len(calls) == 3
-    apparatus._read_branches(0.6, 0.8j, device)
+    apparatus._read_branches(0.6, 0.8j, device.stack)
     assert len(calls) == 5
 
 

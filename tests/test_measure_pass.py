@@ -82,7 +82,8 @@ def test_sweep_groups_consecutive_devices_up_to_the_chunk(monkeypatch):
 def test_bracket_scaling_builds_each_pass_once(monkeypatch):
     stacks = []
     real = apparatus._build_stack
-    monkeypatch.setattr(apparatus, "_build_stack", lambda spins: stacks.append(spins) or real(spins))
+    monkeypatch.setattr(apparatus, "_build_stack",
+                        lambda spins, **kw: stacks.append(spins) or real(spins, **kw))
     monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 12)
     rows = sl.bracket_magnitude_scaling([0.5, 1, 1.5, 2, 7.5])
     assert stacks == [[0.5, 1, 1.5], [2.0], [7.5]]
@@ -171,7 +172,7 @@ def test_a_64_device_build_fills_its_stack_in_one_pass(monkeypatch):
 def test_a_denormalized_apparatus_state_fails_its_own_device(monkeypatch):
     real = apparatus._coherent_state
     monkeypatch.setattr(apparatus, "_coherent_state",
-                        lambda L, theta, phi: real(L, theta, phi) * (1.0 + 1e-9 * (L == 3)))
+                        lambda L, *args: real(L, *args) * (1.0 + 1e-9 * (L == 3)))
     with pytest.raises(sl.ConservationError, match=r"state not normalized: .*\(L = 3\)"):
         apparatus._build_stack([2.0, 3.0, 4.0])
 
@@ -410,12 +411,13 @@ def test_a_measure_pass_peaks_below_its_memory_bound():
     # eigenstates' sector kets (12 x 16 N), normalized in place chunk by
     # chunk; the matching reader's copy of a bra and a ket adds 4 x 16 N.
     # A kron-layout copy of the kets, as the readout once gathered, peaks
-    # at 39.5 x 16 N.
+    # at 39.5 x 16 N.  Measured on the whole device; the level window a
+    # command builds holds 3 sectors.
     L = 20000.0
-    cli._measure_rows([L])
+    apparatus._read_pass(apparatus._build_stack([L]))
     tracemalloc.start()
     try:
-        cli._measure_rows([L])
+        apparatus._read_pass(apparatus._build_stack([L]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -32,7 +32,7 @@ def flip_particle(v):
 @pytest.mark.parametrize("L", LS)
 def test_read_spin_matches_the_kron_path(L, spinor):
     sys_m = sl.build_measurement_unitary(L)
-    coeffs, present, spins = apparatus._read_spin(*spinor, sys_m)
+    coeffs, present, spins = apparatus._read_spin(*spinor, sys_m.stack)
     decomp = sl.decompose_branches(sl.premeasure(*spinor, sys_m), sys_m)
     branches = {label: (c, state) for c, state, label in decomp.branches}
     assert present.tolist() == [label in branches for label in ("up", "dn")]

@@ -134,7 +134,7 @@ def test_oversize_run_refused_before_it_allocates(monkeypatch, capsys):
     def no_build(L):
         raise AssertionError("device built for a refused run")
 
-    monkeypatch.setattr(ex, "build_measurement_unitary", no_build)
+    monkeypatch.setattr(ex, "_aligned_devices", no_build)
     with pytest.raises(ValueError, match="exceeds the configured maximum total dimension 64"):
         sl.satellite_run(65, 2, *PLUS_X, seed=0)
     assert main(["satellite", "--n", "65", "--L", "2"]) == 1
@@ -223,7 +223,7 @@ def test_a_negative_seed_is_refused_before_the_shot_is_built(seed, monkeypatch):
     def no_build(L):
         raise AssertionError("the shot was built")
 
-    monkeypatch.setattr(ex, "build_measurement_unitary", no_build)
+    monkeypatch.setattr(ex, "_aligned_devices", no_build)
     with pytest.raises(ValueError, match=f"seed={seed}"):
         sl.satellite_run(10, 2, *PLUS_X, seed)
 

@@ -78,7 +78,7 @@ def test_brackets_and_means_match_dense(device):
 @pytest.mark.parametrize("L", [0.5, 1, 2.5, 7, 20])
 def test_branch_and_input_means_match_dense(L, tilt, spinor):
     device = sl.build_measurement_unitary(L, tilt=tilt)
-    coeffs, present, means = apparatus._read_branches(*spinor, device)
+    coeffs, present, means = apparatus._read_branches(*spinor, device.stack)
     assert means.shape == (3, 3)
     j_pa = dense_oracle.j_pa(device)
     psi = np.kron(spinor, device.apparatus_state.amplitudes)
