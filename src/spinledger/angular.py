@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import NUMERICS
-from .kernel import StateVector
+from .kernel import ConservationError, StateVector
 
 __all__ = [
     "SpinOperators",
@@ -98,7 +98,7 @@ def _ladder_matvecs(ops: SpinOperators, v: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _check_bands(j, m: np.ndarray, below: np.ndarray, above: np.ndarray) -> None:
-    """Raise unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding on the bands.
+    """Raise ConservationError unless [Jx, Jy] = i Jz and J^2 = j(j+1) hold to rounding on the bands.
 
     below[i] and above[i] are the J+ elements that join level i to the
     levels on either side of it, 0 past a spin's end.  Both residuals are
@@ -107,6 +107,8 @@ def _check_bands(j, m: np.ndarray, below: np.ndarray, above: np.ndarray) -> None
     diagonal cancels exactly.  Both float errors grow as eps j^2, and are
     gated level by level, nan failing, at the operator tolerance times
     max(1, j) and max(1, j(j+1)): j a scalar, or each level's own spin.
+    The spins are already checked (`_check_spin`), so a failure is a broken
+    algebra, not bad input.
     """
     above, below = above ** 2, below ** 2
     jj = j * (j + 1)
@@ -116,8 +118,8 @@ def _check_bands(j, m: np.ndarray, below: np.ndarray, above: np.ndarray) -> None
     ok &= casimir <= NUMERICS.operator_atol * np.maximum(1.0, jj)
     if not ok.all():
         i = ok.argmin()
-        raise ValueError(f"spin algebra failed self-check at j={np.broadcast_to(j, m.shape)[i]}: "
-                         f"comm={comm[i]:.3e}, casimir={casimir[i]:.3e}")
+        raise ConservationError(f"spin algebra failed self-check at j={np.broadcast_to(j, m.shape)[i]}: "
+                                f"comm={comm[i]:.3e}, casimir={casimir[i]:.3e}")
 
 
 def _raising(j, m):

@@ -77,9 +77,10 @@ _SPIN_HALF = spin_operators(0.5)
 # operator that keeps total Jz is a (d+1, 2, 2) stack of blocks.
 # --------------------------------------------------------------------------
 
-# sectors per pass: consecutive devices are built, audited and premeasured
-# together while their sectors fit in one chunk, and a larger device goes
-# chunk by chunk, so a pass's temporaries stay bounded at any L
+# sectors per chunk: a stack is built, audited, premeasured and read this
+# many sectors at a time, and a `measure` sweep reads its devices in groups
+# whose level windows fit in one chunk, so a pass's temporaries, and the
+# per-device arrays of a long sweep, stay bounded
 _SECTOR_CHUNK = 4096
 
 
@@ -202,7 +203,7 @@ def _check_devices(l_values) -> list[float]:
         if 4 * d > NUMERICS.max_total_dim:
             raise ValueError(
                 f"apparatus spin refused: 4 x {d} = {4 * d} exceeds the configured "
-                f"maximum total dimension {NUMERICS.max_total_dim} (L = {L:g})"
+                f"maximum total dimension {NUMERICS.max_total_dim} (L = {L:.17g})"
             )
     return spins
 
@@ -269,7 +270,7 @@ def _build_stack(spins, tilt: float = 0.0, windows=None) -> _SectorStack:
     edges = np.where(cut, weights[cols[1:] - 1], 0.0).tolist()
     for i, (L, (unitarity, idempotence, transverse, longitudinal, rank), norm, edge) in enumerate(
             zip(spins, devs, norms, edges)):
-        at = f" (L = {L:g})"
+        at = f" (L = {L:.17g})"
         # every gate fails on nan too
         if not edge == 0.0:
             raise ConservationError(f"apparatus state leaves its level window: weight {edge!r} "
@@ -300,16 +301,20 @@ def _build_stack(spins, tilt: float = 0.0, windows=None) -> _SectorStack:
     return _SectorStack(tuple(spins), psi, apps, blocks, up, jz, offsets, cols, sec, owner)
 
 
+# the level window of an aligned device |L, L>: its state is level 0 alone,
+# so the window is levels 0 and 1, sectors 0 to 2, at any L >= 1/2
+_ALIGNED_WINDOW = 2
+
+
 def _aligned_devices(l_values) -> _SectorStack:
     """The aligned devices |L, L> of apparatus spins l_values, checked here, each on its level window.
 
-    The state is level 0 alone, so the window is levels 0 and 1 (sectors 0
-    to 2) at any L: what a reader of `measure`, `ideal`, `satellite`,
-    `decohere` and the external streak touches.  The public functions
-    build the whole device.
+    The window is what a reader of `ideal`, `satellite`, `decohere` and
+    the external streak touches (a `measure` sweep, `_read_sweep`, builds
+    its own in groups).  The public functions build the whole device.
     """
     spins = _check_devices(l_values)
-    return _build_stack(spins, windows=[min(2, round(2 * L + 1)) for L in spins])
+    return _build_stack(spins, windows=[_ALIGNED_WINDOW] * len(spins))
 
 
 def build_measurement_unitary(L, tilt: float = 0.0) -> CompositeSystem:
@@ -398,7 +403,7 @@ def _premeasure_stack(spinors, stack: _SectorStack) -> np.ndarray:
     if not (drift <= NUMERICS.conservation_atol).all():   # nan fails too
         i, n, k = np.argwhere(~(drift.transpose(1, 0, 2) <= NUMERICS.conservation_atol))[0]
         raise ConservationError(f"<J{'xyz'[k]}> drifted by {drift[n, i, k]:.3e} during "
-                                f"premeasurement (L = {stack.spins[i]:g})")
+                                f"premeasurement (L = {stack.spins[i]:.17g})")
     return kets
 
 
@@ -477,7 +482,7 @@ def _split_records(kets: np.ndarray, stack: _SectorStack) -> tuple[list, np.ndar
     totals = np.where(present, weights, 0.0).sum(axis=1).T.tolist()
     coeffs, present = coeffs.transpose(2, 0, 1).tolist(), present.transpose(2, 0, 1)
     for L, *device in zip(stack.spins, present, norms, totals, overlaps, recon):
-        at = f" (L = {L:g})"
+        at = f" (L = {L:.17g})"
         for have, norm, total, overlap, rebuilt in zip(*device):   # input by input
             for x, r in ((x, r) for x, r, h in zip(norm, rebuilt, have) if h):
                 if not abs(x - 1.0) <= NUMERICS.state_atol:
@@ -618,7 +623,7 @@ def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[l
         worst = float(np.max(np.abs(residuals)))
         if not worst <= NUMERICS.conservation_atol:
             raise ConservationError(
-                f"matching equations violated: max residual {worst:.3e} (L = {L:g})")
+                f"matching equations violated: max residual {worst:.3e} (L = {L:.17g})")
         out.append((terms, residuals))
     return out
 
@@ -649,7 +654,7 @@ def verify_matching_equations(sys: CompositeSystem) -> np.ndarray:
 def _read_pass(stack: _SectorStack) -> list[list]:
     """`measure` rows [L, C, D, E, F, residual, |<u|Jx|u_err>|, delta_l, 1/delta_theta].
 
-    The devices of a built stack (`_aligned_devices` for a sweep) are
+    The devices of a built stack (a group of `_read_sweep`) are
     premeasured and read in one sector pass (`_read_stack`,
     `_read_matching`), and each device's moments over its own columns, as
     `angular_spread` reads them.
@@ -666,21 +671,22 @@ def _read_pass(stack: _SectorStack) -> list[list]:
     return rows
 
 
-def _sweep_passes(l_values) -> list[list[float]]:
-    """The L values of a `measure` sweep, checked, in the groups that share a sector pass.
+def _read_sweep(l_values) -> list[list]:
+    """The `measure` rows of a sweep of apparatus spins, in order (`_read_pass`).
 
-    Consecutive devices share a pass while their sectors fit in
-    `_SECTOR_CHUNK`; a larger device has a pass of its own.
+    Every L is checked before any device is built.  The aligned devices are
+    then built on their level windows and read in groups of consecutive
+    devices whose window sectors fit in `_SECTOR_CHUNK`, which bounds a
+    group's per-device arrays.  A row depends neither on its group nor on
+    the chunk: every sum is its own device's, in sector order from +0.
     """
-    passes, size = [], 0
-    for L in _check_devices(l_values):
-        n_sec = round(2 * L + 2)
-        if not passes or size + n_sec > _SECTOR_CHUNK:
-            passes.append([])
-            size = 0
-        passes[-1].append(L)
-        size += n_sec
-    return passes
+    spins = _check_devices(l_values)
+    size = max(1, _SECTOR_CHUNK // (_ALIGNED_WINDOW + 1))
+    rows = []
+    for start in range(0, len(spins), size):
+        group = spins[start:start + size]
+        rows += _read_pass(_build_stack(group, windows=[_ALIGNED_WINDOW] * len(group)))
+    return rows
 
 
 class BracketScalingRow(NamedTuple):
@@ -699,8 +705,7 @@ def bracket_magnitude_scaling(L_list) -> list[BracketScalingRow]:
     """
     if not L_list:
         raise ValueError("need at least one apparatus spin")
-    return [BracketScalingRow(row[0], *row[6:])
-            for spins in _sweep_passes(L_list) for row in _read_pass(_aligned_devices(spins))]
+    return [BracketScalingRow(row[0], *row[6:]) for row in _read_sweep(L_list)]
 
 
 @dataclass(frozen=True)

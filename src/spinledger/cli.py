@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import os
 
-# One OpenBLAS thread, set before numpy loads; a value the caller set wins,
-# and `--jobs` workers inherit it.  OpenBLAS starts a worker per core on
-# load, and an idle worker spins: on a 2-vCPU VM `import numpy` plus 0.3 s
-# of sleep costs 0.23-0.32 s of CPU with the default pool and 0.13-0.19 s
-# with one thread.  The commands' BLAS calls (batched 2x2 sector products,
-# the streak fold's `np.dot`) are small; only the dense internal streak
-# gains from a second thread, and there its wall time is 4-8% longer.
+# One OpenBLAS thread, set before numpy loads; a value the caller set wins.
+# OpenBLAS starts a worker per core on load, and an idle worker spins: on a
+# 2-vCPU VM `import numpy` plus 0.3 s of sleep costs 0.23-0.32 s of CPU
+# with the default pool and 0.13-0.19 s with one thread.  The commands'
+# BLAS calls (batched 2x2 sector products, the streak fold's `np.dot`) are
+# small; only the dense internal streak gains from a second thread, and
+# there its wall time is 4-8% longer.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -32,12 +32,11 @@ from .apparatus import (
     _LABELS,
     _aligned_devices,
     _read_branches,
-    _read_pass,
     _read_spin,
-    _sweep_passes,
+    _read_sweep,
     thermal_orientation_uncertainty,
 )
-from .config import NUMERICS, NumericsConfig
+from .config import NUMERICS
 from .decoherence import EnvironmentConfig, _curve, _env_kets, overlap_decay_curve
 from .experiments import PRNG_ID, lucky_streak_j2, satellite_run
 from .ideal import classify_violation, ideal_forced_cross_terms
@@ -109,7 +108,7 @@ def _metadata(args, extra=None) -> dict:
     # echo a re-runnable command line: subcommand first, then flags
     flags = []
     for k, v in sorted(vars(args).items()):
-        if k in ("func", "command", "output", "format", "jobs") or v is None:
+        if k in ("func", "command", "output", "format") or v is None:
             continue
         if isinstance(v, list):
             v = ",".join(str(x) for x in v)
@@ -251,29 +250,8 @@ def _cmd_ideal(args) -> None:
     _write_table(args, meta, ["component", "cross_re", "cross_im", "max_residual"], rows)
 
 
-def _measure_rows(spins: list, numerics: NumericsConfig = NUMERICS) -> list:
-    """The `measure` rows of one sector pass of checked spins (`apparatus._sweep_passes`)."""
-    # a spawned worker starts from the default tolerances: adopt the parent's
-    vars(NUMERICS).update(vars(numerics))
-    return _read_pass(_aligned_devices(spins))
-
-
 def _cmd_measure(args) -> None:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    passes = _sweep_passes(args.L)
-    # no more workers than passes: a one-pass sweep runs serially
-    workers = min(args.jobs, os.cpu_count() or 1, len(passes))
-    if workers > 1:
-        # imported here: a serial run, every other command, never pays for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a task per pass: a device larger than the chunk is a task of its own
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(functools.partial(_measure_rows, numerics=NUMERICS), passes))
-    else:
-        parts = [_measure_rows(spins) for spins in passes]
-    rows = [row for part in parts for row in part]
+    rows = _read_sweep(args.L)
     meta = _metadata(args)
     _write_table(args, meta, [
         "L", "C", "D", "E", "F", "matching_residual_max",
@@ -393,7 +371,6 @@ def _ideal_args(p) -> None:
 def _measure_args(p) -> None:
     p.add_argument("--L", type=_parse_l, default=[1.0],
                    help="apparatus spin, or comma list for a sweep")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
 
 
 def _thermal_args(p) -> None:

@@ -206,10 +206,10 @@ def test_spin_self_check_trips_on_perturbed_algebra(j):
     for band in ("m", "raising"):
         bands = {"m": s.m.copy(), "raising": s.raising.copy()}
         bands[band][0] += 1e-6
-        with pytest.raises(ValueError, match="self-check"):
+        with pytest.raises(sl.ConservationError, match="self-check"):
             check_bands(float(j), bands["m"], bands["raising"])
     # exact bands checked against the wrong j(j+1) trip the Casimir gate alone
-    with pytest.raises(ValueError, match="self-check"):
+    with pytest.raises(sl.ConservationError, match="self-check"):
         check_bands(j + 1e-6, s.m, s.raising)
 
 
@@ -219,7 +219,7 @@ def test_spin_self_check_trips_on_nan(band, level):
     s = sl.spin_operators(2)
     bands = {"m": s.m.copy(), "raising": s.raising.copy()}
     bands[band][level] = np.nan
-    with pytest.raises(ValueError, match="self-check at j=2.0"):
+    with pytest.raises(sl.ConservationError, match="self-check at j=2.0"):
         check_bands(2.0, bands["m"], bands["raising"])
 
 
@@ -249,5 +249,5 @@ def test_stacked_self_check_names_the_tampered_spin(band, spin):
     check_bands(j, stacked.m, stacked.raising)
     bands = {"m": stacked.m.copy(), "raising": stacked.raising.copy()}
     bands[band][sum(dims[:spin]) + 1] += 1e-6
-    with pytest.raises(ValueError, match=f"self-check at j={STACKED[spin]}:"):
+    with pytest.raises(sl.ConservationError, match=f"self-check at j={STACKED[spin]}:"):
         check_bands(j, bands["m"], bands["raising"])

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinledger as sl
-from spinledger import apparatus, ideal
+from spinledger import angular, apparatus, ideal
 from spinledger.cli import main as cli_main
 
 R = 2 ** -0.5
@@ -37,6 +37,15 @@ def test_idempotence_audit(monkeypatch, capsys):
     with pytest.raises(sl.ConservationError, match=r"projector not idempotent: .* \(L = 3.5\)"):
         sl.build_measurement_unitary(3.5)
     _exits_two(["measure", "--L", "3.5"], capsys, "projector not idempotent")
+
+
+def test_spin_self_check_audit(monkeypatch, capsys):
+    # the bands of a checked spin are wrong only if their algebra is broken
+    real = angular._raising
+    monkeypatch.setattr(angular, "_raising", lambda j, m: real(j, m) * (1.0 + 1e-6))
+    with pytest.raises(sl.ConservationError, match=r"spin algebra failed self-check at j=3\.5"):
+        sl.spin_operators(3.5)
+    _exits_two(["measure", "--L", "3.5"], capsys, "spin algebra failed self-check at j=3.5")
 
 
 def test_weight_sum_audit():
@@ -69,7 +78,7 @@ def test_reconstruction_audit():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(b_exp=math.log10(3e-8), phase_a=0.0, phase_b=0.0, L=4.0)
 @given(b_exp=st.floats(-160.0, 0.0), phase_a=st.floats(0.0, 2 * math.pi),
-       phase_b=st.floats(0.0, 2 * math.pi), L=st.sampled_from([0.5, 1.0, 4.5, 1000.0]))
+       phase_b=st.floats(0.0, 2 * math.pi), L=st.sampled_from([0.5, 1.0, 4.5, 1000.0, 131071.5]))
 def test_a_negligible_record_passes_every_audit(b_exp, phase_a, phase_b, L):
     # a record under the weight floor is dropped and no audit reads it, so
     # |b| from 1e-160 to 1 runs: 1e-9 to 1e-7 exited 2 when the

@@ -1,9 +1,6 @@
 import argparse
-import concurrent.futures
-import functools
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -70,20 +67,6 @@ def test_measure_l1(capsys):
     _, rows = parse_csv(out)
     assert float(rows[0]["F"]) == pytest.approx(0.5773502691896257, rel=1e-12)
     assert float(rows[0]["matching_residual_max"]) <= 1e-10
-
-
-def test_measure_sweep_jobs_deterministic(tmp_path, capsys):
-    paths = []
-    for jobs in ("1", "2"):
-        path = tmp_path / f"sweep-{jobs}.csv"
-        # three sector passes, [1, 2], [2048] and [3, 4]: a pool for --jobs 2
-        code = main(["measure", "--L", "1,2,2048,3,4", "--jobs", jobs,
-                     "--output", str(path)])
-        capsys.readouterr()
-        assert code == 0
-        paths.append(path)
-    a, b = (p.read_bytes() for p in paths)
-    assert a == b
 
 
 def test_ideal_subcommand(capsys):
@@ -228,64 +211,6 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "t.csv").exists()
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap the CLI's process pool for an in-process map; collect max_workers.
-
-    The CLI imports the pool from concurrent.futures only when a sweep runs
-    in parallel, so the patch goes where that import looks it up.
-    """
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_measure_jobs_below_one_rejected(jobs, pool_sizes, capsys):
-    code, out, err = run_cli(["measure", "--L", "1,2", "--jobs", jobs], capsys)
-    assert code == 1
-    assert "--jobs" in err
-    assert out == ""
-    assert pool_sizes == []
-
-
-@pytest.mark.parametrize("cpus,l_values,expected", [
-    (2, "1,2,3", []),                   # one pass runs serially
-    (8, "1,2,3", []),                   # ... however many L values and cores
-    (8, "2", []),                       # one L value runs serially
-    (None, "1,2", []),                  # unknown core count counts as one
-    (2, "2048,2049,2050", [2]),         # capped by the cores
-    (8, "2048,2049,2050", [3]),         # capped by the passes: each device is one
-    (8, "1,2,2048", [2]),               # capped by the passes, not the L values
-    (None, "2048,2049", []),            # unknown core count counts as one
-])
-def test_measure_jobs_capped(cpus, l_values, expected, pool_sizes, tmp_path,
-                             monkeypatch, capsys):
-    serial = tmp_path / "serial.csv"
-    assert main(["measure", "--L", l_values, "--output", str(serial)]) == 0
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    pooled = tmp_path / "pooled.csv"
-    assert main(["measure", "--L", l_values, "--jobs", "100000",
-                 "--output", str(pooled)]) == 0
-    capsys.readouterr()
-    assert pool_sizes == expected
-    assert pooled.read_bytes() == serial.read_bytes()
-
-
 def test_header_echoes_every_tolerance(monkeypatch, capsys):
     code, out, _ = run_cli(["thermal"], capsys)
     assert code == 0
@@ -307,22 +232,6 @@ def test_header_echoes_every_tolerance(monkeypatch, capsys):
     )
 
 
-def test_measure_workers_use_the_parents_tolerances(monkeypatch, tmp_path, capsys):
-    # a spawned worker imports a fresh NUMERICS; the gate set here must
-    # reach it, so the pooled run fails exactly as the serial run does
-    monkeypatch.setattr(NUMERICS, "operator_atol", 1e-30)
-    # two sector passes, so --jobs 2 starts a pool
-    serial = main(["measure", "--L", "1,2048", "--output", str(tmp_path / "s.csv")])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
-        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
-    pooled = main(["measure", "--L", "1,2048", "--jobs", "2",
-                   "--output", str(tmp_path / "p.csv")])
-    capsys.readouterr()
-    assert serial != 0
-    assert pooled == serial
-
-
 def fresh_python(code: str, **env: str) -> str:
     """Stdout of `python -c code` in a fresh interpreter on this checkout's package.
 
@@ -334,13 +243,6 @@ def fresh_python(code: str, **env: str) -> str:
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, "-c", code], env={**base, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, check=True).stdout.strip()
-
-
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # a serial run never needs the pool; its import is paid only by --jobs > 1
-    code = ("import sys, spinledger.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
-    assert fresh_python(code) == "False"
 
 
 def test_a_satellite_run_leaves_numpy_random_unloaded(tmp_path):

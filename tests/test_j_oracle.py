@@ -23,7 +23,7 @@ import pytest
 
 import dense_oracle
 import spinledger as sl
-from spinledger import angular, apparatus, cli
+from spinledger import angular, apparatus
 
 L_VALUES = [0.5, 1, 2.5, 7, 40, 150]
 
@@ -220,7 +220,7 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
     assert weight == amps.C * amps.F
     want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))
     assert_bits_equal(np.float64(abs(brackets[0])), np.float64(want))
-    assert_bits_equal(np.float64(cli._measure_rows([L])[0][6]), np.float64(want))
+    assert_bits_equal(np.float64(apparatus._read_sweep([L])[0][6]), np.float64(want))
 
 
 def test_only_the_matching_reader_runs_the_j_pass(monkeypatch):

@@ -10,6 +10,7 @@ the projector ranks sector by sector) must trip on a wrong window and on
 swapped projectors.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,7 +44,7 @@ def test_a_windowed_pass_reads_the_rows_of_the_whole_device(L):
 def test_a_windowed_mixed_pass_reads_each_devices_rows(spins):
     want = apparatus._read_pass(whole(spins))
     assert bits(apparatus._read_pass(apparatus._aligned_devices(spins))) == bits(want)
-    assert bits(cli._measure_rows(spins)) == bits(want)
+    assert bits(apparatus._read_sweep(spins)) == bits(want)
 
 
 @pytest.mark.parametrize("spinor", SPINORS, ids=["plus_x", "y_tilted", "plus_z"])
@@ -112,14 +113,14 @@ def test_a_wider_window_reads_the_same_rows():
         assert bits(apparatus._read_pass(apparatus._build_stack(spins, windows=[n, n]))) == want
 
 
-@pytest.mark.parametrize("L", [1, 4, 100000], ids=str)
+@pytest.mark.parametrize("L", [1, 4, 100000, 131071.5], ids=str)
 def test_swapped_projectors_on_the_window_fail_the_rank_audit(L, monkeypatch):
     real = apparatus._sector_projectors
     monkeypatch.setattr(apparatus, "_sector_projectors",
                         lambda *args: np.ascontiguousarray(real(*args)[:, :, ::-1]))
     # sector 0 holds |up, L> alone, where P+ is 1 and P- is 0
     with pytest.raises(sl.ConservationError, match=r"projector rank \(P\+, P-\) = \(0\.0, 1\.0\) != "
-                                                   rf"\(1\.0, 0\.0\) in sector 0 \(L = {L:g}\)"):
+                                                   rf"\(1\.0, 0\.0\) in sector 0 \(L = {re.escape(str(L))}\)"):
         apparatus._aligned_devices([L])
 
 
@@ -130,11 +131,11 @@ def test_a_window_pass_at_the_cap_builds_four_sectors_in_under_a_megabyte(monkey
     real = apparatus._build_stack
     monkeypatch.setattr(apparatus, "_build_stack",
                         lambda spins, **kw: built.append(real(spins, **kw)) or built[-1])
-    cli._measure_rows([131071.5])
+    apparatus._read_sweep([131071.5])
     assert built[0].offsets[-1] <= 4
     tracemalloc.start()
     try:
-        cli._measure_rows([131071.5])
+        apparatus._read_sweep([131071.5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,8 +1,8 @@
 """A `measure` sweep runs its devices through shared sector passes.
 
-`apparatus._sweep_passes` groups consecutive devices while their
-sectors fit in `_SECTOR_CHUNK`, a larger device alone, and
-`apparatus._read_pass` builds, audits, premeasures and reads each group
+`apparatus._read_sweep` checks every L, then builds the aligned devices
+on their level windows in groups whose sectors fit in `_SECTOR_CHUNK`,
+and `apparatus._read_pass` audits, premeasures and reads each group
 together as one `_SectorStack`.  The oracle is the per-row loop the sweep
 replaced: one build, one `extract_error_amplitudes`, the matching terms
 by the per-component oracle of `test_j_oracle`, and `angular_spread` per
@@ -11,7 +11,6 @@ whatever the chunk, and an audit that trips in mid-sweep must name its
 device.
 """
 
-import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -39,22 +38,26 @@ def oracle_row(L):
             abs(bracket), spread.delta_l, 1.0 / spread.delta_theta]
 
 
-def table(tmp_path, l_values, fmt, name, jobs=1):
+def table(tmp_path, l_values, fmt, name):
     path = tmp_path / f"{name}.{fmt}"
-    assert main(["measure", "--L", l_values, "--format", fmt, "--jobs", str(jobs),
-                 "--output", str(path)]) == 0
+    assert main(["measure", "--L", l_values, "--format", fmt, "--output", str(path)]) == 0
     return path.read_bytes()
 
 
 def oracle_table(tmp_path, monkeypatch, l_values, fmt):
     with monkeypatch.context() as m:
-        m.setattr(cli, "_measure_rows", lambda ls, numerics=None: [oracle_row(L) for L in ls])
+        m.setattr(cli, "_read_sweep", lambda ls: [oracle_row(L) for L in ls])
         return table(tmp_path, l_values, fmt, "oracle")
 
 
+# a device of any L is a 3-sector window, so each sweep here is one group,
+# large devices among small ones
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("l_values", [SMALL, "64,96,128,160", "4,4", "4,4,4", "1,3000,2"],
-                         ids=["0.5-32", "64-160", "4-4", "4-4-4", "large-between-small"])
+@pytest.mark.parametrize("l_values", [SMALL, "64,96,128,160", "4,4", "4,4,4", "1,3000,2",
+                                      "1,2,2048,3,4", "1,2,3000,2100,0.5,1", SMALL + ",2100,1",
+                                      "2048,2049,2050"],
+                         ids=["0.5-32", "64-160", "4-4", "4-4-4", "large-between-small",
+                              "2048-between-small", "two-large", "0.5-32-then-2100", "2048-2050"])
 def test_sweep_gives_the_bytes_of_the_per_row_loop(tmp_path, monkeypatch, l_values, fmt):
     want = oracle_table(tmp_path, monkeypatch, l_values, fmt)
     assert table(tmp_path, l_values, fmt, "pass") == want
@@ -63,31 +66,52 @@ def test_sweep_gives_the_bytes_of_the_per_row_loop(tmp_path, monkeypatch, l_valu
 @pytest.mark.parametrize("chunk", [2, 5, 12])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_passes_across_chunk_boundaries_give_the_same_bytes(tmp_path, monkeypatch, chunk, fmt):
-    # sectors 3, 4, 5, 6, 17, 8, 3, 4: with a chunk of 12 the first three
-    # devices share a pass, 7.5 goes alone in two chunks, and so on; with 2
-    # and 5 every device has its own pass, chunked within
+    # every window is 3 sectors: with a chunk of 12 the devices go in two
+    # groups of four, with 5 and 2 one by one, a window split over two
+    # chunks of 2
     l_values = "0.5,1,1.5,2,7.5,3,0.5,1"
     want = oracle_table(tmp_path, monkeypatch, l_values, fmt)
     monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
     assert table(tmp_path, l_values, fmt, "pass") == want
 
 
-def test_sweep_groups_consecutive_devices_up_to_the_chunk(monkeypatch):
-    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 12)
-    assert apparatus._sweep_passes([0.5, 1, 1.5, 2, 7.5, 3, 0.5, 1]) == [
-        [0.5, 1, 1.5], [2.0], [7.5], [3.0, 0.5], [1.0]]
-    assert apparatus._sweep_passes([]) == []
-
-
-def test_bracket_scaling_builds_each_pass_once(monkeypatch):
+def spy_builds(monkeypatch):
+    """The spins of every `_build_stack` call, recorded as it is made."""
     stacks = []
     real = apparatus._build_stack
     monkeypatch.setattr(apparatus, "_build_stack",
                         lambda spins, **kw: stacks.append(spins) or real(spins, **kw))
-    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 12)
-    rows = sl.bracket_magnitude_scaling([0.5, 1, 1.5, 2, 7.5])
-    assert stacks == [[0.5, 1, 1.5], [2.0], [7.5]]
-    assert [row.L for row in rows] == [0.5, 1, 1.5, 2, 7.5]
+    return stacks
+
+
+@pytest.mark.parametrize("chunk,groups", [
+    (12, [[0.5, 1, 1.5, 2], [7.5, 3000]]),   # four 3-sector windows a group, whatever L
+    (5, [[0.5], [1], [1.5], [2], [7.5], [3000]]),
+    (2, [[0.5], [1], [1.5], [2], [7.5], [3000]]),   # a window larger than the chunk goes alone
+])
+def test_bracket_scaling_builds_each_pass_once(monkeypatch, chunk, groups):
+    stacks = spy_builds(monkeypatch)
+    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
+    rows = sl.bracket_magnitude_scaling([0.5, 1, 1.5, 2, 7.5, 3000])
+    assert stacks == groups
+    assert [row.L for row in rows] == [0.5, 1, 1.5, 2, 7.5, 3000]
+    assert apparatus._read_sweep([]) == []
+
+
+def test_a_sweep_checks_every_spin_once_before_it_builds(monkeypatch, capsys):
+    stacks = spy_builds(monkeypatch)
+    checked = []
+    real = apparatus._check_spin
+    monkeypatch.setattr(apparatus, "_check_spin", lambda L, *args: checked.append(L) or real(L, *args))
+    monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", 3)   # one device a group
+    assert len(apparatus._read_sweep([1, 2, 3])) == 3
+    assert checked == [1, 2, 3] and stacks == [[1.0], [2.0], [3.0]]
+    checked.clear()
+    stacks.clear()
+    # the last device is refused before the first is built
+    assert main(["measure", "--L", "1,2,300000"]) == 1
+    assert "(L = 300000)" in capsys.readouterr().err
+    assert checked == [1.0, 2.0, 300000.0] and stacks == []
 
 
 def device_blocks(blocks, spins, offsets, L):
@@ -199,40 +223,6 @@ def test_a_nan_projector_fails_its_own_device(monkeypatch):
     monkeypatch.setattr(apparatus, "_sector_projectors", with_nan)
     with pytest.raises(sl.ConservationError, match=r"unitary flag violated: .*nan.*\(L = 3\)"):
         apparatus._build_stack([2.0, 3.0, 4.0])
-
-
-def test_jobs_hand_out_one_sector_pass_per_task(tmp_path, monkeypatch, capsys):
-    parts = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            parts.extend(iterable)
-            return map(fn, parts)
-
-    # a device larger than the chunk is a task of its own, so large
-    # devices spread over the workers one by one
-    serial = table(tmp_path, "1,2,3000,2100,0.5,1", "csv", "serial")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert table(tmp_path, "1,2,3000,2100,0.5,1", "csv", "pooled", jobs=2) == serial
-    assert parts == [[1.0, 2.0], [3000.0], [2100.0], [0.5, 1.0]]
-
-
-def test_two_workers_give_the_bytes_of_a_serial_sweep(tmp_path, monkeypatch):
-    # three passes: the 64 small devices, 2100 alone, and 1
-    l_values = SMALL + ",2100,1"
-    serial = table(tmp_path, l_values, "csv", "serial")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert table(tmp_path, l_values, "csv", "pooled", jobs=2) == serial
 
 
 # ------------------------------------------------------------------ kernels
@@ -398,7 +388,7 @@ def test_the_level_map_is_computed_once_per_stack(monkeypatch):
     calls = []
     real = apparatus._levels
     monkeypatch.setattr(apparatus, "_levels", lambda offsets: calls.append(offsets) or real(offsets))
-    cli._measure_rows([2.0, 7.5, 40.0])
+    apparatus._read_sweep([2.0, 7.5, 40.0])
     assert len(calls) == 1
     device = sl.build_measurement_unitary(7.5, tilt=0.4)
     sl.verify_matching_equations(device)
@@ -422,3 +412,19 @@ def test_a_measure_pass_peaks_below_its_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 29.5 * 16 * (2 * L + 2)
+
+
+def test_a_long_sweep_peaks_at_one_groups_memory():
+    # 16384 devices read in groups of 1365 peak at 9.9 MB, 3.2 MB of it the
+    # rows themselves; read in one pass, their per-device arrays (weights,
+    # brackets, the lists of the audits) peak at 40 MB
+    spins = [k + 0.5 for k in range(16384)]
+    apparatus._read_sweep(spins[:64])
+    tracemalloc.start()
+    try:
+        rows = apparatus._read_sweep(spins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row[0] for row in rows] == spins
+    assert peak < 16e6

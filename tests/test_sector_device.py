@@ -251,6 +251,12 @@ def test_oversize_device_in_a_sweep_is_named(capsys):
         sl.bracket_magnitude_scaling([2, 300000])
 
 
+def test_a_refused_spin_is_named_exactly(capsys):
+    # one past the cap; six significant digits would name it 131072
+    assert cli_main(["measure", "--L", "1,131072.5"]) == 1
+    assert "(L = 131072.5)" in capsys.readouterr().err
+
+
 def test_size_guard_follows_the_configured_maximum(monkeypatch, capsys):
     monkeypatch.setattr(sl.NUMERICS, "max_total_dim", 64)
     assert sl.build_measurement_unitary(7.5).dims == (2, 16, 2)   # 4 x 16 = 64
@@ -342,16 +348,28 @@ def test_commands_name_no_kron_reader():
             assert public or not names & KRON_READERS, (module, top.lineno, names & KRON_READERS)
 
 
+POOL_MODULES = {"concurrent", "multiprocessing"}
+
+
 def test_audits_raise_conservation_error_and_facts_have_one_source():
     # an `assert` or a raised AssertionError would escape the CLI's exit 2;
     # one function builds every StreakReport; the forced cross term
-    # (1/2, -i/2, 0) is written only in ideal.py
+    # (1/2, -i/2, 0) is written only in ideal.py; every command runs in its
+    # own process, so no module imports a process or thread pool
     builders = set()
     for path in Path(sl.__file__).parent.glob("*.py"):
         text = path.read_text()
         for top in ast.parse(text).body:
             for node in ast.walk(top):
                 assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                for module in modules:
+                    assert module.split(".")[0] not in POOL_MODULES, (path.name, node.lineno)
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), (
