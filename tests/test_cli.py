@@ -245,6 +245,16 @@ def fresh_python(code: str, **env: str) -> str:
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # a sweep is read serially: neither the CLI nor anything it imports
+    # loads a process pool, even once a sweep of several groups has run
+    code = ("import sys; from spinledger import apparatus, cli; "
+            "apparatus._SECTOR_CHUNK = 3; cli.main(['measure', '--L', '1,2']); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert fresh_python(code).splitlines()[-1] == "[]"
+
+
 def test_a_satellite_run_leaves_numpy_random_unloaded(tmp_path):
     # the outcomes come from spinledger._pcg64, which draws numpy's PCG64 bits itself
     code = ("import sys; from spinledger import cli; "

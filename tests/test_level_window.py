@@ -124,6 +124,33 @@ def test_swapped_projectors_on_the_window_fail_the_rank_audit(L, monkeypatch):
         apparatus._aligned_devices([L])
 
 
+def recording_z_alone(stack):
+    """The stack with projector diag(1, 0) in every sector: it loses a +x input's <Jx> = 1/2."""
+    up = np.zeros((stack.blocks.shape[-1], 2, 2))
+    up[:, 0, 0] = 1.0
+    return stack._replace(blocks=np.stack([up, np.eye(2) - up]).transpose(2, 3, 0, 1))
+
+
+def read_swapped(stack):
+    swapped = stack._replace(blocks=stack.blocks[:, :, ::-1])
+    apparatus._read_matching(swapped, *apparatus._read_stack(apparatus._EIGENSTATES, swapped))
+
+
+# each audit of a pass spells the spin it trips on in full: six significant
+# digits would name the cap 131072
+@pytest.mark.parametrize("trip,message", [
+    (lambda s: apparatus._premeasure_stack([(R, R)], recording_z_alone(s)),
+     r"<Jx> drifted by 5\.000e-01 during premeasurement"),
+    (lambda s: apparatus._split_records(1e7 * apparatus._premeasure_stack([(R, R)], s)[:, :2], s),
+     r"branch weights sum to"),
+    (read_swapped, r"matching equations violated: max residual 1\.000e\+00"),
+], ids=["premeasure-drift", "split-records", "matching"])
+def test_a_pass_audit_at_the_cap_names_the_spin_exactly(trip, message):
+    stack = apparatus._aligned_devices([131071.5])
+    with pytest.raises(sl.ConservationError, match=rf"{message}.* \(L = 131071\.5\)$"):
+        trip(stack)
+
+
 def test_a_window_pass_at_the_cap_builds_four_sectors_in_under_a_megabyte(monkeypatch):
     # the whole device at L = 131071.5 holds 262144 sectors and peaks at
     # tens of MB; its window holds 3, at any L

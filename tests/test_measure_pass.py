@@ -98,6 +98,20 @@ def test_bracket_scaling_builds_each_pass_once(monkeypatch, chunk, groups):
     assert apparatus._read_sweep([]) == []
 
 
+def test_sweep_groups_consecutive_devices_up_to_the_chunk(monkeypatch):
+    # a group holds chunk // 3 windows of 3 sectors, the last group what is left
+    stacks = spy_builds(monkeypatch)
+    spins = [0.5, 1, 1.5, 2, 7.5, 3, 0.5, 1]
+    for chunk, groups in [(12, [[0.5, 1, 1.5, 2], [7.5, 3, 0.5, 1]]),
+                          (9, [[0.5, 1, 1.5], [2, 7.5, 3], [0.5, 1]])]:
+        stacks.clear()
+        monkeypatch.setattr(apparatus, "_SECTOR_CHUNK", chunk)
+        assert [row[0] for row in apparatus._read_sweep(spins)] == spins
+        assert stacks == groups
+    stacks.clear()
+    assert apparatus._read_sweep([]) == [] and stacks == []
+
+
 def test_a_sweep_checks_every_spin_once_before_it_builds(monkeypatch, capsys):
     stacks = spy_builds(monkeypatch)
     checked = []
