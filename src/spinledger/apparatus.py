@@ -598,8 +598,8 @@ def _read_shot(sys: CompositeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return shots, slots, sys.stack.jz[_SHOT_SLOT]
 
 
-def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[list, np.ndarray]]:
-    """Per device of a stack, its matching terms and their residuals, from `_read_stack`.
+def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[list, np.ndarray, float]]:
+    """Per device of a stack, its matching terms, their residuals and max |residual|, from `_read_stack`.
 
     The terms, C F <u|J|u_err> then E D <d|J|d_err>, are (weight, (<bra|J_k|ket>
     for Jx, Jy, Jz)), left out where a bra or ket is an empty sector.  The
@@ -624,7 +624,7 @@ def _read_matching(stack: _SectorStack, coeffs, present, states) -> list[tuple[l
         if not worst <= NUMERICS.conservation_atol:
             raise ConservationError(
                 f"matching equations violated: max residual {worst:.3e} (L = {L:.17g})")
-        out.append((terms, residuals))
+        out.append((terms, residuals, worst))
     return out
 
 
@@ -663,10 +663,10 @@ def _read_pass(stack: _SectorStack) -> list[list]:
     matching = _read_matching(stack, coeffs, present, states)
     jx_psi = _ladder_matvecs(stack.apps, stack.psi)[0]
     rows = []
-    for L, ((c, d_amp), (f, e)), (terms, residuals), a, b in zip(
+    for L, ((c, d_amp), (f, e)), (terms, _, worst), a, b in zip(
             stack.spins, coeffs, matching, stack.cols, stack.cols[1:]):
         spread = _spread(stack.psi[a:b], stack.apps.m[a:b], jx_psi[a:b])
-        rows.append([L, c, d_amp, e, f, float(np.max(np.abs(residuals))),
+        rows.append([L, c, d_amp, e, f, worst,
                      abs(terms[0][1][0]), spread.delta_l, 1.0 / spread.delta_theta])
     return rows
 

@@ -287,23 +287,33 @@ def _cmd_decohere(args) -> None:
 def _satellite_lines(run, outcome_cells: np.ndarray, audit_cell: str):
     """The satellite table, each `_CHUNK_ROWS` block of `run.blocks` spelled by one `%` call.
 
-    A block's cells fill an (m, 8) object array: the step, the outcome's
-    pre-spelled cells looked up by the block's outcomes in the two-entry
-    `outcome_cells` (dn, up), and the six ledger floats.  One row template,
-    repeated m times, spells them all with the `%.17g` of `_format_rows`,
-    and the block goes to the writer as one `str` of m lines.
+    A block's cells fill an (m, 2 + c) object array: the step, the
+    outcome's pre-spelled cells looked up by the block's outcomes in the
+    two-entry `outcome_cells` (dn, up), and the c ledger columns that vary
+    within the block.  A ledger column whose 64-bit patterns are all equal
+    in the block (both y columns of a real spinor) is spelled once, into
+    the block's row template.  One row template, repeated m times, spells
+    the block with the `%.17g` of `_format_rows`, and the block goes to the
+    writer as one `str` of m lines.
     """
-    row = "%d,%s" + ",%.17g" * 6 + "," + audit_cell.replace("%", "%%")
-    block = np.empty((min(_CHUNK_ROWS, run.n_particles), 8), dtype=object)
+    audit = "," + audit_cell.replace("%", "%%")
     stop = 0
     for up, ideal, full in run.blocks(_CHUNK_ROWS):
         start, stop = stop, stop + len(up)
-        cells = block[:stop - start]
+        row, varying = "%d,%s", []
+        for column in (*ideal.T, *full.T):
+            bits = column.view(np.uint64)
+            if (bits != bits[0]).any():
+                row += ",%.17g"
+                varying.append(column)
+            else:
+                row += ",%.17g" % column[0]
+        cells = np.empty((len(up), 2 + len(varying)), dtype=object)
         cells[:, 0] = np.arange(start + 1, stop + 1)
         cells[:, 1] = outcome_cells[up.astype(np.intp)]
-        cells[:, 2:5] = ideal
-        cells[:, 5:] = full
-        yield "\n".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+        for j, column in enumerate(varying, 2):
+            cells[:, j] = column
+        yield "\n".join([row + audit] * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _cmd_satellite(args) -> None:

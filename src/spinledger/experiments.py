@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .angular import (
     SpinOperators,
     _check_spin,
+    _spin_bands,
     bloch_vector,
     coherent_spin_state,
     spin_operators,
@@ -348,26 +349,69 @@ class StreakReport:
     metadata: dict = field(repr=False)
 
 
-def _channel_weights(K: float) -> np.ndarray:
-    """bands[p, i] bands[q, j] of the emission channels, shape (2, 2, 2K, 2K)."""
-    bands = _emission_bands(K)
-    return bands[:, None, :, None] * bands[None, :, None, :]
+def _band_products(K: float, w: int) -> np.ndarray:
+    """bands[p, i] bands[q, i+k] of the emission channels on diagonals |k| <= w.
 
-
-def _channel_pairs(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """E_p x E_q^dag for both emission channels p, q, as the rows (p, q) of a (4, d*d) array.
-
-    E_p maps level i + p to level i with amplitude bands[p, i], so each
-    product is the shifted slice x[p:p+d, q:q+d] scaled by the
-    `_channel_weights`; the four slices are one strided view of x.
+    Shape (2, 2, 2K, 2w+1), entry [p, q, i, w+k]: the channel weights of
+    E_p X E_q^dag at (i, i+k), and zero where i + k falls off the 2K-square
+    matrix.
     """
-    d = weights.shape[-1]
-    windows = as_strided(x, (2, 2, d, d), x.strides * 2, writeable=False)
-    return (windows * weights).reshape(4, d * d)
+    bands = _emission_bands(K)
+    d = bands.shape[1]
+    padded = np.zeros((2, d + 2 * w))
+    padded[:, w:-w] = bands
+    s_band, s_level = padded.strides
+    shifted = as_strided(padded, (2, d, 2 * w + 1), (s_band, s_level, s_level), writeable=False)
+    return bands[:, None, :, None] * shifted
+
+
+def _band_windows(y: np.ndarray, shape: tuple) -> np.ndarray:
+    """The inputs of E_p X E_q^dag on the next band, for both channels p, q and each band of a stack.
+
+    y is a stack of (2w+1, d) bands, y[m, w+k, i] = X_m[i, i+k], and shape
+    that of the `_band_products` of the band one narrower, (2, 2, d-1, 2w-1).
+    Output diagonal k at column i reads input diagonal k + q - p at column
+    i + p, so the inputs of the whole stack are one strided view of y,
+    (m, 2, 2, d-1, 2w-1), laid out per (p, q) as (column, diagonal).  A
+    band's products are its windows times `_band_products`.
+    """
+    s_band, s_diag, s_col = y.strides
+    return as_strided(y[:, 1:], (len(y), *shape), (s_band, s_col - s_diag, s_diag, s_col, s_diag),
+                      writeable=False)
+
+
+def _band_fold(coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """sum_{s,s'} op[s', s] M_s X M_s'^dag on the band, from its coefficients and products.
+
+    pairs are a band's (2, 2, d, 2w+1) channel products E_p X E_q^dag, its
+    `_band_windows` times `_band_products`.  One (1, 4) by (4, N) dot: the
+    reshape-and-dot that `np.tensordot(gram.T, pairs, axes=2)` performs,
+    bit for bit.  The (2w+1, d) band comes back column-major, so each
+    diagonal is a strided row, as `np.diagonal` reads it from a dense
+    matrix: a unit-stride row would send the Jz sum to another BLAS kernel,
+    with other bits.
+    """
+    return np.dot(coeffs, pairs.reshape(4, -1)).reshape(pairs.shape[2:]).T
+
+
+def _band_stack(buffer: np.ndarray, d: int, w: int) -> np.ndarray:
+    """The streak's eight (2w+1, d) moment bands on the rows of buffer, each column-major like `_band_fold`'s.
+
+    Each band takes the head of its own row, so a step can write its
+    narrower bands over the bands it read.
+    """
+    return buffer[:, :d * (2 * w + 1)].reshape(8, d, 2 * w + 1).transpose(0, 2, 1)
+
+
+def _band_outer(psi: np.ndarray, w: int) -> np.ndarray:
+    """The band |k| <= w of |psi><psi|, column-major like `_band_fold`'s."""
+    padded = np.zeros(psi.size + 2 * w, dtype=psi.dtype)
+    padded[w:-w] = psi.conj()
+    return (psi[:, None] * sliding_window_view(padded, 2 * w + 1)).T
 
 
 def _fold_coefficients(amp: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
-    """The (1, 4) row of `_fold` for the Kraus maps M_s = sum_p amp[s, p] E_p.
+    """The (1, 4) row of `_band_fold` for the Kraus maps M_s = sum_p amp[s, p] E_p.
 
     Entry (p, q) is sum_{s,s'} op[s', s] conj(amp[s', q]) amp[s, p], the
     coefficient of E_p x E_q^dag in the fold; op defaults to the identity.
@@ -376,25 +420,17 @@ def _fold_coefficients(amp: np.ndarray, op: np.ndarray | None = None) -> np.ndar
     return gram.T.reshape(1, 4)
 
 
-def _fold(coeffs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """sum_{s,s'} op[s', s] M_s x M_s'^dag from its `_fold_coefficients` and x's `_channel_pairs`.
-
-    One (1, 4) by (4, d*d) dot: the reshape-and-dot that
-    `np.tensordot(gram.T, pairs, axes=2)` performs, bit for bit.
-    """
-    return np.dot(coeffs, pairs).reshape(math.isqrt(pairs.shape[1]), -1)
+def _band_trace(y: np.ndarray) -> float:
+    """Re Tr X, the sum of diagonal 0 of its band."""
+    return float(np.real(y[y.shape[0] // 2].sum()))
 
 
-def _trace(x: np.ndarray) -> float:
-    """Re Tr x."""
-    return float(np.real(np.trace(x)))
-
-
-def _ladder_trace(ops: SpinOperators, x: np.ndarray, axis: int) -> float:
-    """Re Tr(K_axis x) (axis 0, 1, 2 for x, y, z), read from the spin-K bands in O(K)."""
+def _band_ladder_trace(ops: SpinOperators, y: np.ndarray, axis: int) -> float:
+    """Re Tr(K_axis X) (axis 0, 1, 2 for x, y, z), read from diagonals 0 and +-1 of X's band."""
+    w = y.shape[0] // 2
     if axis == 2:
-        return float(np.real(ops.m @ np.diagonal(x)))
-    below, above = np.diagonal(x, -1), np.diagonal(x, 1)   # x[i+1, i], x[i, i+1]
+        return float(np.real(ops.m @ y[w]))
+    below, above = y[w - 1, 1:], y[w + 1, :-1]   # X[i+1, i], X[i, i+1]
     paired = below + above if axis == 0 else (below - above) / 1j
     return float(np.real(ops.raising @ paired)) / 2
 
@@ -452,16 +488,26 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
                  + sum_{s,s'} (O^2)_{s's} M_s rho M_s'^dag
 
     and all three are divided by the step weight Tr rho'.  The slot sums
-    fold into 2x2 coefficients on the four banded products E_p X E_q^dag.
+    fold into 2x2 coefficients on the four products E_p X E_q^dag.
     Those coefficients depend only on the record letter, so each letter's
     nine rows (all of particle (x) apparatus, the slot, jz_slot, and each
-    axis's O and O^2) are formed once before the streak; a step then takes
-    one strided view per moment matrix for its four products and one
-    (1, 4) by (4, d*d) dot per fold, and costs O(K^2) time and memory.
-    A source whose dense (2K+1)-square moments exceed 4 x
-    `NUMERICS.max_total_dim` entries (K > 1023.5 at the default budget) is
-    refused before anything is allocated.  Returns the <J^2>, <Jz> and ledger
-    series, the step weights and this mode's metadata for `lucky_streak_j2`.
+    axis's O and O^2) are formed once before the streak.
+
+    A shot moves each diagonal of a moment matrix by at most one, and every
+    reported moment reads only diagonals 0 and +-1, so after n shots the
+    report needs only the diagonals |k| <= n + 1 of the source's moments:
+    a light cone that narrows by one per shot.  Each moment matrix is
+    carried as that band, y[w+k, i] = X[i, i+k], starting at w = n + 1.
+    A step takes one strided view of all eight bands for their four
+    products each and one (1, 4) by (4, N) dot per fold, so a streak costs
+    O(K n) memory and O(K n^2) time, with no truncation.  The register's
+    spin bands for every step are built and checked once.
+
+    The combined Jz ledger is audited at every step.  A source whose dense
+    (2K+1)-square moments exceed 4 x `NUMERICS.max_total_dim` entries
+    (K > 1023.5 at the default budget) is refused before anything is
+    allocated.  Returns the <J^2>, <Jz> and ledger series, the step
+    weights and this mode's metadata for `lucky_streak_j2`.
     """
     if K < n:
         raise ValueError(
@@ -469,6 +515,8 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
             f"construction needs an edge margin of n, so K >= n (got K={K}, "
             f"n={n})"
         )
+    # A size contract only: the bands need O(K n), not (2K+1)^2, but the
+    # guard stays until one byte budget replaces the dimension caps.
     d_source = round(2 * K + 1)
     if d_source ** 2 > 4 * NUMERICS.max_total_dim:
         raise ValueError(
@@ -484,24 +532,34 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
     id2 = np.eye(2)
     s_slot = [np.kron(op, id2) for op in _SPIN_HALF_MATRICES]
 
+    # the moment bands: rho, sigma and tau for x, y, z, and the ledger's sigma
+    w = n + 1
     psi = prepare_internal_source(K, margin=n).amplitudes
-    rho = np.outer(psi, psi.conj())
-    sigma = [np.zeros_like(rho) for _ in s_slot]
-    tau = [np.zeros_like(rho) for _ in s_slot]
-    ledger_sigma = np.zeros_like(rho)
+    buffer = np.empty((8, psi.size * (2 * w + 1)), dtype=np.complex128)
+    y = _band_stack(buffer, psi.size, w)
+    y[0] = _band_outer(psi, w)
+    y[1:] = 0.0
     k_cur = K
+
+    # the register's spin bands after each shot, laid end to end and checked in one pass
+    ladders = _spin_bands([K - t / 2 for t in range(n + 1)])
+    starts = np.cumsum([0] + [d_source - t for t in range(n)]).tolist()
+    registers = [SpinOperators(K - t / 2, ladders.m[a:a + d_source - t],
+                               ladders.raising[a:a + d_source - t - 1])
+                 for t, a in enumerate(starts)]
 
     def moments(slots: int) -> tuple[float, float, float]:
         """<J^2> and <Jz> of source + particles, and the combined Jz ledger."""
-        ops = spin_operators(k_cur)
+        ops = registers[slots]
         # sum_a Tr(K_a^2 rho) is the Casimir K(K+1) Tr rho of the register
-        j2 = k_cur * (k_cur + 1) * _trace(rho)
-        for axis, (sig, ta) in enumerate(zip(sigma, tau)):
-            j2 += 2 * _ladder_trace(ops, sig, axis) + _trace(ta)
-        kz = _ladder_trace(ops, rho, 2)
+        j2 = k_cur * (k_cur + 1) * _band_trace(y[0])
+        for axis in range(3):
+            j2 += 2 * _band_ladder_trace(ops, y[1 + axis], axis) + _band_trace(y[4 + axis])
+        kz = _band_ladder_trace(ops, y[0], 2)
         # the ledger also counts each device, less its initial <Lz> = L,
         # so it audits changes, not absolute offsets
-        return j2, kz + _trace(sigma[2]), kz + _trace(ledger_sigma) - slots * sys.L
+        return (j2, kz + _band_trace(y[3]),
+                kz + _band_trace(y[7]) - slots * sys.L)
 
     def fold_rows(ch: str) -> tuple:
         """A record-ch shot's `_fold_coefficients`: whole shot, slot, jz_slot, each O and O^2."""
@@ -517,12 +575,14 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
     weights = []
     for step, ch in enumerate(pattern):
         full, slot, jz_row, s_rows, s2_rows = rows[ch]
-        chan = _channel_weights(k_cur)
-        rho_pairs = _channel_pairs(rho, chan)
+        w -= 1
+        chan = _band_products(k_cur, w)
+        windows = _band_windows(y, chan.shape)
+        rho_pairs = windows[0] * chan
         # record-r weight over all of particle (x) apparatus, slot or not
-        w_full = _trace(_fold(full, rho_pairs))
-        rho_new = _fold(slot, rho_pairs)
-        w_slot = _trace(rho_new)
+        w_full = _band_trace(_band_fold(full, rho_pairs))
+        rho_new = _band_fold(slot, rho_pairs)
+        w_slot = _band_trace(rho_new)
         if w_full - w_slot > NUMERICS.state_atol:
             raise ConservationError(
                 f"conditioned state leaked out of the slot subspace by "
@@ -532,18 +592,25 @@ def _internal_streak(n: int, L, K: float, pattern: str) -> tuple:
             raise ConservationError(
                 f"post-selected pattern has vanishing weight at step {step}"
             )
+        # each band is written over its last one once that one's products are taken
+        y = _band_stack(buffer, chan.shape[2], w)
+        np.divide(rho_new, w_slot, out=y[0])
         for axis, (s_row, s2_row) in enumerate(zip(s_rows, s2_rows)):
-            sig_pairs = _channel_pairs(sigma[axis], chan)
-            tau[axis] = (_fold(slot, _channel_pairs(tau[axis], chan))
-                         + 2 * _fold(s_row, sig_pairs)
-                         + _fold(s2_row, rho_pairs)) / w_slot
-            sigma[axis] = (_fold(slot, sig_pairs) + _fold(s_row, rho_pairs)) / w_slot
-        ledger_sigma = (_fold(slot, _channel_pairs(ledger_sigma, chan))
-                        + _fold(jz_row, rho_pairs)) / w_slot
-        rho = rho_new / w_slot
+            sig_pairs = windows[1 + axis] * chan
+            np.divide(_band_fold(slot, windows[4 + axis] * chan) + 2 * _band_fold(s_row, sig_pairs)
+                      + _band_fold(s2_row, rho_pairs), w_slot, out=y[4 + axis])
+            np.divide(_band_fold(slot, sig_pairs) + _band_fold(s_row, rho_pairs), w_slot,
+                      out=y[1 + axis])
+        np.divide(_band_fold(slot, windows[7] * chan) + _band_fold(jz_row, rho_pairs), w_slot,
+                  out=y[7])
         k_cur -= 0.5
         weights.append(w_slot)
         series.append(moments(step + 1))
+        drift = abs(series[-1][2] - series[0][2])
+        if not drift <= NUMERICS.conservation_atol:
+            raise ConservationError(
+                f"combined Jz ledger drifted by {drift:.3e} at step {step + 1}"
+            )
 
     j2_series, jz_series, ledger = zip(*series)
     return j2_series, jz_series, ledger, weights, {

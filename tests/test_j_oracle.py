@@ -200,7 +200,7 @@ def test_matching_residuals_match_the_per_component_oracle(device):
     assert_bits_equal(got, oracle_sector_residuals(amps, device))
     # the kron oracle, a second reference, to rounding: each bracket at its
     # own scale, and the residuals at the scale of the terms
-    [(terms, _)] = apparatus._read_matching(
+    [(terms, _, _)] = apparatus._read_matching(
         device.stack, *apparatus._read_stack(apparatus._EIGENSTATES, device.stack))
     pairs = [(amps.u, amps.u_err), (amps.d, amps.d_err)]
     scale = max(abs(weight * b) for weight, brackets in terms for b in brackets)
@@ -215,7 +215,7 @@ def test_measure_row_reads_the_jx_bracket_of_the_matching_terms(L):
     # a measure row takes |<u|Jx|u_err>| from the residual pass's brackets
     device = sl.build_measurement_unitary(L)
     amps = sl.extract_error_amplitudes(device)
-    [([(weight, brackets), *_], _)] = apparatus._read_matching(
+    [([(weight, brackets), *_], _, _)] = apparatus._read_matching(
         device.stack, *apparatus._read_stack(apparatus._EIGENSTATES, device.stack))
     assert weight == amps.C * amps.F
     want = abs(oracle_j_bracket(device, amps.u.amplitudes, amps.u_err.amplitudes, 0))

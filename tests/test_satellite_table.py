@@ -87,6 +87,46 @@ def test_signed_zeros_spell_like_the_per_row_table(fmt, monkeypatch, tmp_path):
     assert (b",-0," if fmt == "csv" else b'"-0"') in texts[0]
 
 
+class FakeRun:
+    """A run whose `blocks` yields the given (outcome_up, ideal, full) blocks."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.n_particles = sum(len(up) for up, _, _ in blocks)
+
+    def blocks(self, size):
+        assert all(len(up) <= size for up, _, _ in self._blocks)
+        yield from self._blocks
+
+
+def test_constant_ledger_columns_spell_like_the_per_row_table(monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    rng = np.random.default_rng(3)
+    blocks = []
+    # ideal: a constant non-zero column, a -0.0 column, and a column constant
+    # in the first and last blocks only; full: a varying column, one of +0.0
+    # and -0.0 (equal by ==, not by bits) and a constant one; then a block
+    # whose columns are all constant
+    for m, z in [(4, np.full(4, 2.5)), (4, rng.standard_normal(4)), (3, np.full(3, 2.5))]:
+        ideal = np.column_stack([np.full(m, 0.3), np.full(m, -0.0), z])
+        full = np.column_stack([rng.standard_normal(m), np.resize([0.0, -0.0], m),
+                                np.full(m, 1 / 3)])
+        blocks.append((rng.random(m) < 0.5, ideal, full))
+    blocks.append((np.array([True, False]), np.full((2, 3), -1e300), np.full((2, 3), 0.0)))
+    outcome_cells = np.array(list(cli._format_rows([["dn", 0.4, 0.1, -0.0, 0.2],
+                                                    ["up", 0.6, 0.1, 0.0, -0.2]])), dtype=object)
+    audit_cell = next(cli._format_rows([[1e-17]]))
+    rows = []
+    for up, ideal, full in blocks:
+        for u, books in zip(up.tolist(), np.hstack([ideal, full]).tolist()):
+            rows.append((len(rows) + 1, outcome_cells[int(u)], *books, audit_cell))
+    got = "\n".join(cli._satellite_lines(FakeRun(blocks), outcome_cells, audit_cell))
+    assert got == "\n".join(cli._format_rows(rows))
+    table = [line.split(",") for line in got.splitlines()]
+    assert {row[7] for row in table[:-2]} == {"-0"}            # ideal_y
+    assert {row[10] for row in table[:4]} == {"0", "-0"}       # full_y
+
+
 def test_a_str_row_is_a_spelled_line(tmp_path):
     rows = [[1, "up", 0.1, -0.0], [2, "dn", 1e300, 2.5]]
     lines = list(cli._format_rows(rows))

@@ -1,16 +1,27 @@
-"""The internal streak's fold kernel, its exact outputs and its size guard.
+"""The internal streak's banded fold kernel, its exact outputs and its size guard.
 
-A fold is one (1, 4) by (4, d*d) dot of coefficients formed once per
-record letter with the four channel products of a moment matrix.  The
-oracle is the formula the streak used before, a `np.tensordot` of the
-slot Gram matrix with the sliding-window products; the two must agree
-bit for bit, and so must the reports built on them.
+A fold is one (1, 4) by (4, N) dot of coefficients formed once per
+record letter with the four channel products of a moment matrix's band.
+The oracles are the formulas the streak used before: a `np.tensordot` of
+the slot Gram matrix with the sliding-window products of a dense moment
+matrix, and the whole streak on dense moments (`moment_oracle`).  A
+band's products must equal the dense ones cut to the band, and its fold
+the tensordot formula on them, bit for bit; in one BLAS thread, every
+report must equal the dense streak's bit for bit.
 """
+
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import moment_oracle
 import spinledger as sl
 import spinledger.experiments as ex
 from spinledger.cli import main
@@ -35,21 +46,96 @@ def assert_bits_equal(got, want):
 @pytest.mark.parametrize("d", [3, 33, 201])
 def test_fold_equals_the_tensordot_formula_bit_for_bit(d):
     rng = np.random.default_rng(d)
-    weights = ex._channel_weights(d / 2)
-    assert weights.shape == (2, 2, d, d)
+    weights = moment_oracle.channel_weights(d / 2)
     # slot amplitudes with slot operators, and a whole shot column as the
     # weight fold reads it
     folds = [(_complex(rng, 4, 2), op) for op in
              (None, _complex(rng, 4, 4), np.diag(rng.standard_normal(4)).astype(complex))]
     folds.append((_complex(rng, 18, 2), None))
-    x = _complex(rng, d + 1, d + 1)
-    for moment in (x, x.T):   # a strided view as well as a contiguous matrix
-        pairs = ex._channel_pairs(moment, weights)
-        assert_bits_equal(pairs, (sliding_window_view(moment, (d, d)) * weights)
-                          .reshape(4, d * d))
-        for amp, op in folds:
-            got = ex._fold(ex._fold_coefficients(amp, op), pairs)
-            assert_bits_equal(got, oracle_fold(amp, moment, weights, op))
+    xs = [_complex(rng, d + 1, d + 1) for _ in range(2)]
+    # a band narrower than the matrix, and one wider
+    for w in sorted({2, 9, d + 2}):
+        products = ex._band_products(d / 2, w - 1)
+        assert products.shape == (2, 2, d, 2 * w - 1)
+        inside = (moment_oracle.band(np.ones((d, d)), w - 1) != 0).T   # (column, diagonal)
+        assert not products[:, :, ~inside].any()
+        bands = np.stack([moment_oracle.band(x, w) for x in xs])
+        stack = ex._band_stack(np.empty((8, (d + 1) * (2 * w + 1)), complex), d + 1, w)[:2]
+        stack[...] = bands
+        # column-major bands as the streak holds them, and row-major
+        for y in (stack, bands):
+            for x, windows in zip(xs, ex._band_windows(y, products.shape)):
+                pairs = windows * products
+                # E_p x E_q^dag on the band: the dense products, cut to it
+                want_pairs = np.stack([
+                    moment_oracle.band(pair, w - 1).T
+                    for pair in (sliding_window_view(x, (d, d)) * weights).reshape(4, d, d)
+                ]).reshape(pairs.shape)
+                assert_bits_equal(pairs[:, :, inside], want_pairs[:, :, inside])
+                for amp, op in folds:
+                    gram = amp.conj().T @ (amp if op is None else op @ amp)
+                    got = ex._band_fold(ex._fold_coefficients(amp, op), pairs).T
+                    want = np.tensordot(gram.T, want_pairs, axes=2)
+                    assert_bits_equal(got[inside], want[inside])
+                    assert not got[~inside].any()
+                    # the dense fold's dot splits its columns elsewhere, so
+                    # its bits may differ, within the rounding of a
+                    # four-term sum
+                    dense = moment_oracle.band(oracle_fold(amp, x, weights, op), w - 1).T
+                    scale = np.tensordot(np.abs(gram.T), np.abs(want_pairs), axes=2)
+                    assert np.all(np.abs(got - dense)[inside]
+                                  <= 8 * np.finfo(float).eps * scale[inside])
+
+
+def _short_cases():
+    """Every pattern of n <= 6 at three (L, K), K up to 64."""
+    for n in range(1, 7):
+        for L, K in [(4, n), (2.5, 2 * n + 0.5), (4, 64)]:
+            for pattern in itertools.product("ud", repeat=n):
+                yield n, L, K, "".join(pattern)
+
+
+def _mixed_cases():
+    """Six patterns of each 7 <= n <= 12, all-up, all-down and four mixed, at three (L, K)."""
+    for n in range(7, 13):
+        rng = np.random.default_rng(n)
+        patterns = ["u" * n, "d" * n, *("".join(rng.choice(["u", "d"], n)) for _ in range(4))]
+        for L, K in [(4, n), (2, 2 * n + 0.5), (4, 64)]:
+            for pattern in patterns:
+                yield n, L, K, pattern
+
+
+def one_blas_thread(code: str) -> str:
+    """Stdout of `python -c code` in a fresh interpreter with one OpenBLAS thread, as the CLI sets."""
+    path = [str(Path(ex.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+@pytest.mark.parametrize("cases", [_short_cases, _mixed_cases])
+def test_reports_equal_the_dense_moments_bit_for_bit(cases):
+    # In one BLAS thread, as the CLI runs.  With more, OpenBLAS splits a
+    # fold's columns between threads where the column count puts the
+    # split, and the columns at a split's edge take another kernel, so a
+    # band and a dense fold can differ there by an ulp.
+    cases = list(cases())
+    code = ("import moment_oracle; "
+            f"print(moment_oracle.mismatches({cases!r}))")
+    assert one_blas_thread(code) == "[]"
+
+
+@pytest.mark.parametrize("K", [1000, 1023.5])
+def test_a_large_source_streak_is_carried_in_megabytes(K):
+    # the dense moments of K = 1000 alone are 8 matrices of 64 MB
+    sl.lucky_streak_j2(2, 4, "internal", K=2)   # import and build what every streak shares
+    tracemalloc.start()
+    try:
+        sl.lucky_streak_j2(2, 4, "internal", K=K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # lucky_streak_j2(4, L, "internal", K=9, pattern) as reported by the

@@ -136,6 +136,23 @@ def test_vanishing_weight_audit_still_raises(monkeypatch):
         sl.lucky_streak_j2(2, 2, "internal", K=4, pattern="ud")
 
 
+def test_ledger_audit_raises_on_a_drifting_ledger(monkeypatch, capsys):
+    # every slot's Jz one too high: the combined ledger gains one per shot
+    read_shot = ex._read_shot
+
+    def fake(sys):
+        shots, slots, jz = read_shot(sys)
+        return shots, slots, jz + 1.0
+
+    monkeypatch.setattr(ex, "_read_shot", fake)
+    with pytest.raises(sl.ConservationError, match=r"ledger drifted by 1\.000e\+00 at step 1$"):
+        sl.lucky_streak_j2(3, 4, "internal", K=4, pattern="udu")
+    assert cli_main(["streak", "--mode", "internal", "--n", "2", "--K", "4", "--L", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("spinledger: conservation audit failed: combined Jz ledger "
+                                 "drifted by 1.000e+00 at step 1\n")
+
+
 def test_streak_n10_k32_runs_and_keeps_the_ledger(tmp_path, capsys):
     # the dense (2K) 4^n tensor of this call was OOM-killed
     path = tmp_path / "streak.csv"
